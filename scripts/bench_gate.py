@@ -2,9 +2,9 @@
 """Bench-regression gate: rerun the serving benches and diff key rows
 against the committed bench/snapshots/BENCH_*.json.
 
-Runs `fig_serving_throughput --json` and `fig_query_fold --json` at each
-snapshot's recorded scale (DPPR_BENCH_SCALE), then compares every metric the
-snapshot carries:
+Runs `fig_serving_throughput --json`, `fig_serving_scale --json` and
+`fig_query_fold --json` at each snapshot's recorded scale
+(DPPR_BENCH_SCALE), then compares every metric the snapshot carries:
 
   * deterministic metrics (byte/round/read counts) must match within a tight
     tolerance -- drift here is a logic change, not noise;
@@ -27,8 +27,9 @@ import tempfile
 
 # Metrics whose values are deterministic re-runs of the same workload (byte
 # accounting, read counts). Anything else is timing-dependent — including
-# `rounds` and `mean_batch` in the closed-loop serving bench, where how many
-# requests a combining leader absorbs per round is pure scheduler timing.
+# `rounds` and `mean_batch` in the closed-loop serving bench (and
+# `machine_rounds` in the open-loop one), where how many requests a leader
+# absorbs per round is pure scheduler timing.
 # Per-query fragment bytes are batch-invariant, so comm_kb_per_query stays
 # deterministic even as batching shifts.
 DETERMINISTIC = {
@@ -40,7 +41,7 @@ DETERMINISTIC = {
     "prefetch_coalesced_reads",
 }
 
-BENCHES = ["fig_serving_throughput", "fig_query_fold"]
+BENCHES = ["fig_serving_throughput", "fig_serving_scale", "fig_query_fold"]
 
 
 def run_bench(build_dir: pathlib.Path, bench: str, scale: float) -> dict:

@@ -378,8 +378,13 @@ std::vector<SparseVector> HgpaQueryEngine::RunDistributed(
     return RunRouted(queries, per_query_metrics, round_metrics);
   }
 
-  SimCluster::RoundResult round = cluster_.RunRound(
-      [&](size_t machine) { return MachineTask(machine, queries); });
+  // One sink per machine task: tasks run concurrently, and the sinks are
+  // plain counters.
+  std::vector<StorageStats> machine_storage(index_.num_machines());
+  SimCluster::RoundResult round = cluster_.RunRound([&](size_t machine) {
+    StorageStatsScope storage_scope(&machine_storage[machine]);
+    return MachineTask(machine, queries);
+  });
 
   WallTimer coordinator_timer;
   std::vector<CommStats> per_query_comm(num_queries);
@@ -430,6 +435,7 @@ std::vector<SparseVector> HgpaQueryEngine::RunDistributed(
   shared.machine_seconds = round.metrics.machine_seconds;
   shared.machines.resize(index_.num_machines());
   for (size_t m = 0; m < shared.machines.size(); ++m) shared.machines[m] = m;
+  for (const StorageStats& storage : machine_storage) shared.storage += storage;
   if (round_metrics != nullptr) *round_metrics = shared;
   if (per_query_metrics != nullptr) {
     per_query_metrics->assign(num_queries, shared);
@@ -468,15 +474,14 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
     if (is_participant[m]) participants.push_back(m);
   }
 
-  // What broadcast would have shipped for every machine routing skipped: the
-  // fixed serialization of an empty fragment.
-  const uint64_t empty_fragment_bytes = SparseVector().SerializedBytes();
-
   QueryMetrics shared;
   std::vector<CommStats> per_query_comm(num_queries);
   if (!participants.empty()) {
+    // One sink per machine task (see RunDistributed).
+    std::vector<StorageStats> machine_storage(num_machines);
     SimCluster::RoundResult round =
         cluster_.RunRoundOn(participants, [&](size_t machine) {
+          StorageStatsScope storage_scope(&machine_storage[machine]);
           return RoutedMachineTask(machine, queries, plans);
         });
 
@@ -528,13 +533,10 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
     shared.comm = round.metrics.to_coordinator;
     shared.round_id = round.round_id;
     shared.machine_seconds = round.metrics.machine_seconds;
+    for (const StorageStats& storage : machine_storage) shared.storage += storage;
   }
   shared.machines = participants;
   shared.machines_contacted = participants.size();
-  for (const QueryRouter::Plan& plan : plans) {
-    shared.routing_bytes_saved +=
-        (num_machines - plan.contributors) * empty_fragment_bytes;
-  }
   if (round_metrics != nullptr) *round_metrics = shared;
   if (per_query_metrics != nullptr) {
     per_query_metrics->assign(num_queries, shared);
@@ -543,8 +545,6 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
       m.comm = per_query_comm[q];
       m.machines = plans[q].machines;
       m.machines_contacted = plans[q].machines.size();
-      m.routing_bytes_saved =
-          (num_machines - plans[q].contributors) * empty_fragment_bytes;
     }
   }
   return results;

@@ -158,10 +158,6 @@ struct QueryMetrics {
   /// round was skipped entirely, e.g. a result-cache hit or an all-zero
   /// preference set).
   size_t machines_contacted = 0;
-  /// Bytes routing did NOT ship versus broadcast: one empty serialized
-  /// fragment per non-contributing machine that a full fan-out would have
-  /// gathered anyway. Zero under broadcast.
-  uint64_t routing_bytes_saved = 0;
   /// Transport round id of the communication round that answered this query
   /// (shared by every query in a batch; 0 when no round ran).
   uint64_t round_id = 0;
@@ -172,6 +168,11 @@ struct QueryMetrics {
   /// Full-cluster-width measured per-machine compute seconds for the round
   /// (zeros for machines that did not participate). Empty when no round ran.
   std::vector<double> machine_seconds;
+  /// Store counters the round's machine tasks charged, summed over machines
+  /// (round-level: a lookup cannot be split among the queries of a batch).
+  /// Counted per task through StorageStatsScope, so rounds running at the
+  /// same time on the same stores never see each other's hits and reads.
+  StorageStats storage;
 
   /// Compute-only runtime (machines overlap their sends in a real cluster,
   /// and the paper observes network transfer does not dominate; Appendix B).

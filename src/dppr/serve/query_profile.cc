@@ -57,7 +57,6 @@ std::string QueryProfile::ToJson() const {
   AppendU64(out, "fragment_bytes", fragment_comm.bytes);
   AppendU64(out, "round_messages", round_comm.messages);
   AppendU64(out, "round_bytes", round_comm.bytes);
-  AppendU64(out, "routing_bytes_saved", routing_bytes_saved);
   // Only participants' entries are interesting; the full-width vector is
   // mostly zeros under routing, so emit (machine, seconds) pairs.
   out += "\"machine_seconds\":{";

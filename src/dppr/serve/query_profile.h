@@ -69,8 +69,6 @@ struct QueryProfile {
   CommStats fragment_comm;
   /// Whole coordinator ingress of the shared round.
   CommStats round_comm;
-  /// Bytes this request's routed plan did not ship versus broadcast.
-  uint64_t routing_bytes_saved = 0;
 
   /// Measured per-machine compute seconds of the round, full cluster width
   /// (zeros for machines that did not run).
@@ -78,9 +76,11 @@ struct QueryProfile {
   double max_machine_seconds = 0.0;
   double coordinator_seconds = 0.0;
 
-  /// Storage-counter delta over the shared round, summed across machine
-  /// stores: cache hits/misses, spill reads, prefetch work. Round-level (a
-  /// store lookup cannot be attributed to one query of a batch).
+  /// Store counters the shared round's own machine tasks charged, summed
+  /// across machines: cache hits/misses, spill reads, prefetch work
+  /// (QueryMetrics::storage). Round-level (a store lookup cannot be
+  /// attributed to one query of a batch), and exact under overlapping
+  /// rounds: Σ over distinct rounds == the ServerStats window.
   StorageStats storage;
 
   /// One JSON object, no trailing newline. Keys are stable — they are the

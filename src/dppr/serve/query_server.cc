@@ -9,6 +9,7 @@
 
 #include "dppr/common/env.h"
 #include "dppr/common/macros.h"
+#include "dppr/common/thread_pool.h"
 #include "dppr/obs/trace.h"
 
 namespace dppr {
@@ -72,7 +73,6 @@ QueryServer::QueryServer(HgpaQueryEngine engine, ServeOptions options)
                    registry.GetHistogram("serve.batch_size" + label_),
                    registry.GetCounter("serve.shed" + label_),
                    registry.GetCounter("serve.routing.machine_rounds" + label_),
-                   registry.GetCounter("serve.routing.bytes_saved" + label_),
                    registry.GetHistogram("serve.routing.machines_per_query" +
                                          label_)};
   window_baseline_ = CaptureBaseline();
@@ -200,19 +200,26 @@ QueryServer::Response QueryServer::Submit(std::vector<Preference> preferences) {
   span.Arg("request", request.id);
   request.admitted.Restart();
   pending_.push_back(&request);
+  // One leader per pool thread: every leader runs its own round, so up to
+  // num_threads() rounds are in flight at once. More would only queue their
+  // machine tasks behind each other on the same pool.
+  const size_t max_leaders = ThreadPool::Default().num_threads();
+  auto can_lead = [&] {
+    return !pending_.empty() && active_leaders_ < max_leaders;
+  };
   while (!request.done) {
-    if (!leader_active_) {
-      // Combining leader: serve FIFO batches until our own request is done,
-      // then hand leadership to a still-waiting thread. Leading only to our
+    if (can_lead()) {
+      // Serve FIFO batches until our own request is done — by this leader's
+      // round or by another's — then give the slot back. Leading only to our
       // own completion (not until the queue drains) keeps every caller's
       // latency bounded under sustained load — a drain-to-empty leader never
       // returns while new requests keep arriving.
-      leader_active_ = true;
-      while (!request.done) RunOneBatch(lock);
-      leader_active_ = false;
+      ++active_leaders_;
+      while (!request.done && !pending_.empty()) RunOneBatch(lock);
+      --active_leaders_;
       if (!pending_.empty()) done_cv_.notify_all();
     } else {
-      done_cv_.wait(lock, [&] { return request.done || !leader_active_; });
+      done_cv_.wait(lock, [&] { return request.done || can_lead(); });
     }
   }
   Response response;
@@ -224,8 +231,8 @@ QueryServer::Response QueryServer::Submit(std::vector<Preference> preferences) {
 }
 
 void QueryServer::RunOneBatch(std::unique_lock<std::mutex>& lock) {
-  // The leader only loops while its own request is unanswered, and that
-  // request sits in pending_ until the batch that answers it.
+  // Leaders only call this with a non-empty queue; the chunk they take is
+  // theirs alone, so concurrent leaders never share a request.
   DPPR_CHECK(!pending_.empty());
   size_t take = std::min(options_.max_batch, pending_.size());
   std::vector<Request*> batch(pending_.begin(), pending_.begin() + take);
@@ -272,7 +279,6 @@ void QueryServer::RunOneBatch(std::unique_lock<std::mutex>& lock) {
   std::vector<QueryMetrics> per_query;
   QueryMetrics round;
   std::vector<SparseVector> ppvs;
-  const StorageStats storage_before = engine_.index().StorageStatsTotal();
   {
     // The shared round runs under the FIRST request's context: its trace id
     // is what the round's machine/store/net spans and frame headers carry.
@@ -284,8 +290,6 @@ void QueryServer::RunOneBatch(std::unique_lock<std::mutex>& lock) {
     round_span.Arg("first_request", batch.front()->id);
     ppvs = engine_.QueryPreferenceSetMany(queries, &per_query, &round);
   }
-  const StorageStats round_storage =
-      engine_.index().StorageStatsTotal().Since(storage_before);
   // Populate the result cache before re-locking: Insert copies the vector
   // and takes only the shard's own mutex, so waiters aren't held up by it.
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -313,11 +317,10 @@ void QueryServer::RunOneBatch(std::unique_lock<std::mutex>& lock) {
     profile.machines_contacted = per_query[i].machines_contacted;
     profile.fragment_comm = per_query[i].comm;
     profile.round_comm = round.comm;
-    profile.routing_bytes_saved = per_query[i].routing_bytes_saved;
     profile.machine_seconds = round.machine_seconds;
     profile.max_machine_seconds = round.max_machine_seconds;
     profile.coordinator_seconds = round.coordinator_seconds;
-    profile.storage = round_storage;
+    profile.storage = round.storage;
   }
   series_.queries->Add(take);
   series_.rounds->Increment();
@@ -326,7 +329,6 @@ void QueryServer::RunOneBatch(std::unique_lock<std::mutex>& lock) {
   // Machine-rounds: machines this round actually ran on (the whole cluster
   // under broadcast; the participant union under routing).
   series_.routing_machine_rounds->Add(round.machines_contacted);
-  series_.routing_bytes_saved->Add(round.routing_bytes_saved);
   done_cv_.notify_all();
 
   // Profile observation (ring updates + possible slow-log file I/O) happens
@@ -344,7 +346,6 @@ QueryServer::WindowBaseline QueryServer::CaptureBaseline() const {
                         series_.latency_us->TakeSnapshot(),
                         series_.shed->Value(),
                         series_.routing_machine_rounds->Value(),
-                        series_.routing_bytes_saved->Value(),
                         series_.machines_per_query->TakeSnapshot(),
                         cache_.hits(),
                         cache_.misses(),
@@ -385,8 +386,6 @@ ServerStats QueryServer::Stats() const {
   stats.shed = series_.shed->Value() - window_baseline_.shed;
   stats.routing_machine_rounds = series_.routing_machine_rounds->Value() -
                                  window_baseline_.routing_machine_rounds;
-  stats.routing_bytes_saved = series_.routing_bytes_saved->Value() -
-                              window_baseline_.routing_bytes_saved;
   stats.machines_per_query_mean = series_.machines_per_query->TakeSnapshot()
                                       .Since(window_baseline_.machines_per_query)
                                       .Mean();
@@ -450,14 +449,13 @@ std::string QueryServer::StatusJson() const {
       "\"serving\":{\"queries\":%llu,\"rounds\":%llu,\"qps\":%.2f,"
       "\"mean_batch\":%.3f,\"shed\":%llu,\"p50_latency_ms\":%.3f,"
       "\"p99_latency_ms\":%.3f,\"comm_bytes\":%llu,"
-      "\"routing_machine_rounds\":%llu,\"routing_bytes_saved\":%llu},",
+      "\"routing_machine_rounds\":%llu},",
       static_cast<unsigned long long>(stats.queries),
       static_cast<unsigned long long>(stats.rounds), stats.qps,
       stats.mean_batch, static_cast<unsigned long long>(stats.shed),
       stats.p50_latency_ms, stats.p99_latency_ms,
       static_cast<unsigned long long>(stats.comm.bytes),
-      static_cast<unsigned long long>(stats.routing_machine_rounds),
-      static_cast<unsigned long long>(stats.routing_bytes_saved));
+      static_cast<unsigned long long>(stats.routing_machine_rounds));
   out += buf;
 
   std::snprintf(

@@ -31,7 +31,9 @@ struct ServeOptions {
   /// Admission bound: maximum requests waiting in the pending queue. 0 means
   /// unbounded (the historical behavior). With a bound, an arrival finding
   /// the queue full is shed (Response::shed, counted in `serve.shed`) or
-  /// blocks until space frees, per shed_on_overload.
+  /// blocks until space frees, per shed_on_overload. Requests a leader has
+  /// already taken into a round do not count, so up to one round per pool
+  /// thread is in flight on top of the bound.
   size_t max_pending = 0;
   /// Full-queue policy: true sheds (degrade gracefully, keep latency
   /// bounded), false blocks the caller (backpressure instead of loss).
@@ -111,31 +113,32 @@ struct ServerStats {
   uint64_t result_cache_evictions = 0;
   uint64_t result_cache_bytes = 0;
   /// Shard routing over the window: mean machines per served query (n under
-  /// broadcast), total machine-rounds (Σ machines contacted), and bytes the
-  /// routed rounds did not ship versus a broadcast fan-out.
+  /// broadcast) and total machine-rounds (Σ machines contacted).
   double machines_per_query_mean = 0.0;
   uint64_t routing_machine_rounds = 0;
-  uint64_t routing_bytes_saved = 0;
 };
 
 /// Concurrent query front-end over one shared HgpaIndex/HgpaQueryEngine.
 ///
 /// Many client threads call Query / QueryPreferenceSet / QueryTopK
-/// concurrently; each call blocks until its answer is ready. Compatible
-/// in-flight requests are folded into shared SimCluster rounds: the first
-/// thread to find no round in progress becomes the batch leader, serves
-/// FIFO chunks of at most ServeOptions::max_batch through
-/// HgpaQueryEngine::QueryPreferenceSetMany (one communication round per
-/// chunk) until its own request is answered, then hands leadership to a
-/// waiting thread — so every caller's latency stays bounded under sustained
-/// load. Threads arriving while a leader is active enqueue and sleep.
-/// Answers are bit-identical to unbatched queries — batching changes only
-/// cost sharing, never results.
+/// concurrently; each call blocks until its answer is ready. Requests are
+/// folded into shared SimCluster rounds by leaders — one per pool thread
+/// (ThreadPool::Default().num_threads()), so that many rounds can be in
+/// flight at once. A caller becomes a leader when requests are pending and
+/// a leader slot is free; otherwise it enqueues and sleeps. Each leader
+/// takes a FIFO chunk of at most ServeOptions::max_batch requests, runs it
+/// through HgpaQueryEngine::QueryPreferenceSetMany (one communication round
+/// per chunk) with the queue lock released, publishes the answers, and
+/// keeps leading only until its own request is answered — by its own round
+/// or another leader's — so every caller's latency stays bounded under
+/// sustained load. Answers are bit-identical to unbatched queries: batching
+/// and overlap change only cost sharing, never any query's fold order.
 ///
 /// With DPPR_TRACE set, every request contributes spans to the process
 /// trace: `serve.request` (admission to completion, on the caller's
 /// thread), `serve.wait` (time parked in the admission queue), and
-/// `serve.round` around each leader batch — plus the per-machine
+/// `serve.round` around each leader batch (overlapping when several leaders
+/// run at once) — plus the per-machine
 /// `cluster.machine` spans of the round itself.
 class QueryServer {
  public:
@@ -248,7 +251,6 @@ class QueryServer {
     obs::Histogram* batch_size;
     obs::Counter* shed;
     obs::Counter* routing_machine_rounds;
-    obs::Counter* routing_bytes_saved;
     obs::Histogram* machines_per_query;
   };
 
@@ -262,7 +264,6 @@ class QueryServer {
     obs::Histogram::Snapshot latency;
     uint64_t shed = 0;
     uint64_t routing_machine_rounds = 0;
-    uint64_t routing_bytes_saved = 0;
     obs::Histogram::Snapshot machines_per_query;
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
@@ -275,8 +276,9 @@ class QueryServer {
   uint64_t CacheKey(NodeId source) const;
 
   Response Submit(std::vector<Preference> preferences);
-  /// Leader: takes up to max_batch requests off the queue, runs one cluster
-  /// round, publishes results. `lock` is held on entry and exit.
+  /// Leader: takes up to max_batch requests off the (non-empty) queue, runs
+  /// one cluster round with `lock` released, publishes results. `lock` is
+  /// held on entry and exit.
   void RunOneBatch(std::unique_lock<std::mutex>& lock);
   /// Call with mu_ held.
   WindowBaseline CaptureBaseline() const;
@@ -295,7 +297,8 @@ class QueryServer {
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
   std::deque<Request*> pending_;
-  bool leader_active_ = false;
+  /// Leaders currently serving batches (at most the pool's thread count).
+  size_t active_leaders_ = 0;
   uint64_t next_request_id_ = 0;
 
   // Stats window state, guarded by mu_ (the registry series themselves are

@@ -21,7 +21,7 @@ namespace dppr {
 namespace {
 
 /// Process-wide rollup of every DiskSpillStorage's miss path. Charged at the
-/// same code sites as the per-store hits_/misses_/disk_bytes_read_ atomics
+/// same code sites as the per-store VectorStorage::Count counters
 /// (the per-store stats() remain the source for per-index views), so the
 /// registry dump and summed StorageStats can never disagree.
 struct DiskMetrics {
@@ -360,7 +360,7 @@ double DiskSpillStorage::IngestFrom(ByteReader& reader) {
 PpvRef DiskSpillStorage::CachedLocked(uint64_t key) const {
   auto cit = cache_.find(key);
   if (cit == cache_.end()) return {};
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  Count(&StorageStats::cache_hits, 1);
   DiskMetrics::Get().hits->Increment();
   std::list<uint64_t>& lru = LruFor(key);
   lru.splice(lru.begin(), lru, cit->second.lru_it);
@@ -383,7 +383,7 @@ PpvRef DiskSpillStorage::Find(VectorKind kind, SubgraphId sub, NodeId node) cons
       auto fit = inflight_.find(key);
       if (fit != inflight_.end()) {
         std::shared_ptr<InFlightLoad> lead = fit->second;
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        Count(&StorageStats::cache_misses, 1);
         DiskMetrics::Get().misses->Increment();
         {
           obs::TraceSpan wait_span(obs::kCoordinatorLane,
@@ -478,13 +478,13 @@ void DiskSpillStorage::Prefetch(std::span<const uint64_t> keys) const {
       buckets[key >> 60].push_back({key, eit->second, std::move(load)});
     }
   }
-  prefetch_hits_.fetch_add(already_resident, std::memory_order_relaxed);
+  Count(&StorageStats::prefetch_hits, already_resident);
   metrics.prefetch_hits->Add(already_resident);
   size_t issued = 0;
   for (const auto& bucket : buckets) issued += bucket.size();
   span.Arg("loads", issued);
   if (issued == 0) return;
-  prefetch_issued_.fetch_add(issued, std::memory_order_relaxed);
+  Count(&StorageStats::prefetch_issued, issued);
   metrics.prefetch_issued->Add(issued);
 
   // Every registered load must be resolved even if something below unwinds
@@ -558,7 +558,7 @@ void DiskSpillStorage::Prefetch(std::span<const uint64_t> keys) const {
           Pending& p = bucket[k];
           // A prefetched extent was read from disk, not served from RAM:
           // cache-miss semantics, billed once here (the later Find hits).
-          misses_.fetch_add(1, std::memory_order_relaxed);
+          Count(&StorageStats::cache_misses, 1);
           metrics.misses->Increment();
           p.load->vec = vec;
           p.load->done = true;
@@ -572,11 +572,11 @@ void DiskSpillStorage::Prefetch(std::span<const uint64_t> keys) const {
       i = j;
     }
   }
-  disk_bytes_read_.fetch_add(bytes_read, std::memory_order_relaxed);
+  Count(&StorageStats::disk_bytes_read, bytes_read);
   metrics.bytes_read->Add(bytes_read);
-  prefetch_coalesced_reads_.fetch_add(reads, std::memory_order_relaxed);
+  Count(&StorageStats::prefetch_coalesced_reads, reads);
   metrics.prefetch_coalesced_reads->Add(reads);
-  prefetch_bytes_.fetch_add(bytes_read, std::memory_order_relaxed);
+  Count(&StorageStats::prefetch_bytes, bytes_read);
   metrics.prefetch_bytes->Add(bytes_read);
   span.Arg("reads", reads);
   span.Arg("bytes", bytes_read);
@@ -627,8 +627,8 @@ PpvRef DiskSpillStorage::Load(uint64_t key, VectorKind kind, SubgraphId sub,
   auto vec = std::make_shared<const SparseVector>(std::move(record.vec));
 
   std::lock_guard<std::mutex> lock(mu_);
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  disk_bytes_read_.fetch_add(extent.length, std::memory_order_relaxed);
+  Count(&StorageStats::cache_misses, 1);
+  Count(&StorageStats::disk_bytes_read, extent.length);
   const DiskMetrics& disk_metrics = DiskMetrics::Get();
   disk_metrics.misses->Increment();
   disk_metrics.bytes_read->Add(extent.length);

@@ -37,7 +37,7 @@ void MemoryRefStorage::PutOwned(VectorKind kind, SubgraphId sub, NodeId node,
 PpvRef MemoryRefStorage::Find(VectorKind kind, SubgraphId sub, NodeId node) const {
   auto it = map_.find(MakeVectorKey(kind, sub, node));
   if (it == map_.end()) return {};
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  Count(&StorageStats::cache_hits, 1);
   return PpvRef::Unowned(it->second);
 }
 
@@ -48,7 +48,7 @@ PpvPair MemoryRefStorage::FindPair(SubgraphId sub, NodeId hub) const {
   // Same accounting as two Finds: one hit per present member.
   uint64_t present = (it->second.first != nullptr ? 1u : 0u) +
                      (it->second.second != nullptr ? 1u : 0u);
-  hits_.fetch_add(present, std::memory_order_relaxed);
+  Count(&StorageStats::cache_hits, present);
   return {PpvRef::Unowned(it->second.first), PpvRef::Unowned(it->second.second)};
 }
 

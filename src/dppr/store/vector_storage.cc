@@ -7,6 +7,20 @@
 #include "dppr/store/memory_storage.h"
 
 namespace dppr {
+namespace {
+
+thread_local StorageStats* t_storage_sink = nullptr;
+
+}  // namespace
+
+StorageStatsScope::StorageStatsScope(StorageStats* sink)
+    : previous_(t_storage_sink) {
+  t_storage_sink = sink;
+}
+
+StorageStatsScope::~StorageStatsScope() { t_storage_sink = previous_; }
+
+StorageStats* StorageStatsScope::Current() { return t_storage_sink; }
 
 const char* StorageBackendName(StorageBackend backend) {
   switch (backend) {

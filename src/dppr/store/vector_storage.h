@@ -129,26 +129,53 @@ struct StorageStats {
   uint64_t prefetch_coalesced_reads = 0;
   uint64_t prefetch_bytes = 0;
 
-  StorageStats& operator+=(const StorageStats& other) {
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-    disk_bytes_read += other.disk_bytes_read;
-    prefetch_issued += other.prefetch_issued;
-    prefetch_hits += other.prefetch_hits;
-    prefetch_coalesced_reads += other.prefetch_coalesced_reads;
-    prefetch_bytes += other.prefetch_bytes;
-    return *this;
-  }
+  StorageStats& operator+=(const StorageStats& other);
   /// Counter delta since `baseline` (ServerStats windows).
-  StorageStats Since(const StorageStats& baseline) const {
-    return {cache_hits - baseline.cache_hits,
-            cache_misses - baseline.cache_misses,
-            disk_bytes_read - baseline.disk_bytes_read,
-            prefetch_issued - baseline.prefetch_issued,
-            prefetch_hits - baseline.prefetch_hits,
-            prefetch_coalesced_reads - baseline.prefetch_coalesced_reads,
-            prefetch_bytes - baseline.prefetch_bytes};
+  StorageStats Since(const StorageStats& baseline) const;
+  bool operator==(const StorageStats&) const = default;
+};
+
+/// Every StorageStats counter, for code that treats them uniformly.
+inline constexpr std::array<uint64_t StorageStats::*, 7> kStorageCounters{
+    &StorageStats::cache_hits,          &StorageStats::cache_misses,
+    &StorageStats::disk_bytes_read,     &StorageStats::prefetch_issued,
+    &StorageStats::prefetch_hits,       &StorageStats::prefetch_coalesced_reads,
+    &StorageStats::prefetch_bytes};
+
+inline StorageStats& StorageStats::operator+=(const StorageStats& other) {
+  for (uint64_t StorageStats::*counter : kStorageCounters) {
+    this->*counter += other.*counter;
   }
+  return *this;
+}
+
+inline StorageStats StorageStats::Since(const StorageStats& baseline) const {
+  StorageStats delta;
+  for (uint64_t StorageStats::*counter : kStorageCounters) {
+    delta.*counter = this->*counter - baseline.*counter;
+  }
+  return delta;
+}
+
+/// Per-caller attribution of the store counters. While a scope is alive on a
+/// thread, every count a store charges on that thread is also added to the
+/// scope's sink, so a query round learns exactly what its own machine tasks
+/// cost even while other rounds hit the same stores (a delta of the stores'
+/// lifetime counters would include theirs). Scopes nest: the innermost sink
+/// wins and the previous one is restored on destruction. The sink is written
+/// unsynchronized, so give each concurrently running task its own.
+class StorageStatsScope {
+ public:
+  explicit StorageStatsScope(StorageStats* sink);
+  ~StorageStatsScope();
+  StorageStatsScope(const StorageStatsScope&) = delete;
+  StorageStatsScope& operator=(const StorageStatsScope&) = delete;
+
+  /// The calling thread's innermost sink, or null.
+  static StorageStats* Current();
+
+ private:
+  StorageStats* previous_;
 };
 
 /// Storage-backend interface behind PpvStore: one simulated machine's vector
@@ -228,16 +255,24 @@ class VectorStorage {
   }
 
   StorageStats stats() const {
-    return {hits_.load(std::memory_order_relaxed),
-            misses_.load(std::memory_order_relaxed),
-            disk_bytes_read_.load(std::memory_order_relaxed),
-            prefetch_issued_.load(std::memory_order_relaxed),
-            prefetch_hits_.load(std::memory_order_relaxed),
-            prefetch_coalesced_reads_.load(std::memory_order_relaxed),
-            prefetch_bytes_.load(std::memory_order_relaxed)};
+    StorageStats out;
+    for (uint64_t StorageStats::*counter : kStorageCounters) {
+      out.*counter = std::atomic_ref<uint64_t>(counters_.*counter)
+                         .load(std::memory_order_relaxed);
+    }
+    return out;
   }
 
  protected:
+  /// The one counting site every backend charges through: adds `n` to this
+  /// store's lifetime counter and to the calling thread's StorageStatsScope
+  /// sink, if one is installed. Relaxed, so cheap on the query hot path.
+  void Count(uint64_t StorageStats::*counter, uint64_t n) const {
+    std::atomic_ref<uint64_t>(counters_.*counter)
+        .fetch_add(n, std::memory_order_relaxed);
+    if (StorageStats* sink = StorageStatsScope::Current()) sink->*counter += n;
+  }
+
   /// Ledger charge shared by every backend's insert path.
   void Charge(VectorKind kind, size_t serialized_bytes) {
     total_bytes_ += serialized_bytes;
@@ -250,15 +285,12 @@ class VectorStorage {
     num_vectors_ = other.num_vectors_;
   }
 
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> disk_bytes_read_{0};
-  mutable std::atomic<uint64_t> prefetch_issued_{0};
-  mutable std::atomic<uint64_t> prefetch_hits_{0};
-  mutable std::atomic<uint64_t> prefetch_coalesced_reads_{0};
-  mutable std::atomic<uint64_t> prefetch_bytes_{0};
-
  private:
+  static_assert(alignof(uint64_t) >=
+                std::atomic_ref<uint64_t>::required_alignment);
+  /// Lifetime counters, only ever accessed through std::atomic_ref.
+  mutable StorageStats counters_;
+
   size_t total_bytes_ = 0;
   std::array<size_t, kNumVectorKinds> bytes_by_kind_{};
   size_t num_vectors_ = 0;

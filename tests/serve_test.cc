@@ -2,17 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "dppr/common/thread_pool.h"
 #include "dppr/core/hgpa.h"
+#include "dppr/obs/trace.h"
+#include "json_util.h"
 #include "test_util.h"
 
 namespace dppr {
 namespace {
 
+using ::dppr::testing::JsonParser;
+using ::dppr::testing::JsonValue;
 using ::dppr::testing::RandomDigraph;
 
 HgpaOptions ServeTestOptions() {
@@ -198,6 +208,79 @@ TEST(ConcurrentServing, TopKReturnsHighestScoresInOrder) {
     if (entry.value >= cutoff) ++at_least_cutoff;
   }
   EXPECT_GE(at_least_cutoff, topk.top.size());
+}
+
+/// Most `serve.round` spans open at one instant, over the rounds run on
+/// behalf of `trace_ids` (the global tracer may hold other tests' spans).
+size_t MaxOverlappingRounds(const std::set<double>& trace_ids) {
+  JsonValue doc = JsonParser(obs::Tracer::Global().RenderJson()).Parse();
+  // (time, +1 open / -1 close); closes sort first at equal times, so rounds
+  // that merely touch do not count as overlapping.
+  std::vector<std::pair<double, int>> edges;
+  for (const JsonValue& e : doc.at("traceEvents").array) {
+    if (e.at("ph").str != "X" || e.at("name").str != "serve.round") continue;
+    if (trace_ids.count(e.at("args").at("trace").number) == 0) continue;
+    const double ts = e.at("ts").number;
+    edges.emplace_back(ts, +1);
+    edges.emplace_back(ts + e.at("dur").number, -1);
+  }
+  std::sort(edges.begin(), edges.end());
+  int open = 0, max_open = 0;
+  for (const auto& [time, delta] : edges) {
+    open += delta;
+    max_open = std::max(max_open, open);
+  }
+  return static_cast<size_t>(max_open);
+}
+
+TEST(ConcurrentServing, RoundsOverlapUpToOnePerPoolThread) {
+  const size_t max_leaders = ThreadPool::Default().num_threads();
+  if (max_leaders < 2) GTEST_SKIP() << "a 1-thread pool runs one round at a time";
+
+  Graph graph = RandomDigraph(150, 3.0, 47);
+  HgpaQueryEngine engine = MakeEngine(graph, 3);
+  std::vector<SparseVector> expected(150);
+  for (NodeId q = 0; q < 150; ++q) expected[q] = engine.Query(q);
+  ServeOptions options;
+  options.max_batch = 1;  // every request pays its own round: most overlap
+  QueryServer server(std::move(engine), options);
+
+  constexpr size_t kThreads = 12;
+  constexpr size_t kPerThread = 8;
+  constexpr size_t kMaxBursts = 20;
+  std::mutex ids_mu;
+  std::set<double> trace_ids;
+  std::atomic<size_t> mismatches{0};
+  size_t max_in_flight = 0;
+  obs::Tracer::Global().set_enabled(true);
+  // Overlap needs leaders to genuinely coincide, which scheduling doesn't
+  // guarantee for any single burst: repeat saturating bursts until two
+  // rounds overlap. The cap must hold across every burst regardless.
+  for (size_t burst = 0; burst < kMaxBursts && max_in_flight < 2; ++burst) {
+    std::atomic<bool> go{false};
+    std::vector<std::thread> clients;
+    for (size_t t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (size_t i = 0; i < kPerThread; ++i) {
+          const NodeId q = static_cast<NodeId>((t * kPerThread + i) % 150);
+          QueryServer::Response r = server.Query(q);
+          if (r.ppv != expected[q]) mismatches.fetch_add(1);
+          std::lock_guard<std::mutex> lock(ids_mu);
+          trace_ids.insert(static_cast<double>(r.trace_id));
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& c : clients) c.join();
+    max_in_flight = MaxOverlappingRounds(trace_ids);
+  }
+  obs::Tracer::Global().set_enabled(false);
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(max_in_flight, 2u) << "no two rounds ever overlapped";
+  EXPECT_LE(max_in_flight, max_leaders)
+      << "more rounds in flight than the pool has threads";
 }
 
 TEST(ConcurrentServing, ResetStatsClearsWindow) {

@@ -11,10 +11,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dppr/core/hgpa.h"
@@ -219,7 +221,6 @@ TEST(QueryProfileReconciliation, TotalsMatchCounterDeltas) {
   // profile; RecentProfiles is newest-first.
   CommStats fragment_total, round_total;
   uint64_t machine_rounds = 0;
-  uint64_t bytes_saved = 0;
   StorageStats storage_total;
   std::set<uint64_t> round_ids;
   for (size_t i = 0; i < kQueries; ++i) {
@@ -248,7 +249,6 @@ TEST(QueryProfileReconciliation, TotalsMatchCounterDeltas) {
     fragment_total += p.fragment_comm;
     round_total += p.round_comm;
     machine_rounds += p.machines_contacted;
-    bytes_saved += p.routing_bytes_saved;
     storage_total += p.storage;
   }
 
@@ -263,10 +263,63 @@ TEST(QueryProfileReconciliation, TotalsMatchCounterDeltas) {
   EXPECT_EQ(round_total.messages, stats.comm.messages);
   EXPECT_EQ(fragment_total.bytes, stats.comm.bytes);
   EXPECT_EQ(machine_rounds, stats.routing_machine_rounds);
-  EXPECT_EQ(bytes_saved, stats.routing_bytes_saved);
   EXPECT_EQ(storage_total.cache_hits, stats.cache_hits);
   EXPECT_EQ(storage_total.cache_misses, stats.cache_misses);
   EXPECT_EQ(storage_total.disk_bytes_read, stats.disk_bytes_read);
+}
+
+TEST(QueryProfileReconciliation, StorageIsExactUnderOverlappingRounds) {
+  // Eight clients against a disk store whose cache holds almost nothing:
+  // rounds overlap, and every one of them misses, reads extents and
+  // prefetches on the same stores. Each round's profile.storage must count
+  // only its own machine tasks, so the sum over distinct rounds equals the
+  // window exactly — a delta of the shared store counters across a round
+  // would also pick up its neighbours' reads.
+  Graph graph = RandomDigraph(80, 3.0, 43);
+  auto pre = HgpaPrecomputation::RunHgpa(graph, SmallOptions());
+  StorageOptions storage;
+  storage.backend = StorageBackend::kDisk;
+  storage.cache_bytes = 4096;
+  QueryServer server(
+      HgpaQueryEngine(HgpaIndex::Distribute(pre, 4, storage), NetworkModel{},
+                      TransportOptions{}, RoutingOptions{RoutingMode::kRoute}),
+      ServeOptions{});
+  server.ResetStats();
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kPerThread = 8;  // 64 profiles: the whole recent ring
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        EXPECT_FALSE(server.Query(static_cast<NodeId>(t * kPerThread + i)).shed);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+
+  std::vector<QueryProfile> profiles = server.RecentProfiles();
+  ASSERT_EQ(profiles.size(), kThreads * kPerThread);
+  // Batch members share one round and its counts; sum each round once.
+  std::map<uint64_t, StorageStats> by_round;
+  for (const QueryProfile& p : profiles) {
+    ASSERT_EQ(p.outcome, QueryProfile::Outcome::kServed);
+    auto [it, inserted] = by_round.emplace(p.round_id, p.storage);
+    if (!inserted) EXPECT_EQ(it->second, p.storage) << "round " << p.round_id;
+  }
+  StorageStats total;
+  for (const auto& [round_id, round_storage] : by_round) total += round_storage;
+
+  ServerStats stats = server.Stats();
+  EXPECT_EQ(by_round.size(), stats.rounds);
+  EXPECT_GT(stats.disk_bytes_read, 0u);
+  EXPECT_EQ(total.cache_hits, stats.cache_hits);
+  EXPECT_EQ(total.cache_misses, stats.cache_misses);
+  EXPECT_EQ(total.disk_bytes_read, stats.disk_bytes_read);
+  EXPECT_EQ(total.prefetch_issued, stats.prefetch_issued);
+  EXPECT_EQ(total.prefetch_hits, stats.prefetch_hits);
+  EXPECT_EQ(total.prefetch_coalesced_reads, stats.prefetch_coalesced_reads);
+  EXPECT_EQ(total.prefetch_bytes, stats.prefetch_bytes);
 }
 
 TEST(QueryProfileReconciliation, BatchFragmentsSumToTheRound) {
@@ -332,7 +385,7 @@ TEST(SlowQueryLog, WritesParseableJsonlWithTheProfileSchema) {
     for (const char* key :
          {"request_id", "latency_seconds", "wait_seconds", "round_id",
           "machines", "machines_contacted", "fragment_bytes", "round_bytes",
-          "routing_bytes_saved", "machine_seconds", "max_machine_seconds",
+          "machine_seconds", "max_machine_seconds",
           "coordinator_seconds", "store_cache_hits", "disk_bytes_read"}) {
       EXPECT_EQ(doc.object.count(key), 1u) << "missing " << key;
     }
