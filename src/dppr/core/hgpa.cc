@@ -1,6 +1,7 @@
 #include "dppr/core/hgpa.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <utility>
@@ -12,6 +13,12 @@
 
 namespace dppr {
 namespace {
+
+/// Hubs of one chain subgraph whose skeleton-column lookups the machine fold
+/// resolves together (SparseVector::ValuesAt). Also the most (skeleton,
+/// partial) pairs one fold holds pinned at once, which keeps a disk store's
+/// residency cache from being out-pinned.
+constexpr size_t kLockstepHubs = 16;
 
 /// DPPR_PREFETCH=on|off (default on). A typo must not silently serve
 /// unprefetched — same refuse-to-guess policy as DPPR_STORE.
@@ -325,25 +332,41 @@ void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
     for (SubgraphId sub : hierarchy.Chain(query)) {
       auto it = my_hubs.find(sub);
       if (it == my_hubs.end()) continue;
-      for (NodeId hub : it->second) {
-        // One paired probe resolves both hub vectors (a hub placed here
-        // always stores its skeleton column and partial together). PpvRef
-        // pins keep each vector resident for exactly the fold that uses it —
-        // under the disk backend the residency cache may evict it the moment
-        // the pin drops.
-        PpvPair hub_vectors = store.FindPair(sub, hub);
-        DPPR_DCHECK(hub_vectors.skeleton);
-        DPPR_DCHECK(hub_vectors.partial);
-        double s = hub_vectors.skeleton->ValueAt(query);
-        if (s == 0.0) continue;
-        // Hub-coordinate replacement: coordinate h gets its exact local PPV
-        // value at this level.
-        acc.Add(hub, query_weight * s);
-        // Adjusted skeleton weight S_u(h) = s_u(h) - α·f_u(h) scales the
-        // hub's partial vector over the non-hub coordinates.
-        if (query == hub) s -= alpha;
-        if (s == 0.0) continue;
-        acc.AddVector(*hub_vectors.partial, query_weight * s / alpha);
+      const std::vector<NodeId>& hubs = it->second;
+      for (size_t first = 0; first < hubs.size(); first += kLockstepHubs) {
+        const size_t group = std::min(kLockstepHubs, hubs.size() - first);
+        // One paired probe per hub resolves both of its vectors (a hub
+        // placed here always stores its skeleton column and partial
+        // together). PpvRef pins keep each vector resident until the group
+        // is folded — under the disk backend the residency cache may evict
+        // it the moment the pin drops — so a task never pins more than
+        // kLockstepHubs pairs.
+        std::array<PpvPair, kLockstepHubs> hub_vectors;
+        std::array<const SparseVector*, kLockstepHubs> skeletons;
+        for (size_t i = 0; i < group; ++i) {
+          hub_vectors[i] = store.FindPair(sub, hubs[first + i]);
+          DPPR_DCHECK(hub_vectors[i].skeleton);
+          DPPR_DCHECK(hub_vectors[i].partial);
+          skeletons[i] = &*hub_vectors[i].skeleton;
+        }
+        // The group's skeleton-column searches run in lockstep, so their
+        // cache misses overlap; the fold below stays in hub order.
+        std::array<double, kLockstepHubs> skeleton_values;
+        SparseVector::ValuesAt({skeletons.data(), group}, query,
+                               skeleton_values.data());
+        for (size_t i = 0; i < group; ++i) {
+          const NodeId hub = hubs[first + i];
+          double s = skeleton_values[i];
+          if (s == 0.0) continue;
+          // Hub-coordinate replacement: coordinate h gets its exact local
+          // PPV value at this level.
+          acc.Add(hub, query_weight * s);
+          // Adjusted skeleton weight S_u(h) = s_u(h) - α·f_u(h) scales the
+          // hub's partial vector over the non-hub coordinates.
+          if (query == hub) s -= alpha;
+          if (s == 0.0) continue;
+          acc.AddVector(*hub_vectors[i].partial, query_weight * s / alpha);
+        }
       }
     }
 

@@ -68,9 +68,13 @@ struct FrameHeader {
   uint64_t checksum = 0;
 };
 
-/// FNV-1a 64 over the payload. Not cryptographic — it catches corruption and
-/// framing bugs (a reader that lost sync), not an adversary who can also
-/// recompute the hash.
+/// XXH64 (seed 0) over the payload: 32-byte stripes folded by four
+/// independent multiply-rotate lanes, then 8-, 4- and 1-byte tails and a
+/// final avalanche. Every frame is hashed twice, by its sender and again by
+/// its receiver, so the hash reads whole words (in the byte order ByteWriter
+/// writes) rather than single bytes. Not cryptographic — it catches
+/// corruption and framing bugs (a reader that lost sync), not an adversary
+/// who can also recompute the hash.
 uint64_t FrameChecksum(std::span<const uint8_t> payload);
 
 /// The one place a header is assembled for `payload` (length + checksum

@@ -57,6 +57,42 @@ double SparseVector::ValueAt(NodeId index) const {
   return 0.0;
 }
 
+void SparseVector::ValuesAt(std::span<const SparseVector* const> vectors,
+                            NodeId index, double* out) {
+  constexpr size_t kLanes = 16;
+  // An empty vector searches this one-entry stand-in instead: a hit and a
+  // miss both read 0.0, exactly what ValueAt returns for an empty vector.
+  static constexpr Entry kEmptyLane{0, 0.0};
+  const Entry* base[kLanes];
+  size_t len[kLanes];
+  for (size_t first = 0; first < vectors.size(); first += kLanes) {
+    const size_t lanes = std::min(kLanes, vectors.size() - first);
+    size_t longest = 1;
+    for (size_t i = 0; i < lanes; ++i) {
+      const std::vector<Entry>& entries = vectors[first + i]->entries_;
+      base[i] = entries.empty() ? &kEmptyLane : entries.data();
+      len[i] = entries.empty() ? 1 : entries.size();
+      longest = std::max(longest, len[i]);
+      __builtin_prefetch(base[i] + len[i] / 2);
+    }
+    // Each lane keeps the last entry with id <= index (when there is one) in
+    // [base, base + len) and halves len per pass. A lane already at len 1
+    // steps by half = 0, so every lane runs the longest lane's pass count
+    // with no per-lane branch.
+    for (size_t passes = longest; passes > 1; passes -= passes / 2) {
+      for (size_t i = 0; i < lanes; ++i) {
+        const size_t half = len[i] / 2;
+        base[i] += base[i][half].index <= index ? half : 0;
+        len[i] -= half;
+        __builtin_prefetch(base[i] + len[i] / 2);
+      }
+    }
+    for (size_t i = 0; i < lanes; ++i) {
+      out[first + i] = base[i]->index == index ? base[i]->value : 0.0;
+    }
+  }
+}
+
 double SparseVector::L1Norm() const {
   double sum = 0.0;
   for (const Entry& e : entries_) sum += std::abs(e.value);
@@ -102,10 +138,12 @@ SparseVector SparseVector::Deserialize(ByteReader& reader) {
   for (size_t i = 0; i < count; ++i) {
     uint64_t delta = reader.GetVarU64();
     // A well-framed hostile payload could still smuggle wrapped or duplicate
-    // indices past the framing checks; downstream bounds checks on the
-    // accumulate path are DPPR_DCHECK-only, so reject here. Deltas must keep
-    // ids strictly increasing (after the first) and inside the 30-bit id
-    // range every node id in the system obeys (see MakeVectorKey).
+    // indices past the framing checks. Deltas must keep ids strictly
+    // increasing (after the first) — the sorted-unique invariant ValueAt,
+    // ValuesAt and DenseAccumulator::AddVector's one-compare bound rely on —
+    // and inside the 30-bit id range every node id in the system obeys (see
+    // MakeVectorKey). The reader does not know the graph's node count, so an
+    // id in [num_nodes, 2^30) passes here and dies at AddVector's bound.
     DPPR_CHECK(i == 0 || delta > 0);
     uint64_t index = prev + delta;
     DPPR_CHECK_LT(index, 1u << 30);
@@ -141,8 +179,10 @@ void DenseAccumulator::AddVector(const SparseVector& vec, double scale) {
   std::span<const SparseVector::Entry> entries = vec.entries();
   const size_t n = entries.size();
   if (n == 0) return;
-  // Entries are sorted: the last index bounds them all.
-  DPPR_DCHECK(entries.back().index < values_.size());
+  // Entries are sorted: the last index bounds them all, so this always-on
+  // check costs one compare per vector. Fragments arrive from the wire, and
+  // Deserialize only bounds ids by 2^30, not by this accumulator's size.
+  DPPR_CHECK_LT(entries.back().index, values_.size());
   const SparseVector::Entry* e = entries.data();
   double* values = values_.data();
   // Pass 1 — value accumulation, unconditionally: no touched branch, no

@@ -45,6 +45,14 @@ class SparseVector {
   /// Value at `index` (0.0 when absent); binary search.
   double ValueAt(NodeId index) const;
 
+  /// out[i] = vectors[i]->ValueAt(index), bit for bit, for every i. The
+  /// searches run in lockstep, up to 16 at a time: each pass advances every
+  /// lane by one branchless lower-bound step and prefetches that lane's next
+  /// probe, so the lanes' cache misses overlap instead of forming one
+  /// dependent chain per vector.
+  static void ValuesAt(std::span<const SparseVector* const> vectors,
+                       NodeId index, double* out);
+
   double L1Norm() const;
 
   /// dense[e.index] += scale * e.value for every entry.

@@ -45,11 +45,31 @@ TEST(Frame, HeaderRoundTrips) {
 }
 
 TEST(Frame, ChecksumDetectsSingleBitFlips) {
-  std::vector<uint8_t> payload(64, 0xAB);
-  uint64_t want = FrameChecksum(payload);
-  payload[17] ^= 0x01;
-  EXPECT_NE(FrameChecksum(payload), want);
-  EXPECT_EQ(FrameChecksum({}), FrameChecksum(std::vector<uint8_t>{}));
+  // Lengths 1-100 cover the 32-byte stripe loop (0-3 stripes) and every
+  // combination of the 8-, 4- and 1-byte tails.
+  for (size_t len = 1; len <= 100; ++len) {
+    std::vector<uint8_t> payload(len);
+    for (size_t i = 0; i < len; ++i) {
+      payload[i] = static_cast<uint8_t>(i * 131 + len);
+    }
+    const uint64_t want = FrameChecksum(payload);
+    for (size_t bit = 0; bit < len * 8; ++bit) {
+      payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_NE(FrameChecksum(payload), want) << "len " << len << " bit " << bit;
+      payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+  }
+}
+
+TEST(Frame, ChecksumKnownAnswers) {
+  // XXH64 with seed 0. A change to the function changes these values, and
+  // with them every checksum on the wire.
+  EXPECT_EQ(FrameChecksum({}), 0xEF46DB3751D8E999ull);
+  std::vector<uint8_t> pattern(100);
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  EXPECT_EQ(FrameChecksum(pattern), 0xA61F8D4C170FE531ull);
 }
 
 TEST(FrameHostileDeath, TruncatedHeaderDies) {

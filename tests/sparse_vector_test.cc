@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "dppr/common/rng.h"
 
 namespace dppr {
@@ -155,8 +160,7 @@ TEST(SparseVectorDeserialize, HostileEntryCountDies) {
 
 TEST(SparseVectorDeserialize, WrappedIndexDeltaDies) {
   // A well-framed payload can still smuggle a delta that wraps NodeId; the
-  // downstream accumulate bounds checks are DPPR_DCHECK-only, so the reader
-  // must reject ids outside the 30-bit range every node id obeys.
+  // reader must reject ids outside the 30-bit range every node id obeys.
   ByteWriter writer;
   writer.PutVarU64(2);
   writer.PutVarU64(5);
@@ -194,6 +198,76 @@ TEST(SparseVectorDeserialize, MaxRepresentableIdRoundTrips) {
   v.SerializeTo(writer);
   ByteReader reader(writer.bytes());
   EXPECT_EQ(SparseVector::Deserialize(reader), v);
+}
+
+TEST(DenseAccumulatorDeath, OutOfRangeFragmentIdDies) {
+  // A fragment id in [num_nodes, 2^30) passes Deserialize, which cannot know
+  // the graph's size; the fold must refuse it in every build mode instead of
+  // writing past the accumulator.
+  SparseVector fragment = SparseVector::FromEntries({{3, 1.0}, {70, 2.0}});
+  ByteWriter writer;
+  fragment.SerializeTo(writer);
+  ByteReader reader(writer.bytes());
+  SparseVector received = SparseVector::Deserialize(reader);
+  ASSERT_EQ(received, fragment);
+  DenseAccumulator acc(64);
+  EXPECT_DEATH(acc.AddVector(received, 1.0), "DPPR_CHECK failed");
+  // The last id in range is accepted.
+  acc.AddVector(SparseVector::FromEntries({{63, 1.0}}), 1.0);
+  EXPECT_EQ(acc.ValueAt(63), 1.0);
+}
+
+TEST(SparseVector, ValuesAtMatchesValueAtBitForBit) {
+  Rng rng(2024);
+  // Random sorted vectors over ids [0, 20000): sizes straddle the search's
+  // edge cases (empty, one entry, two, three) and the deep searches.
+  std::vector<SparseVector> pool;
+  for (size_t size : {0u, 1u, 2u, 3u, 17u, 5000u}) {
+    for (int copy = 0; copy < 4; ++copy) {
+      std::set<NodeId> ids;
+      while (ids.size() < size) {
+        ids.insert(static_cast<NodeId>(rng.Uniform(20000)));
+      }
+      std::vector<SparseVector::Entry> entries;
+      for (NodeId id : ids) entries.push_back({id, rng.NextDouble() - 0.5});
+      pool.push_back(SparseVector::FromSortedUnique(std::move(entries)));
+    }
+  }
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  // Spans of 1-40 vectors, so calls of 17+ cross the 16-lane group.
+  for (size_t count = 1; count <= 40; ++count) {
+    std::vector<const SparseVector*> vectors(count);
+    for (const SparseVector*& v : vectors) v = &pool[rng.Uniform(pool.size())];
+    // Probes: below the first entry, above the last, equal to the first and
+    // the last of every vector, every stored id of a small vector, and
+    // random (mostly absent) ids.
+    std::vector<NodeId> probes{0, 19999, 20000, (1u << 30) - 1};
+    for (const SparseVector* v : vectors) {
+      if (v->empty()) continue;
+      probes.push_back(v->entries().front().index);
+      probes.push_back(v->entries().back().index);
+      if (v->entries().front().index > 0) {
+        probes.push_back(v->entries().front().index - 1);
+      }
+      probes.push_back(v->entries().back().index + 1);
+      if (v->size() <= 17) {
+        for (const SparseVector::Entry& e : v->entries()) {
+          probes.push_back(e.index);
+        }
+      }
+    }
+    for (int i = 0; i < 20; ++i) {
+      probes.push_back(static_cast<NodeId>(rng.Uniform(20001)));
+    }
+    std::vector<double> out(count);
+    for (NodeId probe : probes) {
+      SparseVector::ValuesAt(vectors, probe, out.data());
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(bits(out[i]), bits(vectors[i]->ValueAt(probe)))
+            << "count " << count << " lane " << i << " probe " << probe;
+      }
+    }
+  }
 }
 
 TEST(DenseAccumulator, ToSparseCancellationStillListed) {
