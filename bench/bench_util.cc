@@ -47,8 +47,6 @@ std::string RenderJson(const std::string& bench_name) {
   AppendJsonString(out, GetEnvString("DPPR_TRANSPORT", "inproc"));
   out += ", \"store\": ";
   AppendJsonString(out, GetEnvString("DPPR_STORE", "memory"));
-  out += ", \"offline\": ";
-  AppendJsonString(out, GetEnvString("DPPR_OFFLINE", "locality"));
   out += "},\n  \"rows\": [";
   std::lock_guard<std::mutex> lock(g_rows_mu);
   for (size_t i = 0; i < g_rows.size(); ++i) {

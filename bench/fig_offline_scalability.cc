@@ -1,13 +1,10 @@
 // Offline scalability: the distributed precomputation (SimCluster supersteps
-// per hierarchy level) swept over machine counts, in both compute-site
-// placements. Paper shape (§6 offline tables): per-machine offline time and
-// space drop roughly linearly with machines while total bytes shipped stay
-// flat — the offline phase is compute-bound, not network-bound. The
-// owner-placement rows additionally expose the induce traffic the locality
-// shuffle removes: remote_induces counts subgraphs a machine materialized
-// without holding their data (each one a full subgraph transfer on a real
-// cluster), strictly zero in locality mode at the price of shuffled_mb of
-// record traffic.
+// per hierarchy level) swept over machine counts. Paper shape (§6 offline
+// tables): per-machine offline time and space drop roughly linearly with
+// machines while total bytes shipped stay flat — the offline phase is
+// compute-bound, not network-bound. Every machine induces only the subgraphs
+// it is home to; shuffled_mb is the record traffic that placement pays
+// instead of moving subgraphs.
 
 #include "bench_util.h"
 
@@ -36,34 +33,20 @@ Counters OfflineCounters(const DistributedPrecompute::Result& result,
       {"shipped_mb", result.offline.comm.megabytes()},
       {"shuffled_mb", result.offline.shuffled.megabytes()},
       {"induces", static_cast<double>(result.induces)},
-      {"remote_induces", static_cast<double>(result.remote_induces)},
       {"space_mb", static_cast<double>(result.MaxMachineBytes()) / (1 << 20)},
   };
 }
 
 void RegisterRows() {
-  // Placements are pinned per row (not env-defaulted) so one run of this
-  // binary always carries the before/after comparison the snapshot records.
   for (size_t machines : {2, 4, 6, 8, 10}) {
     AddRow("offline/web_m" + std::to_string(machines), [=]() -> Counters {
       const Graph& g = SharedWebGraph();
       DistPrecomputeOptions dist;
       dist.num_machines = machines;
-      dist.locality = OfflinePlacement::kLocality;
       DistributedPrecompute::Result result =
           DistributedPrecompute::RunHgpa(g, HgpaOptions{}, dist);
       return OfflineCounters(result, machines);
     });
-    AddRow("offline/web_m" + std::to_string(machines) + "_owner",
-           [=]() -> Counters {
-             const Graph& g = SharedWebGraph();
-             DistPrecomputeOptions dist;
-             dist.num_machines = machines;
-             dist.locality = OfflinePlacement::kOwner;
-             DistributedPrecompute::Result result =
-                 DistributedPrecompute::RunHgpa(g, HgpaOptions{}, dist);
-             return OfflineCounters(result, machines);
-           });
   }
 
   // Interconnect contrast at a fixed cluster size: compute is unchanged, only
@@ -83,7 +66,6 @@ void RegisterRows() {
       DistPrecomputeOptions dist;
       dist.num_machines = 6;
       dist.network = preset.net;
-      dist.locality = OfflinePlacement::kLocality;
       DistributedPrecompute::Result result =
           DistributedPrecompute::RunHgpa(g, HgpaOptions{}, dist);
       return {

@@ -1,15 +1,13 @@
-// Raw-speed microbench for the query hot path, gating the fold-kernel and
-// extent-prefetch work: (1) ns/entry of the bitmap fold kernels
-// (DenseAccumulator::AddVector/ToSparse/Clear) against the scalar
-// accumulator they replaced, which must come out >= 2x; (2) cold-query
-// latency through a disk-backed index with the batched extent prefetcher on
-// vs. off in the same run. Answers are bit-identity-checked in-bench for the
-// fold and by prefetch_test/store_equivalence_test for the query path — this
-// bench only prices the speed.
+// Raw-speed microbench for the query hot path: (1) ns/entry of the bitmap
+// fold kernels (DenseAccumulator::AddVector/ToSparse/Clear) against the
+// scalar accumulator they replaced, which must come out >= 2x; (2) cold-query
+// latency through a disk-backed index, where every lookup's first touch
+// preads its extent inside the fold. Answers are bit-identity-checked
+// in-bench for the fold and by spill_segments_test/store_equivalence_test
+// for the query path — this bench only prices the speed.
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -147,7 +145,7 @@ Counters MeasureFoldKernels() {
 }
 
 // ---------------------------------------------------------------------------
-// Cold-query latency, prefetch on vs. off, same run
+// Cold-query latency through a disk-backed index
 // ---------------------------------------------------------------------------
 
 constexpr double kWebScale = 0.3;
@@ -164,7 +162,7 @@ std::shared_ptr<const HgpaPrecomputation> SharedPrecomputation() {
   return holder.second;
 }
 
-Counters MeasureColdQueries(bool prefetch_on) {
+Counters MeasureColdQueries() {
   auto pre = SharedPrecomputation();
   StorageOptions storage;
   storage.backend = StorageBackend::kDisk;
@@ -183,8 +181,6 @@ Counters MeasureColdQueries(bool prefetch_on) {
   std::vector<double> latency_ms;
   latency_ms.reserve(queries.size());
   StorageStats totals;
-  // The gate is read once per engine construction.
-  ::setenv("DPPR_PREFETCH", prefetch_on ? "on" : "off", 1);
   for (size_t round = 0; round < kColdRounds; ++round) {
     HgpaQueryEngine engine(base);
     for (size_t i = 0; i < kQueriesPerRound; ++i) {
@@ -194,7 +190,6 @@ Counters MeasureColdQueries(bool prefetch_on) {
     }
     totals += engine.index().StorageStatsTotal();
   }
-  ::unsetenv("DPPR_PREFETCH");
 
   std::sort(latency_ms.begin(), latency_ms.end());
   double sum = 0.0;
@@ -203,29 +198,20 @@ Counters MeasureColdQueries(bool prefetch_on) {
     return latency_ms[static_cast<size_t>(q * (latency_ms.size() - 1))];
   };
 
-  const double preads =
-      static_cast<double>(totals.prefetch_coalesced_reads +
-                          (totals.cache_misses - totals.prefetch_issued));
+  // Queries run one at a time and each store is read by its own machine's
+  // task alone, so no miss waits on another's load: every miss is one pread.
   return {
       {"mean_ms", sum / static_cast<double>(latency_ms.size())},
       {"p50_ms", quantile(0.5)},
       {"p95_ms", quantile(0.95)},
       {"disk_mb_read", static_cast<double>(totals.disk_bytes_read) / (1 << 20)},
-      {"preads", preads},
-      {"prefetch_issued", static_cast<double>(totals.prefetch_issued)},
-      {"prefetch_coalesced_reads",
-       static_cast<double>(totals.prefetch_coalesced_reads)},
+      {"preads", static_cast<double>(totals.cache_misses)},
   };
 }
 
 void RegisterRows() {
   AddRow("query_fold/kernels", MeasureFoldKernels);
-  // Off first, on second: any OS page-cache warming from the first row can
-  // only bias *against* the prefetcher.
-  AddRow("query_fold/web/disk/prefetch=off",
-         [] { return MeasureColdQueries(false); });
-  AddRow("query_fold/web/disk/prefetch=on",
-         [] { return MeasureColdQueries(true); });
+  AddRow("query_fold/web/disk/cold", MeasureColdQueries);
 }
 
 }  // namespace

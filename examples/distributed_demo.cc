@@ -79,7 +79,6 @@ int main() {
   {
     DistPrecomputeOptions dist;
     dist.num_machines = 6;
-    dist.locality = OfflinePlacement::kLocality;
     DistributedPrecompute::Result offline =
         DistributedPrecompute::RunHgpa(g, HgpaOptions{}, dist);
     std::printf("\nlocality shuffle rounds, 6 machines:\n");
@@ -95,15 +94,6 @@ int main() {
                       : 100.0 * static_cast<double>(level.local_records) /
                             static_cast<double>(records));
     }
-
-    DistPrecomputeOptions owner_dist = dist;
-    owner_dist.locality = OfflinePlacement::kOwner;
-    DistributedPrecompute::Result owner =
-        DistributedPrecompute::RunHgpa(g, HgpaOptions{}, owner_dist);
-    std::printf("induces: %zu home-only (locality) vs %zu with %zu remote "
-                "(owner) — every remote induce is a subgraph transfer a real "
-                "cluster would pay\n",
-                offline.induces, owner.induces, owner.remote_induces);
   }
 
   // Same index, three interconnects: the 100 Mbit switch the paper measured

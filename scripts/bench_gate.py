@@ -37,8 +37,6 @@ DETERMINISTIC = {
     "entries_per_round",
     "disk_mb_read",
     "preads",
-    "prefetch_issued",
-    "prefetch_coalesced_reads",
 }
 
 BENCHES = ["fig_serving_throughput", "fig_serving_scale", "fig_query_fold"]

@@ -1,11 +1,8 @@
 #include "dppr/core/dist_precompute.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <string>
 #include <utility>
 
-#include "dppr/common/env.h"
 #include "dppr/common/serialize.h"
 #include "dppr/common/timer.h"
 #include "dppr/graph/local_graph.h"
@@ -18,9 +15,7 @@ namespace {
 /// Registry handles for the offline phase, resolved once (same pattern as
 /// cluster.cc's ClusterMetrics). The shuffle counters mirror the
 /// cluster.exchange.* transport-side counters but count *records*, the unit
-/// the placement policy actually routes; induce counters are the tentpole
-/// metric — remote induces are the subgraph transfers a real cluster would
-/// pay that locality placement removes.
+/// the placement actually routes.
 struct ShuffleMetrics {
   obs::Counter* rounds;
   obs::Counter* bytes;
@@ -28,7 +23,6 @@ struct ShuffleMetrics {
   obs::Counter* records;
   obs::Counter* local_records;
   obs::Counter* induces;
-  obs::Counter* remote_induces;
 
   static const ShuffleMetrics& Get() {
     static const ShuffleMetrics metrics = [] {
@@ -38,8 +32,7 @@ struct ShuffleMetrics {
                             r.GetCounter("precompute.shuffle.messages"),
                             r.GetCounter("precompute.shuffle.records"),
                             r.GetCounter("precompute.shuffle.local_records"),
-                            r.GetCounter("precompute.induce.total"),
-                            r.GetCounter("precompute.induce.remote")};
+                            r.GetCounter("precompute.induce.total")};
     }();
     return metrics;
   }
@@ -68,30 +61,6 @@ size_t Sum(const std::vector<size_t>& values) {
 
 }  // namespace
 
-const char* OfflinePlacementName(OfflinePlacement placement) {
-  switch (placement) {
-    case OfflinePlacement::kLocality:
-      return "locality";
-    case OfflinePlacement::kOwner:
-      return "owner";
-  }
-  DPPR_CHECK(false);
-  return nullptr;
-}
-
-OfflinePlacement OfflinePlacementFromEnv(OfflinePlacement fallback) {
-  std::string mode = GetEnvString("DPPR_OFFLINE", "");
-  if (mode == "locality") return OfflinePlacement::kLocality;
-  if (mode == "owner") return OfflinePlacement::kOwner;
-  if (!mode.empty()) {
-    // Same policy as DPPR_TRANSPORT/DPPR_STORE: a typo must fail loudly, not
-    // silently measure the other placement.
-    std::fprintf(stderr, "unknown DPPR_OFFLINE value: %s\n", mode.c_str());
-    DPPR_CHECK(mode == "locality" || mode == "owner");
-  }
-  return fallback;
-}
-
 size_t DistributedPrecompute::Result::MaxMachineBytes() const {
   size_t max = 0;
   for (const auto& store : stores) {
@@ -116,7 +85,6 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
   result.graph = &graph;
   result.hierarchy = std::make_shared<const Hierarchy>(std::move(hierarchy));
   result.options = options;
-  result.placement = dist.locality;
   result.plan = PlacementPlan::Build(*result.hierarchy, num_machines);
   result.stores.reserve(num_machines);
   for (size_t m = 0; m < num_machines; ++m) result.stores.emplace_back(dist.storage);
@@ -127,27 +95,14 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
                      dist.transport);
   const ShuffleMetrics& shuffle_metrics = ShuffleMetrics::Get();
 
-  // Coordinator reduce shared by the gather supersteps: machine m's payload
-  // streams record by record into machine m's store (straight to its spill
-  // file under the disk backend — the coordinator never materializes a
-  // machine's index in RAM), and each record's compute time is charged to
-  // that machine's offline ledger. Record order within a payload is the
-  // producing task's deterministic iteration order.
-  auto ingest = [&](SimCluster::RoundResult& round) {
-    for (size_t m = 0; m < num_machines; ++m) {
-      ByteReader reader(round.payloads[m]);
-      while (!reader.AtEnd()) {
-        result.ledger.Add(m, result.stores[m].IngestFrom(reader));
-      }
-    }
-  };
-
-  // Superstep 1: leaf local PPVs. Identical in both placements — the leaf
-  // packing makes every leaf's home also the owner of all its nodes, so
-  // there is nothing to shuffle. The coordinator-lane spans here and below
-  // name each superstep, so a DPPR_TRACE of an offline run reads as
-  // leaf/skeleton/hub (or leaf/shuffle) phases over the per-machine
-  // cluster.machine spans.
+  // Superstep 1: leaf local PPVs. The leaf packing makes every leaf's home
+  // also the owner of all its nodes, so there is nothing to shuffle: machine
+  // m's payload streams record by record into machine m's store (straight to
+  // its spill file under the disk backend — the coordinator never
+  // materializes a machine's index in RAM), and each record's compute time
+  // is charged to that machine's offline ledger. The coordinator-lane spans
+  // here and below name each superstep, so a DPPR_TRACE of an offline run
+  // reads as leaf/shuffle phases over the per-machine cluster.machine spans.
   {
     obs::TraceSpan span(obs::kCoordinatorLane, "precompute.leaf_superstep");
     cluster.RunRound(
@@ -165,7 +120,15 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
           }
           return writer.Release();
         },
-        ingest, &result.offline);
+        [&](SimCluster::RoundResult& round) {
+          for (size_t m = 0; m < num_machines; ++m) {
+            ByteReader reader(round.payloads[m]);
+            while (!reader.AtEnd()) {
+              result.ledger.Add(m, result.stores[m].IngestFrom(reader));
+            }
+          }
+        },
+        &result.offline);
     for (size_t m = 0; m < num_machines; ++m) {
       result.induces += result.plan.machine_leaves[m].size();
     }
@@ -188,175 +151,89 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
     // parallel scheduler never races them; folded into LevelStats after the
     // round's barrier.
     std::vector<size_t> induces_m(num_machines, 0);
-    std::vector<size_t> remote_m(num_machines, 0);
     std::vector<size_t> local_records_m(num_machines, 0);
     std::vector<size_t> local_bytes_m(num_machines, 0);
     std::vector<size_t> shuffled_records_m(num_machines, 0);
     std::vector<size_t> shuffled_bytes_m(num_machines, 0);
 
+    // One shuffle superstep: each machine induces its *home* subgraphs at
+    // this level exactly once, computes the skeleton column and hub partial
+    // for every hub of the subgraph, and routes each record to the hub's
+    // Eq. 7 owner — owner == home stays in the self-addressed slot (never
+    // crosses the network), everything else rides the exchange. The receive
+    // side ingests (dst, src) in index order, so store contents are
+    // independent of task scheduling.
+    obs::TraceSpan span(obs::kCoordinatorLane, "precompute.shuffle_superstep");
+    span.Arg("level", level);
+    SimCluster::ExchangeResult round = cluster.RunExchange(
+        [&](size_t machine) {
+          std::vector<ByteWriter> outbox(num_machines);
+          for (const auto& sub : h.subgraphs()) {
+            if (sub.level != level || sub.hubs.empty()) continue;
+            if (result.plan.home_machine[sub.id] != machine) continue;
+            LocalGraph lg =
+                LocalGraph::Induce(graph, sub.nodes, skeleton_in_edges);
+            ++induces_m[machine];
+            // ComputeHubPartial's forward push reads only out-adjacency, so
+            // sharing the (possibly in-edge-bearing) skeleton induce is
+            // bit-safe.
+            const std::vector<NodeId> local_hubs = LocalizeHubs(lg, sub);
+            for (NodeId hub : sub.hubs) {
+              const size_t dst = result.plan.own_machine[hub];
+              size_t bytes = 0;
+              {
+                WallTimer timer;
+                SparseVector vec = ComputeSkeletonColumn(lg, hub, options);
+                bytes += AppendRecord(outbox[dst], VectorKind::kSkeletonColumn,
+                                      sub.id, hub, timer.ElapsedSeconds(),
+                                      std::move(vec));
+              }
+              {
+                WallTimer timer;
+                SparseVector vec =
+                    ComputeHubPartial(lg, sub, local_hubs, hub, options);
+                bytes += AppendRecord(outbox[dst], VectorKind::kHubPartial,
+                                      sub.id, hub, timer.ElapsedSeconds(),
+                                      std::move(vec));
+              }
+              if (dst == machine) {
+                local_records_m[machine] += 2;
+                local_bytes_m[machine] += bytes;
+              } else {
+                shuffled_records_m[machine] += 2;
+                shuffled_bytes_m[machine] += bytes;
+              }
+            }
+          }
+          std::vector<std::vector<uint8_t>> payloads;
+          payloads.reserve(num_machines);
+          for (ByteWriter& writer : outbox) payloads.push_back(writer.Release());
+          return payloads;
+        },
+        [&](SimCluster::ExchangeResult& exchanged) {
+          for (size_t dst = 0; dst < num_machines; ++dst) {
+            for (size_t src = 0; src < num_machines; ++src) {
+              ByteReader reader(exchanged.inboxes[dst][src]);
+              while (!reader.AtEnd()) {
+                result.ledger.Add(dst, result.stores[dst].IngestFrom(reader));
+              }
+            }
+          }
+        },
+        &result.offline);
+    shuffle_metrics.rounds->Increment();
+    shuffle_metrics.bytes->Add(round.metrics.shuffled.bytes);
+    shuffle_metrics.messages->Add(round.metrics.shuffled.messages);
+
     Result::LevelStats level_stats;
     level_stats.level = level;
-
-    if (dist.locality == OfflinePlacement::kLocality) {
-      // One shuffle superstep: each machine induces its *home* subgraphs at
-      // this level exactly once, computes the skeleton column and hub
-      // partial for every hub of the subgraph, and routes each record to
-      // the hub's Eq. 7 owner — owner == home stays in the self-addressed
-      // slot (never crosses the network), everything else rides the
-      // exchange. The receive side ingests (dst, src) in index order, so
-      // store contents are independent of task scheduling.
-      obs::TraceSpan span(obs::kCoordinatorLane,
-                          "precompute.shuffle_superstep");
-      span.Arg("level", level);
-      SimCluster::ExchangeResult round = cluster.RunExchange(
-          [&](size_t machine) {
-            std::vector<ByteWriter> outbox(num_machines);
-            for (const auto& sub : h.subgraphs()) {
-              if (sub.level != level || sub.hubs.empty()) continue;
-              if (result.plan.home_machine[sub.id] != machine) continue;
-              LocalGraph lg =
-                  LocalGraph::Induce(graph, sub.nodes, skeleton_in_edges);
-              ++induces_m[machine];
-              // ComputeHubPartial's forward push reads only out-adjacency,
-              // so sharing the (possibly in-edge-bearing) skeleton induce is
-              // bit-safe — same hoist the owner path below uses.
-              const std::vector<NodeId> local_hubs = LocalizeHubs(lg, sub);
-              for (NodeId hub : sub.hubs) {
-                const size_t dst = result.plan.own_machine[hub];
-                size_t bytes = 0;
-                {
-                  WallTimer timer;
-                  SparseVector vec = ComputeSkeletonColumn(lg, hub, options);
-                  bytes += AppendRecord(outbox[dst],
-                                        VectorKind::kSkeletonColumn, sub.id,
-                                        hub, timer.ElapsedSeconds(),
-                                        std::move(vec));
-                }
-                {
-                  WallTimer timer;
-                  SparseVector vec =
-                      ComputeHubPartial(lg, sub, local_hubs, hub, options);
-                  bytes += AppendRecord(outbox[dst], VectorKind::kHubPartial,
-                                        sub.id, hub, timer.ElapsedSeconds(),
-                                        std::move(vec));
-                }
-                if (dst == machine) {
-                  local_records_m[machine] += 2;
-                  local_bytes_m[machine] += bytes;
-                } else {
-                  shuffled_records_m[machine] += 2;
-                  shuffled_bytes_m[machine] += bytes;
-                }
-              }
-            }
-            std::vector<std::vector<uint8_t>> payloads;
-            payloads.reserve(num_machines);
-            for (ByteWriter& writer : outbox) payloads.push_back(writer.Release());
-            return payloads;
-          },
-          [&](SimCluster::ExchangeResult& exchanged) {
-            for (size_t dst = 0; dst < num_machines; ++dst) {
-              for (size_t src = 0; src < num_machines; ++src) {
-                ByteReader reader(exchanged.inboxes[dst][src]);
-                while (!reader.AtEnd()) {
-                  result.ledger.Add(dst, result.stores[dst].IngestFrom(reader));
-                }
-              }
-            }
-          },
-          &result.offline);
-      shuffle_metrics.rounds->Increment();
-      shuffle_metrics.bytes->Add(round.metrics.shuffled.bytes);
-      shuffle_metrics.messages->Add(round.metrics.shuffled.messages);
-    } else {
-      // Owner placement: the literal Eq. 7 reading — every machine induces
-      // each subgraph it owns hubs in (usually not the machine holding the
-      // data) and its records ride the gather payloads. Two supersteps per
-      // level, sharing one induce per (machine, subgraph): the skeleton
-      // superstep builds the graphs (with in-edges iff the skeleton method
-      // needs them), the hub superstep reuses them.
-      std::vector<std::unordered_map<SubgraphId, LocalGraph>> induced(
-          num_machines);
-      auto for_each_my_subgraph = [&](size_t machine, auto&& emit) {
-        const auto& my_hubs = result.plan.machine_hubs[machine];
-        for (const auto& sub : h.subgraphs()) {
-          if (sub.level != level || sub.hubs.empty()) continue;
-          auto it = my_hubs.find(sub.id);
-          if (it == my_hubs.end()) continue;
-          emit(sub, it->second);
-        }
-      };
-
-      {
-        obs::TraceSpan span(obs::kCoordinatorLane,
-                            "precompute.skeleton_superstep");
-        span.Arg("level", level);
-        cluster.RunRound(
-            [&](size_t machine) {
-              ByteWriter writer;
-              for_each_my_subgraph(
-                  machine, [&](const HierarchySubgraph& sub,
-                               const std::vector<NodeId>& hubs) {
-                    LocalGraph& lg =
-                        induced[machine]
-                            .emplace(sub.id,
-                                     LocalGraph::Induce(graph, sub.nodes,
-                                                        skeleton_in_edges))
-                            .first->second;
-                    ++induces_m[machine];
-                    if (result.plan.home_machine[sub.id] != machine) {
-                      ++remote_m[machine];
-                    }
-                    for (NodeId hub : hubs) {
-                      WallTimer timer;
-                      SparseVector vec = ComputeSkeletonColumn(lg, hub, options);
-                      local_bytes_m[machine] += AppendRecord(
-                          writer, VectorKind::kSkeletonColumn, sub.id, hub,
-                          timer.ElapsedSeconds(), std::move(vec));
-                      ++local_records_m[machine];
-                    }
-                  });
-              return writer.Release();
-            },
-            ingest, &result.offline);
-      }
-
-      obs::TraceSpan hub_span(obs::kCoordinatorLane,
-                              "precompute.hub_partial_superstep");
-      hub_span.Arg("level", level);
-      cluster.RunRound(
-          [&](size_t machine) {
-            ByteWriter writer;
-            for_each_my_subgraph(
-                machine, [&](const HierarchySubgraph& sub,
-                             const std::vector<NodeId>& hubs) {
-                  const LocalGraph& lg = induced[machine].at(sub.id);
-                  const std::vector<NodeId> local_hubs = LocalizeHubs(lg, sub);
-                  for (NodeId hub : hubs) {
-                    WallTimer timer;
-                    SparseVector vec =
-                        ComputeHubPartial(lg, sub, local_hubs, hub, options);
-                    local_bytes_m[machine] += AppendRecord(
-                        writer, VectorKind::kHubPartial, sub.id, hub,
-                        timer.ElapsedSeconds(), std::move(vec));
-                    ++local_records_m[machine];
-                  }
-                });
-            return writer.Release();
-          },
-          ingest, &result.offline);
-    }
-
     level_stats.induces = Sum(induces_m);
-    level_stats.remote_induces = Sum(remote_m);
     level_stats.local_records = Sum(local_records_m);
     level_stats.local_bytes = Sum(local_bytes_m);
     level_stats.shuffled_records = Sum(shuffled_records_m);
     level_stats.shuffled_bytes = Sum(shuffled_bytes_m);
     result.induces += level_stats.induces;
-    result.remote_induces += level_stats.remote_induces;
     shuffle_metrics.induces->Add(level_stats.induces);
-    shuffle_metrics.remote_induces->Add(level_stats.remote_induces);
     shuffle_metrics.records->Add(level_stats.shuffled_records);
     shuffle_metrics.local_records->Add(level_stats.local_records);
     result.levels.push_back(level_stats);

@@ -20,16 +20,6 @@ namespace {
 /// residency cache from being out-pinned.
 constexpr size_t kLockstepHubs = 16;
 
-/// DPPR_PREFETCH=on|off (default on). A typo must not silently serve
-/// unprefetched — same refuse-to-guess policy as DPPR_STORE.
-bool PrefetchEnabledFromEnv() {
-  std::string value = GetEnvString("DPPR_PREFETCH", "on");
-  if (value == "on") return true;
-  if (value == "off") return false;
-  DPPR_CHECK(false && "DPPR_PREFETCH must be \"on\" or \"off\"");
-  return true;
-}
-
 }  // namespace
 
 ReplicationOptions ReplicationOptions::FromEnv() {
@@ -206,69 +196,9 @@ HgpaQueryEngine::HgpaQueryEngine(HgpaIndex index, NetworkModel network,
                                  RoutingOptions routing)
     : index_(std::move(index)),
       cluster_(index_.num_machines(), network, /*sequential=*/false, transport),
-      prefetch_enabled_(PrefetchEnabledFromEnv()) {
-  if (routing.mode == RoutingMode::kRoute) {
-    router_ = std::make_shared<const QueryRouter>(index_);
-  }
-}
-
-void HgpaQueryEngine::CollectOwnerKeys(size_t owner,
-                                       std::span<const Preference> preferences,
-                                       std::vector<uint64_t>& keys) const {
-  const Hierarchy& hierarchy = index_.hierarchy();
-  const auto& owner_hubs = index_.hubs_on_machine(owner);
-  for (const Preference& pref : preferences) {
-    if (pref.weight == 0.0) continue;
-    NodeId query = pref.node;
-    for (SubgraphId sub : hierarchy.Chain(query)) {
-      auto it = owner_hubs.find(sub);
-      if (it == owner_hubs.end()) continue;
-      for (NodeId hub : it->second) {
-        keys.push_back(MakeVectorKey(VectorKind::kSkeletonColumn, sub, hub));
-        keys.push_back(MakeVectorKey(VectorKind::kHubPartial, sub, hub));
-      }
-    }
-    if (index_.own_vector_machine(query) == owner) {
-      SubgraphId final_sub = hierarchy.final_subgraph(query);
-      VectorKind kind = hierarchy.is_hub(query) ? VectorKind::kHubPartial
-                                                : VectorKind::kOwnVector;
-      keys.push_back(MakeVectorKey(kind, final_sub, query));
-    }
-  }
-}
-
-std::vector<uint64_t> HgpaQueryEngine::CollectBatchKeys(
-    size_t machine, std::span<const std::span<const Preference>> queries) const {
-  std::vector<uint64_t> keys;
-  for (std::span<const Preference> preferences : queries) {
-    CollectOwnerKeys(machine, preferences, keys);
-  }
-  return keys;
-}
+      router_(std::make_shared<const QueryRouter>(index_, routing.mode)) {}
 
 std::vector<uint8_t> HgpaQueryEngine::MachineTask(
-    size_t machine, std::span<const std::span<const Preference>> queries) const {
-  // Pull the batch's cold extents in up front with sorted, coalesced reads:
-  // without this every miss preads one extent inside the fold, serialized
-  // per hub. Only the disk backend has anything to load, so the in-memory
-  // backends skip the key enumeration entirely.
-  const PpvStore& store = index_.store(machine);
-  if (prefetch_enabled_ && store.backend() == StorageBackend::kDisk) {
-    store.Prefetch(CollectBatchKeys(machine, queries));
-  }
-  // One accumulator reused across the batch (Clear is O(touched)); the
-  // payload concatenates one serialized fragment per query, in query order.
-  DenseAccumulator acc(index_.hierarchy().num_nodes());
-  ByteWriter writer;
-  for (std::span<const Preference> preferences : queries) {
-    AccumulateOwner(machine, machine, preferences, acc);
-    acc.ToSparse().SerializeTo(writer);
-    acc.Clear();
-  }
-  return writer.Release();
-}
-
-std::vector<uint8_t> HgpaQueryEngine::RoutedMachineTask(
     size_t machine, std::span<const std::span<const Preference>> queries,
     std::span<const QueryRouter::Plan> plans) const {
   // Which slot of each plan this machine fills (SIZE_MAX = not targeted).
@@ -278,19 +208,6 @@ std::vector<uint8_t> HgpaQueryEngine::RoutedMachineTask(
     if (it == plan.machines.end() || *it != machine) return SIZE_MAX;
     return static_cast<size_t>(it - plan.machines.begin());
   };
-
-  const PpvStore& store = index_.store(machine);
-  if (prefetch_enabled_ && store.backend() == StorageBackend::kDisk) {
-    std::vector<uint64_t> keys;
-    for (size_t q = 0; q < queries.size(); ++q) {
-      const size_t slot = slot_of(plans[q]);
-      if (slot == SIZE_MAX) continue;
-      for (size_t owner : plans[q].owners[slot]) {
-        CollectOwnerKeys(owner, queries[q], keys);
-      }
-    }
-    store.Prefetch(keys);
-  }
 
   DenseAccumulator acc(index_.hierarchy().num_nodes());
   ByteWriter writer;
@@ -388,92 +305,6 @@ std::vector<SparseVector> HgpaQueryEngine::RunDistributed(
     std::vector<QueryMetrics>* per_query_metrics,
     QueryMetrics* round_metrics) const {
   const size_t num_queries = queries.size();
-  std::vector<SparseVector> results(num_queries);
-  if (num_queries == 0) {
-    // Still honor the metrics contract, so callers reusing out-params don't
-    // read a previous round's numbers.
-    if (round_metrics != nullptr) *round_metrics = QueryMetrics{};
-    if (per_query_metrics != nullptr) per_query_metrics->clear();
-    return results;
-  }
-
-  if (router_ != nullptr) {
-    return RunRouted(queries, per_query_metrics, round_metrics);
-  }
-
-  // One sink per machine task: tasks run concurrently, and the sinks are
-  // plain counters.
-  std::vector<StorageStats> machine_storage(index_.num_machines());
-  SimCluster::RoundResult round = cluster_.RunRound([&](size_t machine) {
-    StorageStatsScope storage_scope(&machine_storage[machine]);
-    return MachineTask(machine, queries);
-  });
-
-  WallTimer coordinator_timer;
-  std::vector<CommStats> per_query_comm(num_queries);
-  DenseAccumulator acc(index_.graph().num_nodes());
-  if (num_queries == 1) {
-    // Hot single-query path: payload order is already machine order — the
-    // reduce order — so fold each fragment as it is deserialized instead of
-    // materializing all n fragments at once. Same AddVector sequence as the
-    // batch path below, so results stay bit-identical across both.
-    for (const auto& payload : round.payloads) {
-      ByteReader reader(payload.data(), payload.size());
-      size_t before = reader.remaining();
-      acc.AddVector(SparseVector::Deserialize(reader), 1.0);
-      per_query_comm[0].Record(before - reader.remaining());
-      DPPR_CHECK(reader.AtEnd());
-    }
-    results[0] = acc.ToSparse();
-  } else {
-    // Split every machine payload back into its per-query fragments; fragment
-    // boundaries also yield each query's own share of the round's traffic.
-    std::vector<std::vector<SparseVector>> fragments(num_queries);
-    for (const auto& payload : round.payloads) {
-      ByteReader reader(payload.data(), payload.size());
-      for (size_t q = 0; q < num_queries; ++q) {
-        size_t before = reader.remaining();
-        fragments[q].push_back(SparseVector::Deserialize(reader));
-        per_query_comm[q].Record(before - reader.remaining());
-      }
-      DPPR_CHECK(reader.AtEnd());
-    }
-    // Reduce each query over its fragments in machine order, so the result is
-    // bit-identical to the single-query path regardless of batch composition.
-    for (size_t q = 0; q < num_queries; ++q) {
-      for (const SparseVector& fragment : fragments[q]) acc.AddVector(fragment, 1.0);
-      results[q] = acc.ToSparse();
-      acc.Clear();
-    }
-  }
-  round.metrics.coordinator_seconds = coordinator_timer.ElapsedSeconds();
-
-  QueryMetrics shared;
-  shared.max_machine_seconds = round.metrics.MaxMachineSeconds();
-  shared.coordinator_seconds = round.metrics.coordinator_seconds;
-  shared.simulated_seconds = round.metrics.SimulatedSeconds(cluster_.network());
-  shared.comm = round.metrics.to_coordinator;
-  shared.machines_contacted = index_.num_machines();
-  shared.round_id = round.round_id;
-  shared.machine_seconds = round.metrics.machine_seconds;
-  shared.machines.resize(index_.num_machines());
-  for (size_t m = 0; m < shared.machines.size(); ++m) shared.machines[m] = m;
-  for (const StorageStats& storage : machine_storage) shared.storage += storage;
-  if (round_metrics != nullptr) *round_metrics = shared;
-  if (per_query_metrics != nullptr) {
-    per_query_metrics->assign(num_queries, shared);
-    for (size_t q = 0; q < num_queries; ++q) {
-      (*per_query_metrics)[q].comm = per_query_comm[q];
-    }
-  }
-  return results;
-}
-
-std::vector<SparseVector> HgpaQueryEngine::RunRouted(
-    std::span<const std::span<const Preference>> queries,
-    std::vector<QueryMetrics>* per_query_metrics,
-    QueryMetrics* round_metrics) const {
-  const size_t num_queries = queries.size();
   const size_t num_machines = index_.num_machines();
   std::vector<SparseVector> results(num_queries);
 
@@ -500,12 +331,13 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
   QueryMetrics shared;
   std::vector<CommStats> per_query_comm(num_queries);
   if (!participants.empty()) {
-    // One sink per machine task (see RunDistributed).
+    // One sink per machine task: tasks run concurrently, and the sinks are
+    // plain counters.
     std::vector<StorageStats> machine_storage(num_machines);
     SimCluster::RoundResult round =
         cluster_.RunRoundOn(participants, [&](size_t machine) {
           StorageStatsScope storage_scope(&machine_storage[machine]);
-          return RoutedMachineTask(machine, queries, plans);
+          return MachineTask(machine, queries, plans);
         });
 
     WallTimer coordinator_timer;
@@ -530,9 +362,9 @@ std::vector<SparseVector> HgpaQueryEngine::RunRouted(
       }
       DPPR_CHECK(reader.AtEnd());
     }
-    // Reduce every query in OWNER order — the broadcast oracle's machine
-    // order. Which physical machine computed a fragment never reorders the
-    // floating-point fold, and the owners broadcast would have gathered
+    // Reduce every query in OWNER order — the full plan's machine order.
+    // Which physical machine computed a fragment never reorders the
+    // floating-point fold, and the owners the full plan would have gathered
     // empty fragments from add nothing, so results stay bit-identical.
     DenseAccumulator acc(index_.graph().num_nodes());
     for (size_t q = 0; q < num_queries; ++q) {

@@ -153,17 +153,16 @@ struct QueryMetrics {
   double simulated_seconds = 0.0;
   /// Bytes received by the coordinator (the paper's communication cost).
   CommStats comm;
-  /// Machines that actually ran for this query: num_machines under
-  /// broadcast, the routed plan's target set under routing (0 when the
-  /// round was skipped entirely, e.g. a result-cache hit or an all-zero
-  /// preference set).
+  /// Machines that actually ran for this query: the plan's target set
+  /// (num_machines under the full broadcast plan; 0 when the round was
+  /// skipped entirely, e.g. a result-cache hit or an all-zero preference
+  /// set).
   size_t machines_contacted = 0;
   /// Transport round id of the communication round that answered this query
   /// (shared by every query in a batch; 0 when no round ran).
   uint64_t round_id = 0;
-  /// The machines that ran, ascending (all of them under broadcast; the
-  /// routed union for a batch, this query's own plan in per-query metrics).
-  /// Empty when no round ran.
+  /// The machines that ran, ascending (the plans' union for a batch, this
+  /// query's own plan in per-query metrics). Empty when no round ran.
   std::vector<size_t> machines;
   /// Full-cluster-width measured per-machine compute seconds for the round
   /// (zeros for machines that did not participate). Empty when no round ran.
@@ -184,7 +183,8 @@ struct QueryMetrics {
 /// Distributed PPV construction (Algorithm 1 + Eq. 6/7): each machine folds
 /// the contributions of its hubs along the query node's subgraph chain into
 /// one vector and ships it to the coordinator exactly once; the coordinator
-/// sums the n replies.
+/// sums the replies in owner order. A QueryRouter plan picks which machines
+/// run each round (see RoutingMode).
 ///
 /// All query methods are const and safe to call from many threads at once on
 /// one shared engine (every round's state is call-local; the underlying
@@ -199,16 +199,15 @@ class HgpaQueryEngine {
   /// per-query fragment rounds travel over (DPPR_TRANSPORT=tcp → real
   /// localhost sockets); answers and fragment byte accounting are
   /// bit-identical across backends.
-  /// `routing` picks the query fan-out (DPPR_ROUTING; default route — only
-  /// contributing shards run each query's round; broadcast is the oracle).
+  /// `routing` picks the plan each round runs (default route — only
+  /// contributing shards run; broadcast is the full plan tests compare
+  /// against).
   explicit HgpaQueryEngine(HgpaIndex index, NetworkModel network = {},
                            TransportOptions transport = TransportOptions::FromEnv(),
-                           RoutingOptions routing = RoutingOptions::FromEnv());
+                           RoutingOptions routing = RoutingOptions{});
 
-  RoutingMode routing_mode() const {
-    return router_ != nullptr ? RoutingMode::kRoute : RoutingMode::kBroadcast;
-  }
-  /// The routing table (null under broadcast).
+  RoutingMode routing_mode() const { return router_->mode(); }
+  /// The routing table every round is planned with.
   const QueryRouter* router() const { return router_.get(); }
 
   /// Switches how machine compute time is measured (see SimCluster::TimerKind;
@@ -258,56 +257,34 @@ class HgpaQueryEngine {
   const HgpaIndex& index() const { return index_; }
 
  private:
+  /// `machine` computes, for every query whose plan targets it, one
+  /// fragment per owner it covers (its own plus absorbed replicated owners),
+  /// in (query, owner) order.
   std::vector<uint8_t> MachineTask(
-      size_t machine,
-      std::span<const std::span<const Preference>> queries) const;
-
-  /// Routed counterpart: `machine` computes, for every query whose plan
-  /// targets it, one fragment per owner it covers (its own plus absorbed
-  /// replicated owners), in (query, owner) order.
-  std::vector<uint8_t> RoutedMachineTask(
       size_t machine,
       std::span<const std::span<const Preference>> queries,
       std::span<const QueryRouter::Plan> plans) const;
 
   /// Folds owner `owner`'s share of the query — its hubs along every
   /// preference chain plus its own terms — reading vectors from `machine`'s
-  /// store. Broadcast passes owner == machine; the routed path may pass a
-  /// replicated owner absorbed onto `machine`. The fold order is identical
-  /// either way, which is what keeps routed results bit-identical.
+  /// store. Usually owner == machine; a routed plan may pass a replicated
+  /// owner absorbed onto `machine`. The fold order is identical either way,
+  /// which is what keeps routed results bit-identical.
   void AccumulateOwner(size_t machine, size_t owner,
                        std::span<const Preference> preferences,
                        DenseAccumulator& acc) const;
 
-  /// Appends every storage key owner `owner`'s fold of this query will look
-  /// up, in fold order — what the machine tasks hand to PpvStore::Prefetch
-  /// so the disk backend's cold misses overlap up front instead of
-  /// serializing inside AccumulateOwner.
-  void CollectOwnerKeys(size_t owner, std::span<const Preference> preferences,
-                        std::vector<uint64_t>& keys) const;
-
-  std::vector<uint64_t> CollectBatchKeys(
-      size_t machine,
-      std::span<const std::span<const Preference>> queries) const;
-
+  /// Plans every query, runs one round on the plans' union, and reduces
+  /// each query's fragments in owner order.
   std::vector<SparseVector> RunDistributed(
-      std::span<const std::span<const Preference>> queries,
-      std::vector<QueryMetrics>* per_query_metrics,
-      QueryMetrics* round_metrics) const;
-
-  std::vector<SparseVector> RunRouted(
       std::span<const std::span<const Preference>> queries,
       std::vector<QueryMetrics>* per_query_metrics,
       QueryMetrics* round_metrics) const;
 
   HgpaIndex index_;
   SimCluster cluster_;
-  /// DPPR_PREFETCH gate, read once at construction ("on" unless overridden;
-  /// a typo dies). Only consulted for disk-backed stores — the in-memory
-  /// backends have nothing to prefetch, so key enumeration is skipped too.
-  bool prefetch_enabled_;
-  /// Routing table under RoutingMode::kRoute; null under broadcast. Shared
-  /// (and self-contained) so engine copies and moves stay cheap and safe.
+  /// Never null. Shared (and self-contained) so engine copies and moves stay
+  /// cheap and safe.
   std::shared_ptr<const QueryRouter> router_;
 };
 

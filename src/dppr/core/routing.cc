@@ -1,44 +1,15 @@
 #include "dppr/core/routing.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <string>
 
-#include "dppr/common/env.h"
 #include "dppr/common/macros.h"
 #include "dppr/core/hgpa.h"
 
 namespace dppr {
 
-const char* RoutingModeName(RoutingMode mode) {
-  switch (mode) {
-    case RoutingMode::kRoute:
-      return "route";
-    case RoutingMode::kBroadcast:
-      return "broadcast";
-  }
-  DPPR_CHECK(false);
-  return nullptr;
-}
-
-RoutingOptions RoutingOptions::FromEnv(RoutingMode fallback) {
-  RoutingOptions options;
-  options.mode = fallback;
-  std::string mode = GetEnvString("DPPR_ROUTING", "");
-  if (mode == "route") {
-    options.mode = RoutingMode::kRoute;
-  } else if (mode == "broadcast") {
-    options.mode = RoutingMode::kBroadcast;
-  } else if (!mode.empty()) {
-    // A typo must not silently serve under the wrong fan-out.
-    std::fprintf(stderr, "unknown DPPR_ROUTING value: %s\n", mode.c_str());
-    DPPR_CHECK(mode == "route" || mode == "broadcast");
-  }
-  return options;
-}
-
-QueryRouter::QueryRouter(const HgpaIndex& index)
+QueryRouter::QueryRouter(const HgpaIndex& index, RoutingMode mode)
     : hierarchy_(index.shared_hierarchy()),
+      mode_(mode),
       num_machines_(index.num_machines()),
       own_machine_(index.own_machine()) {
   sub_contributors_.resize(hierarchy_->num_subgraphs());
@@ -73,6 +44,17 @@ QueryRouter::QueryRouter(const HgpaIndex& index)
 }
 
 QueryRouter::Plan QueryRouter::Route(std::span<const NodeId> sources) const {
+  if (mode_ == RoutingMode::kBroadcast) {
+    // The full plan: every machine runs, each as its own single owner.
+    Plan plan;
+    if (sources.empty()) return plan;
+    for (size_t m = 0; m < num_machines_; ++m) {
+      plan.machines.push_back(m);
+      plan.owners.push_back({m});
+    }
+    plan.contributors = num_machines_;
+    return plan;
+  }
   // Per machine: 0 = no vector of this query, 1 = contributes but every
   // needed vector is replicated (fold can run anywhere), 2 = must run.
   std::vector<uint8_t> state(num_machines_, 0);

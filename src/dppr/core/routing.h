@@ -13,26 +13,20 @@ namespace dppr {
 
 class HgpaIndex;
 
-/// How HgpaQueryEngine picks the machines of a query round.
+/// Which machines a query round runs on.
 enum class RoutingMode : uint8_t {
-  /// Run the round only on machines that can contribute to the query's
-  /// chains (the routing-table plan below). Answers are bit-identical to
-  /// broadcast; comm and machine time shrink to the contributing shards.
+  /// Only machines that can contribute to the query's chains (the
+  /// routing-table plan below). Answers are bit-identical to broadcast;
+  /// comm and machine time shrink to the contributing shards.
   kRoute = 0,
-  /// Fan every query out to all n machines — the original behavior, kept as
-  /// the bit-equality oracle.
+  /// The full plan: every machine runs as its own single owner and ships one
+  /// fragment per query, empty when it owns nothing. Used by tests and
+  /// benches as the routed plan's bit-equality oracle.
   kBroadcast = 1,
 };
 
-const char* RoutingModeName(RoutingMode mode);
-
-/// Mode selection. `FromEnv` reads DPPR_ROUTING ("route" | "broadcast";
-/// unset keeps the fallback, anything else DPPR_CHECK-fails — same
-/// refuse-to-guess policy as DPPR_STORE / DPPR_TRANSPORT).
 struct RoutingOptions {
   RoutingMode mode = RoutingMode::kRoute;
-
-  static RoutingOptions FromEnv(RoutingMode fallback = RoutingMode::kRoute);
 };
 
 /// Query routing table derived from the shared placement: which machines
@@ -42,12 +36,15 @@ struct RoutingOptions {
 /// vectors are replicated everywhere so their fold can be absorbed onto
 /// another contributing machine instead of waking their own.
 ///
+/// Under RoutingMode::kBroadcast the router hands out the full plan instead.
+///
 /// Self-contained snapshot: construction copies what it needs out of the
 /// index (the hierarchy is shared, the tables are small), so a router stays
 /// valid when the engine that built it is moved.
 class QueryRouter {
  public:
-  explicit QueryRouter(const HgpaIndex& index);
+  explicit QueryRouter(const HgpaIndex& index,
+                       RoutingMode mode = RoutingMode::kRoute);
 
   /// One query's routed round. `machines` is the sorted set of physical
   /// machines to run; `owners[i]` lists, ascending, the logical owner
@@ -67,9 +64,11 @@ class QueryRouter {
   /// Routing plan for the nonzero-weight sources of one query. An empty
   /// `sources` (or a source set nothing holds) yields an empty plan: the
   /// round can be skipped outright, which is bit-neutral because skipped
-  /// machines only ever contribute empty fragments.
+  /// machines only ever contribute empty fragments. Under kBroadcast any
+  /// nonempty `sources` yields the full plan (machines = owners = 0..n-1).
   Plan Route(std::span<const NodeId> sources) const;
 
+  RoutingMode mode() const { return mode_; }
   size_t num_machines() const { return num_machines_; }
 
  private:
@@ -82,6 +81,7 @@ class QueryRouter {
   };
 
   std::shared_ptr<const Hierarchy> hierarchy_;
+  RoutingMode mode_;
   size_t num_machines_ = 0;
   /// Per subgraph, machine-ascending: machines owning hubs there.
   std::vector<std::vector<SubContributor>> sub_contributors_;

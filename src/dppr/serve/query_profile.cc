@@ -74,10 +74,6 @@ std::string QueryProfile::ToJson() const {
   AppendU64(out, "store_cache_hits", storage.cache_hits);
   AppendU64(out, "store_cache_misses", storage.cache_misses);
   AppendU64(out, "disk_bytes_read", storage.disk_bytes_read);
-  AppendU64(out, "prefetch_issued", storage.prefetch_issued);
-  AppendU64(out, "prefetch_hits", storage.prefetch_hits);
-  AppendU64(out, "prefetch_coalesced_reads", storage.prefetch_coalesced_reads);
-  AppendU64(out, "prefetch_bytes", storage.prefetch_bytes);
   out.pop_back();  // drop the trailing comma
   out += "}";
   return out;

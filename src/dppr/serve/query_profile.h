@@ -77,7 +77,7 @@ struct QueryProfile {
   double coordinator_seconds = 0.0;
 
   /// Store counters the shared round's own machine tasks charged, summed
-  /// across machines: cache hits/misses, spill reads, prefetch work
+  /// across machines: cache hits/misses and spill reads
   /// (QueryMetrics::storage). Round-level (a store lookup cannot be
   /// attributed to one query of a batch), and exact under overlapping
   /// rounds: Σ over distinct rounds == the ServerStats window.

@@ -326,8 +326,8 @@ void QueryServer::RunOneBatch(std::unique_lock<std::mutex>& lock) {
   series_.rounds->Increment();
   series_.comm_bytes->Add(round.comm.bytes);
   series_.comm_messages->Add(round.comm.messages);
-  // Machine-rounds: machines this round actually ran on (the whole cluster
-  // under broadcast; the participant union under routing).
+  // Machine-rounds: machines this round actually ran on (the union of the
+  // batch's plans; the whole cluster under the full broadcast plan).
   series_.routing_machine_rounds->Add(round.machines_contacted);
   done_cv_.notify_all();
 
@@ -379,10 +379,6 @@ ServerStats QueryServer::Stats() const {
   stats.cache_hits = storage.cache_hits;
   stats.cache_misses = storage.cache_misses;
   stats.disk_bytes_read = storage.disk_bytes_read;
-  stats.prefetch_issued = storage.prefetch_issued;
-  stats.prefetch_hits = storage.prefetch_hits;
-  stats.prefetch_coalesced_reads = storage.prefetch_coalesced_reads;
-  stats.prefetch_bytes = storage.prefetch_bytes;
   stats.shed = series_.shed->Value() - window_baseline_.shed;
   stats.routing_machine_rounds = series_.routing_machine_rounds->Value() -
                                  window_baseline_.routing_machine_rounds;

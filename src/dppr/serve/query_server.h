@@ -94,14 +94,6 @@ struct ServerStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t disk_bytes_read = 0;
-  /// Batched extent prefetch over the window (disk backend with
-  /// DPPR_PREFETCH=on; zero otherwise): loads started by Prefetch, keys
-  /// already resident when examined, coalesced preads issued, and bytes
-  /// those reads pulled in.
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_coalesced_reads = 0;
-  uint64_t prefetch_bytes = 0;
   /// Requests rejected by admission control (queue full under
   /// ServeOptions::max_pending with shed_on_overload).
   uint64_t shed = 0;
@@ -113,7 +105,8 @@ struct ServerStats {
   uint64_t result_cache_evictions = 0;
   uint64_t result_cache_bytes = 0;
   /// Shard routing over the window: mean machines per served query (n under
-  /// broadcast) and total machine-rounds (Σ machines contacted).
+  /// the full broadcast plan) and total machine-rounds (Σ machines
+  /// contacted).
   double machines_per_query_mean = 0.0;
   uint64_t routing_machine_rounds = 0;
 };

@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
@@ -30,10 +29,6 @@ struct DiskMetrics {
   obs::Counter* bytes_read;
   obs::Histogram* miss_extent_read_us;
   obs::Histogram* singleflight_wait_us;
-  obs::Counter* prefetch_issued;
-  obs::Counter* prefetch_hits;
-  obs::Counter* prefetch_coalesced_reads;
-  obs::Counter* prefetch_bytes;
 
   static const DiskMetrics& Get() {
     static const DiskMetrics metrics = [] {
@@ -42,11 +37,7 @@ struct DiskMetrics {
                          r.GetCounter("store.disk.misses"),
                          r.GetCounter("store.disk.bytes_read"),
                          r.GetHistogram("store.disk.miss_extent_read_us"),
-                         r.GetHistogram("store.disk.singleflight_wait_us"),
-                         r.GetCounter("store.prefetch.issued"),
-                         r.GetCounter("store.prefetch.hits"),
-                         r.GetCounter("store.prefetch.coalesced_reads"),
-                         r.GetCounter("store.prefetch.bytes")};
+                         r.GetHistogram("store.disk.singleflight_wait_us")};
     }();
     return metrics;
   }
@@ -54,18 +45,13 @@ struct DiskMetrics {
 
 /// First line of a segment-manifest spill. A named spill path holds this
 /// small text manifest; the records live in per-kind segment files next to
-/// it. A path whose bytes don't start with the magic is a legacy single-file
-/// record stream and still opens (all segment slots alias the one file).
+/// it.
 constexpr std::string_view kManifestMagic = "DPPR-SPILL-MANIFEST v1";
 
 /// Manifest line prefixes and named-segment filename suffixes, indexed by
 /// VectorKind.
 constexpr const char* kSegmentName[kNumVectorKinds] = {
     "hub_partial", "skeleton_column", "own_vector"};
-
-/// One coalesced prefetch read covers at most this many bytes, bounding the
-/// transient buffer regardless of how many adjacent extents line up.
-constexpr uint64_t kMaxPrefetchRunBytes = uint64_t{4} << 20;
 
 std::string DirOf(const std::string& path) {
   size_t slash = path.find_last_of('/');
@@ -84,17 +70,6 @@ std::string ReadWholeFile(const std::string& path) {
                    std::istreambuf_iterator<char>());
   DPPR_CHECK(!in.bad());
   return text;
-}
-
-/// True when the file at `path` starts with the manifest magic (reads only
-/// the prefix — a legacy spill can be huge).
-bool HasManifestMagic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DPPR_CHECK(in.good());
-  std::string prefix(kManifestMagic.size(), '\0');
-  in.read(prefix.data(), static_cast<std::streamsize>(prefix.size()));
-  return static_cast<size_t>(in.gcount()) == prefix.size() &&
-         prefix == kManifestMagic;
 }
 
 }  // namespace
@@ -246,44 +221,10 @@ DiskSpillStorage::DiskSpillStorage(const StorageOptions& options)
 
 std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
     const std::string& path, const StorageOptions& options) {
-  // Rebuild the index by walking the record stream(s). Every record is fully
-  // re-validated (VectorRecord::Deserialize DPPR_CHECKs kinds, id ranges and
-  // blob framing), so truncation or corruption dies here — at open — rather
-  // than serving garbage at query time.
-  auto scan_into = [](DiskSpillStorage& store, SpillFile& file,
-                      int expected_kind) {
-    file.Scan([&](std::span<const uint8_t> bytes) {
-      ByteReader reader(bytes.data(), bytes.size());
-      while (!reader.AtEnd()) {
-        size_t start = reader.position();
-        VectorRecord record = VectorRecord::Deserialize(reader);
-        // In a per-kind segment every record must carry that segment's kind:
-        // a record smuggled into the wrong file would later be read back
-        // from the wrong segment.
-        DPPR_CHECK(expected_kind < 0 ||
-                   static_cast<int>(record.kind) == expected_kind);
-        store.IndexExtent(MakeVectorKey(record.kind, record.sub, record.node),
-                          {start, reader.position() - start});
-        store.Charge(record.kind, record.vec.SerializedBytes());
-      }
-    });
-  };
-
-  if (!HasManifestMagic(path)) {
-    // Legacy single-file spill: one record stream holds every kind, and all
-    // three segment slots alias it, so key-derived segment routing still
-    // lands on the right file.
-    SegmentArray files;
-    files.fill(SpillFile::Open(path));
-    std::unique_ptr<DiskSpillStorage> store(
-        new DiskSpillStorage(std::move(files), options.cache_bytes));
-    scan_into(*store, *store->files_[0], /*expected_kind=*/-1);
-    return store;
-  }
-
   // Segment manifest: magic line, one "<kind> <basename>" line per kind in
   // enum order, then the "end" trailer — a truncated manifest loses the
-  // trailer and dies here.
+  // trailer, and a file without the magic line is no manifest; both die
+  // here.
   std::vector<std::string> lines = SplitLines(ReadWholeFile(path));
   DPPR_CHECK_GE(lines.size(), size_t{kNumVectorKinds} + 2);
   DPPR_CHECK(lines[0] == kManifestMagic);
@@ -303,8 +244,24 @@ std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
   }
   std::unique_ptr<DiskSpillStorage> store(
       new DiskSpillStorage(std::move(files), options.cache_bytes));
+  // Rebuild the index by walking each segment's record stream. Every record
+  // is fully re-validated (VectorRecord::Deserialize DPPR_CHECKs kinds, id
+  // ranges and blob framing), so truncation or corruption dies here — at
+  // open — rather than serving garbage at query time.
   for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
-    scan_into(*store, *store->files_[k], /*expected_kind=*/k);
+    store->files_[k]->Scan([&](std::span<const uint8_t> bytes) {
+      ByteReader reader(bytes.data(), bytes.size());
+      while (!reader.AtEnd()) {
+        size_t start = reader.position();
+        VectorRecord record = VectorRecord::Deserialize(reader);
+        // Every record must carry its segment's kind: a record smuggled into
+        // the wrong file would later be read back from the wrong segment.
+        DPPR_CHECK(static_cast<uint8_t>(record.kind) == k);
+        store->IndexExtent(MakeVectorKey(record.kind, record.sub, record.node),
+                           {start, reader.position() - start});
+        store->Charge(record.kind, record.vec.SerializedBytes());
+      }
+    });
   }
   return store;
 }
@@ -416,8 +373,8 @@ PpvPair DiskSpillStorage::FindPair(SubgraphId sub, NodeId hub) const {
   PpvPair pair;
   if (!has_skel && !has_part) return pair;
   {
-    // Fast path: both vectors resident (the steady state once Prefetch has
-    // run) resolve under a single lock acquisition.
+    // Fast path: both vectors resident (the warm steady state) resolve under
+    // a single lock acquisition.
     std::lock_guard<std::mutex> lock(mu_);
     if (has_skel) pair.skeleton = CachedLocked(skel_key);
     if (has_part) pair.partial = CachedLocked(part_key);
@@ -431,155 +388,6 @@ PpvPair DiskSpillStorage::FindPair(SubgraphId sub, NodeId hub) const {
     pair.partial = Find(VectorKind::kHubPartial, sub, hub);
   }
   return pair;
-}
-
-void DiskSpillStorage::Prefetch(std::span<const uint64_t> keys) const {
-  if (keys.empty()) return;
-  obs::TraceSpan span(obs::kCoordinatorLane, "store.prefetch");
-  span.Arg("keys", keys.size());
-  const DiskMetrics& metrics = DiskMetrics::Get();
-
-  struct Pending {
-    uint64_t key = 0;
-    SpillExtent extent;
-    /// Null once the load has been published (or never registered).
-    std::shared_ptr<InFlightLoad> load;
-  };
-  // Per-kind buckets: extents sort and coalesce within their own segment.
-  std::array<std::vector<Pending>, kNumVectorKinds> buckets;
-  uint64_t already_resident = 0;
-  {
-    // A pass never plans more than half the budget of new loads: beyond
-    // that the cache would evict prefetched records before the fold reads
-    // them, and the batch would pay the prefetch reads AND the fold's
-    // re-reads. Keys arrive in fold order, so the prefix we keep is exactly
-    // what the fold needs first; the tail cold-misses as before.
-    const uint64_t planned_cap = cache_budget_ / 2;
-    uint64_t planned_bytes = 0;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (uint64_t key : keys) {
-      auto eit = extents_.find(key);
-      if (eit == extents_.end()) continue;  // not stored on this machine
-      // A record larger than the whole budget can never stay cached;
-      // prefetching it would read the extent now and again at Find time,
-      // doubling the I/O instead of hiding it.
-      if (eit->second.length > cache_budget_) continue;
-      if (cache_.find(key) != cache_.end()) {
-        ++already_resident;
-        continue;
-      }
-      // Someone (a Find leader or an earlier duplicate in `keys`) is already
-      // reading this extent; they will populate the cache.
-      if (inflight_.find(key) != inflight_.end()) continue;
-      if (planned_bytes + eit->second.length > planned_cap) break;
-      planned_bytes += eit->second.length;
-      auto load = std::make_shared<InFlightLoad>();
-      inflight_.emplace(key, load);
-      buckets[key >> 60].push_back({key, eit->second, std::move(load)});
-    }
-  }
-  Count(&StorageStats::prefetch_hits, already_resident);
-  metrics.prefetch_hits->Add(already_resident);
-  size_t issued = 0;
-  for (const auto& bucket : buckets) issued += bucket.size();
-  span.Arg("loads", issued);
-  if (issued == 0) return;
-  Count(&StorageStats::prefetch_issued, issued);
-  metrics.prefetch_issued->Add(issued);
-
-  // Every registered load must be resolved even if something below unwinds
-  // (the reads and parses allocate): mark the unpublished remainder failed
-  // and wake their followers, exactly like a failed Find leader.
-  struct AbandonRest {
-    const DiskSpillStorage* store;
-    std::array<std::vector<Pending>, kNumVectorKinds>& buckets;
-    ~AbandonRest() {
-      std::lock_guard<std::mutex> lock(store->mu_);
-      for (auto& bucket : buckets) {
-        for (Pending& p : bucket) {
-          if (p.load == nullptr) continue;
-          p.load->failed = true;
-          p.load->done = true;
-          store->inflight_.erase(p.key);
-          p.load->done_cv.notify_all();
-        }
-      }
-    }
-  } abandon{this, buckets};
-
-  uint64_t reads = 0;
-  uint64_t bytes_read = 0;
-  for (auto& bucket : buckets) {
-    if (bucket.empty()) continue;
-    // Offset order within the segment: adjacent records — consecutive
-    // appends of the same kind, the common case after per-kind segmentation
-    // — coalesce into one pread.
-    std::sort(bucket.begin(), bucket.end(), [](const Pending& a, const Pending& b) {
-      return a.extent.offset < b.extent.offset;
-    });
-    SpillFile& file = SegmentFor(bucket.front().key);
-    size_t i = 0;
-    while (i < bucket.size()) {
-      size_t j = i + 1;
-      uint64_t run_end = bucket[i].extent.offset + bucket[i].extent.length;
-      while (j < bucket.size() && bucket[j].extent.offset == run_end &&
-             run_end - bucket[i].extent.offset + bucket[j].extent.length <=
-                 kMaxPrefetchRunBytes) {
-        run_end += bucket[j].extent.length;
-        ++j;
-      }
-      const SpillExtent run{bucket[i].extent.offset,
-                            run_end - bucket[i].extent.offset};
-      std::vector<uint8_t> buf(run.length);
-      file.Read(run, buf);
-      ++reads;
-      bytes_read += run.length;
-
-      // Parse each record out of its slice of the run, then publish the
-      // whole run under one lock acquisition.
-      std::vector<std::pair<size_t, std::shared_ptr<const SparseVector>>> loaded;
-      loaded.reserve(j - i);
-      for (size_t k = i; k < j; ++k) {
-        const Pending& p = bucket[k];
-        ByteReader reader(buf.data() + (p.extent.offset - run.offset),
-                          p.extent.length);
-        VectorRecord record = VectorRecord::Deserialize(reader);
-        DPPR_CHECK(reader.AtEnd());
-        // The record must be the one its key promised — same aliased-extent
-        // refusal as the Find miss path.
-        DPPR_CHECK_EQ(MakeVectorKey(record.kind, record.sub, record.node),
-                      p.key);
-        loaded.emplace_back(
-            k, std::make_shared<const SparseVector>(std::move(record.vec)));
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto& [k, vec] : loaded) {
-          Pending& p = bucket[k];
-          // A prefetched extent was read from disk, not served from RAM:
-          // cache-miss semantics, billed once here (the later Find hits).
-          Count(&StorageStats::cache_misses, 1);
-          metrics.misses->Increment();
-          p.load->vec = vec;
-          p.load->done = true;
-          inflight_.erase(p.key);
-          p.load->done_cv.notify_all();
-          InsertIntoCacheLocked(p.key, std::move(vec),
-                                static_cast<size_t>(p.extent.length));
-          p.load.reset();
-        }
-      }
-      i = j;
-    }
-  }
-  Count(&StorageStats::disk_bytes_read, bytes_read);
-  metrics.bytes_read->Add(bytes_read);
-  Count(&StorageStats::prefetch_coalesced_reads, reads);
-  metrics.prefetch_coalesced_reads->Add(reads);
-  Count(&StorageStats::prefetch_bytes, bytes_read);
-  metrics.prefetch_bytes->Add(bytes_read);
-  span.Arg("reads", reads);
-  span.Arg("bytes", bytes_read);
 }
 
 PpvRef DiskSpillStorage::Load(uint64_t key, VectorKind kind, SubgraphId sub,

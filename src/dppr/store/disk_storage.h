@@ -73,8 +73,8 @@ class SpillFile {
 /// Disk-backed spill storage: every put serializes its vector as a
 /// VectorRecord and appends it to one of three per-kind spill segments —
 /// hub partials, skeleton columns, and own vectors each get their own file,
-/// so the tiny skeleton columns a query chain walks cluster into a dense,
-/// prefetch-friendly segment instead of interleaving with multi-KB partials.
+/// so the tiny skeleton columns a query chain walks cluster into a dense
+/// segment instead of interleaving with multi-KB partials.
 /// Ingest streams the raw wire bytes straight through, so the coordinator
 /// never materializes a machine's index in RAM. Lookups go through a
 /// byte-budgeted read-through LRU residency cache keyed on the vector key. A
@@ -88,29 +88,25 @@ class SpillFile {
 ///
 /// A named store (options.spill_path) writes a small text manifest at the
 /// path plus one `<path>.<kind>` segment per kind; PpvStore::OpenSpill reads
-/// the manifest back. A path holding a legacy single-file record stream
-/// (no manifest magic) still opens: all three segment slots alias the one
-/// file, so pre-segment spills stay readable.
+/// the manifest back, and a path holding anything else dies at open.
 ///
 /// The miss path is singleflighted: concurrent misses of the same vector
 /// coalesce onto one disk read — the first thread loads, the rest wait for
 /// its result instead of each pread-ing the extent (thundering herds on one
 /// hot vector used to multiply the I/O). Followers still count as cache
 /// misses (the lookup was not served from RAM) but charge no disk bytes;
-/// only the loading thread's read is billed. Prefetch registers its loads in
-/// the same table, so a concurrent Find of a key being prefetched waits for
-/// that read instead of issuing its own.
+/// only the loading thread's read is billed.
 ///
-/// Find/FindPair/Prefetch are thread-safe (cache state under a mutex, disk
-/// reads outside it); writes follow the single-threaded-ingest contract.
+/// Find/FindPair are thread-safe (cache state under a mutex, disk reads
+/// outside it); writes follow the single-threaded-ingest contract.
 class DiskSpillStorage final : public VectorStorage {
  public:
   /// Fresh store spilling to options.spill_path (manifest + named segments
   /// kept on disk) or anonymous temp segments in options.spill_dir.
   explicit DiskSpillStorage(const StorageOptions& options);
 
-  /// Rebuilds a store from an existing spill (segment manifest or legacy
-  /// single file) by scanning its records. Truncated or corrupted files
+  /// Rebuilds a store from an existing segment-manifest spill by scanning
+  /// its records. A malformed manifest and truncated or corrupted segments
   /// DPPR_CHECK-fail here, at open. The store is read-only: further puts die
   /// in SpillFile::Append.
   static std::unique_ptr<DiskSpillStorage> OpenExisting(
@@ -126,21 +122,9 @@ class DiskSpillStorage final : public VectorStorage {
   double IngestFrom(ByteReader& reader) override;
   PpvRef Find(VectorKind kind, SubgraphId sub, NodeId node) const override;
   /// One cache-lock pass resolving both hub vectors when both are resident
-  /// (the steady state behind Prefetch); anything colder falls back to the
-  /// full per-key Find path. Accounting matches two Finds exactly.
+  /// (the warm steady state); anything colder falls back to the full
+  /// per-key Find path. Accounting matches two Finds exactly.
   PpvPair FindPair(SubgraphId sub, NodeId hub) const override;
-  /// Loads the missing extents among `keys` into the residency cache:
-  /// filters out absent / already-cached / in-flight keys and extents larger
-  /// than the whole budget (they could never stay cached — reading them
-  /// twice would only double the I/O), plans at most half the budget of new
-  /// loads per pass (more would evict prefetched records before the fold
-  /// reads them; keys come in fold order, so the kept prefix is what the
-  /// fold needs first), groups the rest by segment, sorts by
-  /// file offset, and issues one coalesced pread per adjacent run. Each
-  /// loaded extent counts as a cache miss + disk bytes (it was read from
-  /// disk), so cold-window stats invariants hold whether the engine
-  /// prefetches or not.
-  void Prefetch(std::span<const uint64_t> keys) const override;
   /// Shares the spill segments with the clone (appends interleave safely;
   /// each store only indexes its own records) and starts a fresh cache.
   std::unique_ptr<VectorStorage> Clone() const override;

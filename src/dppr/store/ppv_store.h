@@ -83,14 +83,6 @@ class PpvStore {
     return storage_->FindPair(sub, hub);
   }
 
-  /// Advisory bulk-load hint for packed keys (MakeVectorKey) about to be
-  /// looked up: the disk backend pulls the missing extents into its
-  /// residency cache with offset-sorted, coalesced reads; the in-memory
-  /// backends ignore it. Never changes any Find result.
-  void Prefetch(std::span<const uint64_t> keys) const {
-    storage_->Prefetch(keys);
-  }
-
   StorageBackend backend() const { return storage_->backend(); }
   size_t num_vectors() const { return storage_->num_vectors(); }
   /// Vectors whose bytes the store itself holds (owned or spilled).

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "dppr/common/macros.h"
@@ -116,18 +115,6 @@ struct StorageStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t disk_bytes_read = 0;
-  /// Prefetch accounting (disk backend; zero elsewhere). `prefetch_issued`
-  /// counts keys a Prefetch call actually started loads for;
-  /// `prefetch_hits` keys that were already resident when examined;
-  /// `prefetch_coalesced_reads` the preads issued after adjacent extents
-  /// were merged; `prefetch_bytes` the bytes those reads pulled in. Prefetch
-  /// loads also count as cache_misses + disk_bytes_read — the extent was
-  /// read from disk — so the cold-window invariants hold with the gate on
-  /// or off.
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_coalesced_reads = 0;
-  uint64_t prefetch_bytes = 0;
 
   StorageStats& operator+=(const StorageStats& other);
   /// Counter delta since `baseline` (ServerStats windows).
@@ -136,11 +123,9 @@ struct StorageStats {
 };
 
 /// Every StorageStats counter, for code that treats them uniformly.
-inline constexpr std::array<uint64_t StorageStats::*, 7> kStorageCounters{
-    &StorageStats::cache_hits,          &StorageStats::cache_misses,
-    &StorageStats::disk_bytes_read,     &StorageStats::prefetch_issued,
-    &StorageStats::prefetch_hits,       &StorageStats::prefetch_coalesced_reads,
-    &StorageStats::prefetch_bytes};
+inline constexpr std::array<uint64_t StorageStats::*, 3> kStorageCounters{
+    &StorageStats::cache_hits, &StorageStats::cache_misses,
+    &StorageStats::disk_bytes_read};
 
 inline StorageStats& StorageStats::operator+=(const StorageStats& other) {
   for (uint64_t StorageStats::*counter : kStorageCounters) {
@@ -225,17 +210,6 @@ class VectorStorage {
   virtual PpvPair FindPair(SubgraphId sub, NodeId hub) const {
     return {Find(VectorKind::kSkeletonColumn, sub, hub),
             Find(VectorKind::kHubPartial, sub, hub)};
-  }
-
-  /// Hint that the packed keys (MakeVectorKey) are about to be looked up.
-  /// Purely advisory: a no-op for the in-memory backends, and the disk
-  /// backend loads the missing extents into its residency cache with reads
-  /// sorted by file offset and coalesced across adjacent records — cold
-  /// misses overlap up front instead of serializing inside the query fold.
-  /// Never changes any Find result; keys not stored here are ignored.
-  /// Thread-safe alongside concurrent Finds (shares their singleflight).
-  virtual void Prefetch(std::span<const uint64_t> keys) const {
-    (void)keys;
   }
 
   /// Deep copy with the same ledger; residency cache and stats start fresh.

@@ -4,6 +4,7 @@
 
 #include "dppr/core/hgpa.h"
 #include "dppr/graph/datasets.h"
+#include "dppr/store/vector_record.h"
 #include "test_util.h"
 
 namespace dppr {
@@ -166,69 +167,52 @@ size_t HubLevels(const Hierarchy& hierarchy) {
 }
 
 TEST(DistPrecompute, OfflineStatsCountSuperstepsAndTraffic) {
-  // Placements are pinned (not env-defaulted): these assertions are
-  // mode-specific and must hold under every CI DPPR_OFFLINE leg.
   Graph g = RandomDigraph(100, 3.0, 64);
   HgpaOptions options = SmallOptions();
 
   DistPrecomputeOptions dist;
   dist.num_machines = 4;
-  dist.locality = OfflinePlacement::kOwner;
-  DistributedPrecompute::Result owner =
-      DistributedPrecompute::RunHgpa(g, options, dist);
-  dist.locality = OfflinePlacement::kLocality;
   DistributedPrecompute::Result locality =
       DistributedPrecompute::RunHgpa(g, options, dist);
 
-  const size_t hub_levels = HubLevels(*owner.hierarchy);
+  const size_t hub_levels = HubLevels(*locality.hierarchy);
   ASSERT_GT(hub_levels, 0u);
 
-  // Owner placement: one leaf round plus a skeleton and a partial gather
-  // round per level with hubs; nothing ever shuffles machine→machine.
-  EXPECT_EQ(owner.placement, OfflinePlacement::kOwner);
-  EXPECT_EQ(owner.offline.rounds, 1 + 2 * hub_levels);
-  EXPECT_EQ(owner.offline.exchange_rounds, 0u);
-  EXPECT_EQ(owner.offline.comm.messages,
-            owner.offline.rounds * dist.num_machines);
-  EXPECT_EQ(owner.offline.shuffled.bytes, 0u);
-  // All shipped payload bytes materialized as stored vectors plus record
-  // headers, so traffic must dominate the stores' serialized footprint.
-  EXPECT_GT(owner.offline.comm.bytes, owner.TotalBytes());
-  // With 4 machines and Eq. 7 spreading, most hub induces are off-home.
-  EXPECT_GT(owner.remote_induces, 0u);
-
-  // Locality placement: the hub supersteps collapse into one exchange round
-  // per level, the coordinator link carries only the leaf gather, and no
-  // machine ever induces a subgraph it is not home to.
-  EXPECT_EQ(locality.placement, OfflinePlacement::kLocality);
+  // The hub supersteps are one exchange round per level, the coordinator
+  // link carries only the leaf gather, and no machine ever induces a
+  // subgraph it is not home to.
   EXPECT_EQ(locality.offline.rounds, 1 + hub_levels);
   EXPECT_EQ(locality.offline.exchange_rounds, hub_levels);
   EXPECT_EQ(locality.offline.comm.messages, dist.num_machines);
   EXPECT_EQ(locality.offline.shuffled.messages,
             hub_levels * dist.num_machines * (dist.num_machines - 1));
-  EXPECT_EQ(locality.remote_induces, 0u);
-  EXPECT_LE(locality.induces, owner.induces);
 
-  // Cross-mode ledger identity: every hub record owner-placement gathered is
-  // the same record locality placement either kept at home or shuffled, so
-  // the byte columns partition exactly.
+  // Ledger identity against the centralized oracle on the same hierarchy:
+  // every record was either gathered (leaf round) or, per level, kept at
+  // home or shuffled, so the byte columns partition the wire size of the
+  // whole precomputation exactly.
+  auto pre = HgpaPrecomputation::Run(g, *locality.hierarchy, options);
+  size_t record_bytes = 0;
+  for (const auto& item : pre->items()) {
+    ByteWriter writer;
+    VectorRecord::Serialize(writer, item.kind, item.sub, item.node,
+                            item.seconds, item.vec);
+    record_bytes += writer.size();
+  }
   size_t level_bytes = 0;
   ASSERT_EQ(locality.levels.size(), hub_levels);
   for (const auto& level : locality.levels) {
     level_bytes += level.local_bytes + level.shuffled_bytes;
   }
-  EXPECT_EQ(owner.offline.comm.bytes,
-            locality.offline.comm.bytes + level_bytes);
-  EXPECT_EQ(owner.TotalBytes(), locality.TotalBytes());
+  EXPECT_EQ(locality.offline.comm.bytes + level_bytes, record_bytes);
+  EXPECT_EQ(locality.TotalBytes(), pre->TotalBytes());
 
-  for (const DistributedPrecompute::Result* result : {&owner, &locality}) {
-    EXPECT_GT(result->offline.simulated_seconds, 0.0);
-    EXPECT_GT(result->ledger.TotalSeconds(), 0.0);
-    EXPECT_EQ(result->ledger.num_machines(), dist.num_machines);
-  }
+  EXPECT_GT(locality.offline.simulated_seconds, 0.0);
+  EXPECT_GT(locality.ledger.TotalSeconds(), 0.0);
+  EXPECT_EQ(locality.ledger.num_machines(), dist.num_machines);
 }
 
-TEST(DistPrecompute, LocalityModeBitIdenticalToOwnerMode) {
+TEST(DistPrecompute, LocalityBitIdenticalToCentralizedInBothSchedulers) {
   Graph g = RandomDigraph(110, 3.0, 19);
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
@@ -237,22 +221,9 @@ TEST(DistPrecompute, LocalityModeBitIdenticalToOwnerMode) {
     DistPrecomputeOptions dist;
     dist.num_machines = 4;
     dist.sequential = sequential;
-    dist.locality = OfflinePlacement::kOwner;
-    DistributedPrecompute::Result owner =
-        DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-    dist.locality = OfflinePlacement::kLocality;
     DistributedPrecompute::Result locality =
         DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-
-    // Both modes must reproduce the centralized oracle on every machine —
-    // which also makes them bit-identical to each other.
-    ExpectBitIdentical(*pre, owner);
     ExpectBitIdentical(*pre, locality);
-    for (size_t m = 0; m < dist.num_machines; ++m) {
-      EXPECT_EQ(owner.stores[m].TotalSerializedBytes(),
-                locality.stores[m].TotalSerializedBytes())
-          << "machine " << m;
-    }
   }
 }
 
@@ -263,14 +234,12 @@ TEST(DistPrecompute, GpaLocalityModeBitIdenticalToCentralized) {
 
   DistPrecomputeOptions dist;
   dist.num_machines = 3;
-  dist.locality = OfflinePlacement::kLocality;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
   ExpectBitIdentical(*pre, result);
   // GPA's flat hierarchy has one hub level: one leaf gather + one shuffle.
   EXPECT_EQ(result.offline.rounds, 2u);
   EXPECT_EQ(result.offline.exchange_rounds, 1u);
-  EXPECT_EQ(result.remote_induces, 0u);
 }
 
 TEST(DistPrecompute, HomeMachinePartitionsSubgraphsAndMatchesLeafPacking) {

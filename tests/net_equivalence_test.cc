@@ -44,49 +44,40 @@ DistributedPrecompute::Result RunOffline(const Graph& g, const Hierarchy& h,
   return DistributedPrecompute::Run(g, h, options, dist);
 }
 
-DistributedPrecompute::Result RunOfflineMode(const Graph& g, const Hierarchy& h,
-                                             const HgpaOptions& options,
-                                             OfflinePlacement placement,
-                                             TransportBackend backend,
-                                             StorageBackend storage,
-                                             size_t machines) {
-  DistPrecomputeOptions dist;
-  dist.num_machines = machines;
-  dist.locality = placement;
-  dist.transport = Backend(backend);
-  dist.storage = StorageOptions{};
-  dist.storage.backend = storage;
-  return DistributedPrecompute::Run(g, h, options, dist);
-}
-
-// Every stored vector of `tcp` must equal its `inproc` counterpart bit for
-// bit. The walk mirrors the placement plan: hubs' skeleton columns and
-// partial vectors on the machine owning the hub, own vectors on the machine
-// owning the node.
-void ExpectStoresIdentical(const DistributedPrecompute::Result& inproc,
-                           const DistributedPrecompute::Result& tcp) {
-  ASSERT_EQ(inproc.num_machines(), tcp.num_machines());
-  const Hierarchy& h = *inproc.hierarchy;
-  auto expect_same = [&](VectorKind kind, SubgraphId sub, NodeId node,
-                         size_t machine) {
-    PpvRef a = inproc.stores[machine].Find(kind, sub, node);
-    PpvRef b = tcp.stores[machine].Find(kind, sub, node);
-    ASSERT_TRUE(a);
-    ASSERT_TRUE(b);
-    EXPECT_EQ(*a, *b) << "kind " << static_cast<int>(kind) << " sub " << sub
+// Every stored vector of `b` must equal its `a` counterpart bit for bit, and
+// both must hold the same vectors and bytes per machine. The walk mirrors
+// the placement plan: hubs' skeleton columns and partial vectors on the
+// machine owning the hub, own vectors on the machine owning the node.
+void ExpectStoresIdentical(const HgpaIndex& a, const HgpaIndex& b) {
+  ASSERT_EQ(a.num_machines(), b.num_machines());
+  ASSERT_EQ(a.own_machine(), b.own_machine());
+  for (size_t m = 0; m < a.num_machines(); ++m) {
+    EXPECT_EQ(a.store(m).num_vectors(), b.store(m).num_vectors())
+        << "machine " << m;
+    EXPECT_EQ(a.store(m).TotalSerializedBytes(),
+              b.store(m).TotalSerializedBytes())
+        << "machine " << m;
+  }
+  const Hierarchy& h = a.hierarchy();
+  auto expect_same = [&](VectorKind kind, SubgraphId sub, NodeId node) {
+    const size_t machine = a.own_vector_machine(node);
+    PpvRef x = a.store(machine).Find(kind, sub, node);
+    PpvRef y = b.store(machine).Find(kind, sub, node);
+    ASSERT_TRUE(x);
+    ASSERT_TRUE(y);
+    EXPECT_EQ(*x, *y) << "kind " << static_cast<int>(kind) << " sub " << sub
                       << " node " << node;
   };
   for (const auto& sub : h.subgraphs()) {
     for (NodeId hub : sub.hubs) {
-      size_t machine = inproc.plan.own_machine[hub];
-      expect_same(VectorKind::kSkeletonColumn, sub.id, hub, machine);
-      expect_same(VectorKind::kHubPartial, sub.id, hub, machine);
+      expect_same(VectorKind::kSkeletonColumn, sub.id, hub);
+      expect_same(VectorKind::kHubPartial, sub.id, hub);
     }
   }
   for (SubgraphId leaf : h.leaves()) {
     for (NodeId u : h.subgraph(leaf).nodes) {
       if (h.is_hub(u)) continue;  // hubs' own vectors are their partials
-      expect_same(VectorKind::kOwnVector, leaf, u, inproc.plan.own_machine[u]);
+      expect_same(VectorKind::kOwnVector, leaf, u);
     }
   }
 }
@@ -105,22 +96,6 @@ void ExpectOfflineLedgersIdentical(const DistributedPrecompute::Result& inproc,
               tcp.stores[m].TotalSerializedBytes())
         << "machine " << m;
     EXPECT_EQ(inproc.stores[m].num_vectors(), tcp.stores[m].num_vectors())
-        << "machine " << m;
-  }
-}
-
-// Cross-placement comparison: locality and owner modes take different routes
-// (shuffle vs gather), so round/traffic ledgers legitimately differ — but
-// everything derived from the stored vectors must not.
-void ExpectStoreFootprintsIdentical(const DistributedPrecompute::Result& a,
-                                    const DistributedPrecompute::Result& b) {
-  EXPECT_EQ(a.TotalBytes(), b.TotalBytes());
-  EXPECT_EQ(a.MaxMachineBytes(), b.MaxMachineBytes());
-  for (size_t m = 0; m < a.num_machines(); ++m) {
-    EXPECT_EQ(a.stores[m].TotalSerializedBytes(),
-              b.stores[m].TotalSerializedBytes())
-        << "machine " << m;
-    EXPECT_EQ(a.stores[m].num_vectors(), b.stores[m].num_vectors())
         << "machine " << m;
   }
 }
@@ -149,12 +124,12 @@ TEST(NetEquivalence, HgpaOfflineAndQueriesMatchOverTcp) {
       RunOffline(g, h, options, TransportBackend::kInProcess, 4);
   auto tcp_result = RunOffline(g, h, options, TransportBackend::kTcp, 4);
   ExpectOfflineLedgersIdentical(inproc_result, tcp_result);
-  ExpectStoresIdentical(inproc_result, tcp_result);
 
   HgpaQueryEngine inproc(HgpaIndex::FromDistributed(std::move(inproc_result)),
                          NetworkModel{}, Backend(TransportBackend::kInProcess));
   HgpaQueryEngine tcp(HgpaIndex::FromDistributed(std::move(tcp_result)),
                       NetworkModel{}, Backend(TransportBackend::kTcp));
+  ExpectStoresIdentical(inproc.index(), tcp.index());
   ExpectQuerySurfaceIdentical(g, inproc, tcp);
 }
 
@@ -167,12 +142,12 @@ TEST(NetEquivalence, GpaOfflineAndQueriesMatchOverTcp) {
       RunOffline(g, flat, options, TransportBackend::kInProcess, 3);
   auto tcp_result = RunOffline(g, flat, options, TransportBackend::kTcp, 3);
   ExpectOfflineLedgersIdentical(inproc_result, tcp_result);
-  ExpectStoresIdentical(inproc_result, tcp_result);
 
   HgpaQueryEngine inproc(HgpaIndex::FromDistributed(std::move(inproc_result)),
                          NetworkModel{}, Backend(TransportBackend::kInProcess));
   HgpaQueryEngine tcp(HgpaIndex::FromDistributed(std::move(tcp_result)),
                       NetworkModel{}, Backend(TransportBackend::kTcp));
+  ExpectStoresIdentical(inproc.index(), tcp.index());
   ExpectQuerySurfaceIdentical(g, inproc, tcp);
 }
 
@@ -194,56 +169,55 @@ TEST(NetEquivalence, SequentialAndParallelTcpOfflineAgree) {
   auto a = DistributedPrecompute::Run(g, h, options, sequential);
   auto b = DistributedPrecompute::Run(g, h, options, parallel);
   ExpectOfflineLedgersIdentical(a, b);
-  ExpectStoresIdentical(a, b);
+  ExpectStoresIdentical(HgpaIndex::FromDistributed(std::move(a)),
+                        HgpaIndex::FromDistributed(std::move(b)));
 }
 
-TEST(NetEquivalence, LocalityShuffleMatchesOwnerAcrossTransportsAndStores) {
-  // The locality pipeline's acceptance matrix: owner vs locality placement,
-  // crossed with both transports and both storage backends, must produce
-  // bit-identical stores and query answers. The shuffle may only change who
-  // computes and which link the record crosses — never its bytes.
+TEST(NetEquivalence, LocalityMatchesCentralizedAcrossTransportsAndStores) {
+  // The locality pipeline's acceptance matrix: the distributed offline run,
+  // crossed with both transports and both storage backends, must store
+  // exactly what the centralized oracle distributes under the same placement
+  // plan and answer the query surface bit for bit. The shuffle may only
+  // change who computes and which link the record crosses — never its bytes.
   Graph g = RandomDigraph(100, 3.0, 67);
   HgpaOptions options = SmallOptions();
   Hierarchy h = Hierarchy::Build(g, options.hierarchy);
+  auto pre = HgpaPrecomputation::Run(g, h, options);
 
   for (TransportBackend transport :
        {TransportBackend::kInProcess, TransportBackend::kTcp}) {
     for (StorageBackend storage :
          {StorageBackend::kMemoryOwned, StorageBackend::kDisk}) {
-      auto owner = RunOfflineMode(g, h, options, OfflinePlacement::kOwner,
-                                  transport, storage, 4);
-      auto locality = RunOfflineMode(g, h, options, OfflinePlacement::kLocality,
-                                     transport, storage, 4);
-      EXPECT_EQ(locality.remote_induces, 0u);
-      EXPECT_GT(owner.remote_induces, 0u);
+      DistPrecomputeOptions dist;
+      dist.num_machines = 4;
+      dist.transport = Backend(transport);
+      dist.storage = StorageOptions{};
+      dist.storage.backend = storage;
+      auto locality = DistributedPrecompute::Run(g, h, options, dist);
       EXPECT_GT(locality.offline.exchange_rounds, 0u);
-      ExpectStoreFootprintsIdentical(owner, locality);
-      ExpectStoresIdentical(owner, locality);
-
-      HgpaQueryEngine owner_engine(
-          HgpaIndex::FromDistributed(std::move(owner)), NetworkModel{},
-          Backend(transport));
-      HgpaQueryEngine locality_engine(
-          HgpaIndex::FromDistributed(std::move(locality)), NetworkModel{},
-          Backend(transport));
-      ExpectQuerySurfaceIdentical(g, owner_engine, locality_engine);
+      HgpaQueryEngine oracle(HgpaIndex::Distribute(pre, 4, StorageOptions{}),
+                             NetworkModel{}, Backend(transport));
+      HgpaQueryEngine engine(HgpaIndex::FromDistributed(std::move(locality)),
+                             NetworkModel{}, Backend(transport));
+      ExpectStoresIdentical(oracle.index(), engine.index());
+      ExpectQuerySurfaceIdentical(g, oracle, engine);
     }
   }
 }
 
-TEST(NetEquivalence, GpaLocalityShuffleMatchesOwnerOverTcp) {
+TEST(NetEquivalence, GpaLocalityMatchesCentralizedOverTcp) {
   Graph g = RandomDigraph(80, 3.0, 71);
   HgpaOptions options = SmallOptions();
   Hierarchy flat = Hierarchy::BuildFlat(g, 4, options.hierarchy.partition);
+  auto pre = HgpaPrecomputation::Run(g, flat, options);
 
-  auto owner =
-      RunOfflineMode(g, flat, options, OfflinePlacement::kOwner,
-                     TransportBackend::kTcp, StorageBackend::kMemoryOwned, 3);
-  auto locality =
-      RunOfflineMode(g, flat, options, OfflinePlacement::kLocality,
-                     TransportBackend::kTcp, StorageBackend::kMemoryOwned, 3);
-  ExpectStoreFootprintsIdentical(owner, locality);
-  ExpectStoresIdentical(owner, locality);
+  auto locality = RunOffline(g, flat, options, TransportBackend::kTcp, 3);
+  HgpaQueryEngine oracle(HgpaIndex::Distribute(pre, 3, StorageOptions{}),
+                         NetworkModel{}, Backend(TransportBackend::kTcp));
+  HgpaQueryEngine engine(HgpaIndex::FromDistributed(std::move(locality)),
+                         NetworkModel{}, Backend(TransportBackend::kTcp));
+  ExpectStoresIdentical(oracle.index(), engine.index());
+  ExpectQuerySurfaceIdentical(g, oracle, engine);
 }
 
 TEST(NetEquivalence, LocalityShuffledBytesIdenticalAcrossBackends) {
@@ -261,7 +235,6 @@ TEST(NetEquivalence, LocalityShuffledBytesIdenticalAcrossBackends) {
       DistPrecomputeOptions dist;
       dist.num_machines = 4;
       dist.sequential = sequential;
-      dist.locality = OfflinePlacement::kLocality;
       dist.transport = Backend(transport);
       runs.push_back(DistributedPrecompute::Run(g, h, options, dist));
     }

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "dppr/core/hgpa.h"
@@ -53,8 +51,19 @@ void ExpectRoutedMatchesBroadcast(const Graph& graph, size_t machines,
       MakeEngine(pre, machines, RoutingMode::kBroadcast);
   ASSERT_EQ(routed.routing_mode(), RoutingMode::kRoute);
   ASSERT_EQ(broadcast.routing_mode(), RoutingMode::kBroadcast);
-  ASSERT_NE(routed.router(), nullptr);
-  ASSERT_EQ(broadcast.router(), nullptr);
+  // The broadcast engine runs the full plan: every machine, each its own
+  // single owner.
+  for (NodeId q = 0; q < graph.num_nodes(); ++q) {
+    NodeId sources[] = {q};
+    QueryRouter::Plan plan = broadcast.router()->Route(sources);
+    ASSERT_EQ(plan.machines.size(), machines) << "query " << q;
+    ASSERT_EQ(plan.owners.size(), machines) << "query " << q;
+    EXPECT_EQ(plan.contributors, machines) << "query " << q;
+    for (size_t m = 0; m < machines; ++m) {
+      EXPECT_EQ(plan.machines[m], m) << "query " << q;
+      EXPECT_EQ(plan.owners[m], std::vector<size_t>{m}) << "query " << q;
+    }
+  }
 
   uint64_t routed_messages = 0, broadcast_messages = 0;
   for (NodeId q = 0; q < graph.num_nodes(); ++q) {
@@ -128,8 +137,11 @@ TEST(QueryRouting, PreferenceSetsAndBatchesMatchBroadcast) {
   QueryMetrics round;
   std::vector<SparseVector> got =
       routed.QueryPreferenceSetMany(batch, &per_query, &round);
+  std::vector<SparseVector> full = broadcast.QueryPreferenceSetMany(batch);
   ASSERT_EQ(got.size(), batch.size());
+  ASSERT_EQ(full.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(got[i], full[i]) << "slot " << i;
     EXPECT_EQ(got[i], broadcast.QueryPreferenceSet(batch[i])) << "slot " << i;
     // Unbatched routed answers match too (same plan, own round).
     EXPECT_EQ(routed.QueryPreferenceSet(batch[i]), got[i]) << "slot " << i;
@@ -139,15 +151,18 @@ TEST(QueryRouting, PreferenceSetsAndBatchesMatchBroadcast) {
 }
 
 TEST(QueryRouting, ZeroWeightPreferencesContactNoMachines) {
+  // Under both plans a source set with no nonzero weight skips the round.
   Graph graph = RandomDigraph(40, 3.0, 9);
   auto pre = Precompute(graph);
-  HgpaQueryEngine routed = MakeEngine(pre, 3, RoutingMode::kRoute);
-  QueryMetrics metrics;
-  SparseVector ppv = routed.QueryPreferenceSet(
-      std::vector<HgpaQueryEngine::Preference>{{5, 0.0}}, &metrics);
-  EXPECT_EQ(ppv.size(), 0u);
-  EXPECT_EQ(metrics.machines_contacted, 0u);
-  EXPECT_EQ(metrics.comm.messages, 0u);
+  for (RoutingMode mode : {RoutingMode::kRoute, RoutingMode::kBroadcast}) {
+    HgpaQueryEngine engine = MakeEngine(pre, 3, mode);
+    QueryMetrics metrics;
+    SparseVector ppv = engine.QueryPreferenceSet(
+        std::vector<HgpaQueryEngine::Preference>{{5, 0.0}}, &metrics);
+    EXPECT_EQ(ppv.size(), 0u);
+    EXPECT_EQ(metrics.machines_contacted, 0u);
+    EXPECT_EQ(metrics.comm.messages, 0u);
+  }
 }
 
 TEST(QueryRouting, PlanInvariants) {
@@ -215,21 +230,6 @@ TEST(QueryRouting, ReplicationBookkeeping) {
     EXPECT_LE(repl_bytes[m] - plain_bytes[m],
               replicated.replica_bytes_per_machine());
   }
-}
-
-TEST(QueryRouting, EnvSelectsMode) {
-  // The suite itself runs under every DPPR_ROUTING CI leg: save and restore.
-  const char* prev = ::getenv("DPPR_ROUTING");
-  std::string saved = prev ? prev : "";
-  ::setenv("DPPR_ROUTING", "broadcast", 1);
-  EXPECT_EQ(RoutingOptions::FromEnv().mode, RoutingMode::kBroadcast);
-  ::setenv("DPPR_ROUTING", "route", 1);
-  EXPECT_EQ(RoutingOptions::FromEnv().mode, RoutingMode::kRoute);
-  ::unsetenv("DPPR_ROUTING");
-  EXPECT_EQ(RoutingOptions::FromEnv().mode, RoutingMode::kRoute);
-  EXPECT_EQ(RoutingOptions::FromEnv(RoutingMode::kBroadcast).mode,
-            RoutingMode::kBroadcast);
-  if (prev) ::setenv("DPPR_ROUTING", saved.c_str(), 1);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Coverage for the hot-path raw-speed pass: batched extent prefetch through
-// the disk store's singleflight table, the paired (skeleton, partial) lookup,
-// per-kind spill segments with their manifest, and bit-identity of the full
-// query surface across prefetch on/off, storage backends, and transports.
+// Coverage for the disk store's layout and lookups: the paired (skeleton,
+// partial) lookup, per-kind spill segments with their manifest (and the
+// hostile manifests that must die at open), and bit-identity of the full
+// query surface across storage backends and transports.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "dppr/core/hgpa.h"
 #include "dppr/net/transport.h"
-#include "dppr/serve/query_server.h"
 #include "dppr/store/disk_storage.h"
 #include "dppr/store/ppv_store.h"
 #include "test_util.h"
@@ -35,7 +34,7 @@ StorageOptions Disk(size_t cache_bytes = 64 << 20) {
 std::string TempPath(const std::string& name) {
   const char* tmp = std::getenv("TMPDIR");
   std::string dir = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
-  return dir + "/dppr_prefetch_test_" + name + ".spill";
+  return dir + "/dppr_spill_segments_test_" + name + ".spill";
 }
 
 std::string ReadText(const std::string& path) {
@@ -53,138 +52,6 @@ void RemoveSpill(const std::string& path) {
   std::remove(path.c_str());
   for (const char* suffix : {"hub_partial", "skeleton_column", "own_vector"}) {
     std::remove((path + "." + suffix).c_str());
-  }
-}
-
-/// Env override restored on scope exit (engines read DPPR_PREFETCH at
-/// construction, so tests pin it only around the constructor).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string old_;
-  bool had_old_ = false;
-};
-
-// ---------------------------------------------------------------------------
-// Prefetch unit behavior on a raw disk store
-// ---------------------------------------------------------------------------
-
-TEST(Prefetch, AdjacentExtentsCoalesceIntoOneRead) {
-  PpvStore store(Disk());
-  std::vector<SparseVector> expected;
-  std::vector<uint64_t> keys;
-  for (NodeId node = 0; node < 8; ++node) {
-    expected.push_back(RandomSparseVector(200 + node, 40));
-    store.PutOwned(VectorKind::kOwnVector, 1, node, expected.back(),
-                   expected.back().SerializedBytes());
-    keys.push_back(MakeVectorKey(VectorKind::kOwnVector, 1, node));
-  }
-
-  store.Prefetch(keys);
-  StorageStats cold = store.storage_stats();
-  EXPECT_EQ(cold.prefetch_issued, 8u);
-  EXPECT_EQ(cold.prefetch_hits, 0u);
-  // Eight consecutive appends of one kind are byte-adjacent in the segment:
-  // one coalesced pread covers them all.
-  EXPECT_EQ(cold.prefetch_coalesced_reads, 1u);
-  EXPECT_GT(cold.prefetch_bytes, 0u);
-  EXPECT_EQ(cold.disk_bytes_read, cold.prefetch_bytes);
-  EXPECT_EQ(cold.cache_misses, 8u);  // prefetch loads are disk reads
-  EXPECT_EQ(cold.cache_hits, 0u);
-
-  // Every Find is now a RAM hit, no further disk bytes.
-  for (NodeId node = 0; node < 8; ++node) {
-    PpvRef found = store.Find(VectorKind::kOwnVector, 1, node);
-    ASSERT_TRUE(found);
-    EXPECT_EQ(*found, expected[node]);
-  }
-  StorageStats warm = store.storage_stats();
-  EXPECT_EQ(warm.cache_hits, 8u);
-  EXPECT_EQ(warm.disk_bytes_read, cold.disk_bytes_read);
-
-  // Prefetching resident keys is pure bookkeeping: no loads, no reads.
-  store.Prefetch(keys);
-  StorageStats again = store.storage_stats();
-  EXPECT_EQ(again.prefetch_hits, 8u);
-  EXPECT_EQ(again.prefetch_issued, 8u);
-  EXPECT_EQ(again.prefetch_coalesced_reads, 1u);
-  EXPECT_EQ(again.disk_bytes_read, cold.disk_bytes_read);
-}
-
-TEST(Prefetch, PerKindSegmentsKeepEachKindAdjacent) {
-  // Kinds interleaved at ingest land in three separate segments, so a batch
-  // spanning all kinds still coalesces into one read per segment — the
-  // clustering the per-kind split exists to provide.
-  PpvStore store(Disk());
-  std::vector<uint64_t> keys;
-  for (NodeId i = 0; i < 6; ++i) {
-    for (VectorKind kind : {VectorKind::kHubPartial, VectorKind::kSkeletonColumn,
-                            VectorKind::kOwnVector}) {
-      SparseVector vec = RandomSparseVector(300 + 10 * i + static_cast<int>(kind),
-                                            25);
-      store.PutOwned(kind, 0, i, vec, vec.SerializedBytes());
-      keys.push_back(MakeVectorKey(kind, 0, i));
-    }
-  }
-  store.Prefetch(keys);
-  StorageStats stats = store.storage_stats();
-  EXPECT_EQ(stats.prefetch_issued, 18u);
-  EXPECT_EQ(stats.prefetch_coalesced_reads, 3u);
-}
-
-TEST(Prefetch, SkipsAbsentKeysAndOversizedExtents) {
-  // Budget 1: every record is bigger than the whole cache, so prefetch must
-  // refuse to read anything (the load could never stay cached — it would
-  // only double the I/O) and the budget-1 invariant "no hit ever" holds.
-  PpvStore store(Disk(/*cache_bytes=*/1));
-  SparseVector vec = RandomSparseVector(77, 30);
-  store.PutOwned(VectorKind::kOwnVector, 0, 0, vec, vec.SerializedBytes());
-  std::vector<uint64_t> keys = {
-      MakeVectorKey(VectorKind::kOwnVector, 0, 0),
-      MakeVectorKey(VectorKind::kOwnVector, 0, 999),     // never stored
-      MakeVectorKey(VectorKind::kSkeletonColumn, 5, 5),  // never stored
-  };
-  store.Prefetch(keys);
-  StorageStats stats = store.storage_stats();
-  EXPECT_EQ(stats.prefetch_issued, 0u);
-  EXPECT_EQ(stats.prefetch_hits, 0u);
-  EXPECT_EQ(stats.prefetch_coalesced_reads, 0u);
-  EXPECT_EQ(stats.disk_bytes_read, 0u);
-
-  // The vector is still served correctly, as a plain miss.
-  PpvRef found = store.Find(VectorKind::kOwnVector, 0, 0);
-  ASSERT_TRUE(found);
-  EXPECT_EQ(*found, vec);
-  EXPECT_EQ(store.storage_stats().cache_hits, 0u);
-}
-
-TEST(Prefetch, InMemoryBackendsIgnoreIt) {
-  for (StorageBackend backend :
-       {StorageBackend::kMemoryRef, StorageBackend::kMemoryOwned}) {
-    StorageOptions options;
-    options.backend = backend;
-    PpvStore store(options);
-    SparseVector vec = RandomSparseVector(5, 10);
-    store.PutOwned(VectorKind::kOwnVector, 0, 1, vec, vec.SerializedBytes());
-    std::vector<uint64_t> keys = {MakeVectorKey(VectorKind::kOwnVector, 0, 1)};
-    store.Prefetch(keys);  // no-op, must not crash or count anything
-    EXPECT_EQ(store.storage_stats().prefetch_issued, 0u);
-    EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 0, 1), vec);
   }
 }
 
@@ -267,7 +134,7 @@ TEST(FindPair, CopiedStoreDoesNotAliasSourcePairIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-kind segments: manifest round trip, legacy compatibility, hostile input
+// Per-kind segments: manifest round trip and hostile input
 // ---------------------------------------------------------------------------
 
 TEST(SpillSegments, NamedSpillWritesManifestAndSegments) {
@@ -298,45 +165,6 @@ TEST(SpillSegments, NamedSpillWritesManifestAndSegments) {
   RemoveSpill(path);
 }
 
-TEST(SpillSegments, LegacySingleFileSpillStillOpensAndPrefetches) {
-  // A pre-segment spill is one concatenated record stream with every kind
-  // interleaved. It must open (all segment slots alias the one file), serve
-  // bit-identical vectors, and still accept Prefetch.
-  std::string path = TempPath("legacy");
-  ByteWriter writer;
-  std::vector<SparseVector> expected;
-  std::vector<uint64_t> keys;
-  for (NodeId i = 0; i < 4; ++i) {
-    for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
-      expected.push_back(RandomSparseVector(800 + 10 * i + k, 15));
-      VectorRecord::Serialize(writer, static_cast<VectorKind>(k), 1, i,
-                              /*seconds=*/0.0, expected.back());
-      keys.push_back(MakeVectorKey(static_cast<VectorKind>(k), 1, i));
-    }
-  }
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-              static_cast<std::streamsize>(writer.bytes().size()));
-  }
-
-  // Explicit budget: the env legs' tiny DPPR_CACHE_BYTES would cap how many
-  // loads one Prefetch pass may plan, and this test counts them exactly.
-  PpvStore legacy = PpvStore::OpenSpill(path, Disk());
-  EXPECT_EQ(legacy.num_vectors(), expected.size());
-  legacy.Prefetch(keys);
-  EXPECT_EQ(legacy.storage_stats().prefetch_issued, expected.size());
-  size_t i = 0;
-  for (NodeId node = 0; node < 4; ++node) {
-    for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
-      PpvRef found = legacy.Find(static_cast<VectorKind>(k), 1, node);
-      ASSERT_TRUE(found);
-      EXPECT_EQ(*found, expected[i++]);
-    }
-  }
-  std::remove(path.c_str());
-}
-
 std::string WriteValidSegmentSpill(const std::string& path) {
   StorageOptions options = Disk();
   options.spill_path = path;
@@ -346,6 +174,28 @@ std::string WriteValidSegmentSpill(const std::string& path) {
     store.PutOwned(static_cast<VectorKind>(k), 0, k, vec, vec.SerializedBytes());
   }
   return ReadText(path);
+}
+
+TEST(SpillManifestHostile, RawRecordStreamDies) {
+  // A spill path holding a bare record stream (every kind interleaved, no
+  // manifest) is not a spill this store reads: it must die at open like any
+  // other malformed manifest.
+  std::string path = TempPath("rawstream");
+  ByteWriter writer;
+  for (NodeId i = 0; i < 4; ++i) {
+    for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
+      VectorRecord::Serialize(writer, static_cast<VectorKind>(k), 1, i,
+                              /*seconds=*/0.0,
+                              RandomSparseVector(800 + 10 * i + k, 15));
+    }
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
+              static_cast<std::streamsize>(writer.bytes().size()));
+  }
+  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
+  std::remove(path.c_str());
 }
 
 TEST(SpillManifestHostile, MissingEndTrailerDies) {
@@ -410,7 +260,7 @@ TEST(SpillManifestHostile, RecordInWrongSegmentDies) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence: prefetch on/off x transport x backend
+// Engine-level equivalence: disk cache size x transport x backend
 // ---------------------------------------------------------------------------
 
 HgpaOptions SmallOptions() {
@@ -430,15 +280,13 @@ void ExpectEnginesAgree(const Graph& g, HgpaQueryEngine& a, HgpaQueryEngine& b) 
   EXPECT_EQ(a.QueryPreferenceSet(prefs), b.QueryPreferenceSet(prefs));
 }
 
-TEST(PrefetchEquivalence, OnOffAndMemoryBitIdenticalOnBothTransports) {
+TEST(EngineEquivalence, DiskAndMemoryBitIdenticalOnBothTransports) {
   Graph g = RandomDigraph(90, 3.0, 17);
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   StorageOptions memory;
   memory.backend = StorageBackend::kMemoryRef;
-  // Budget comfortably above single records so the prefetcher really loads.
-  StorageOptions disk = Disk(size_t{1} << 20);
 
   for (TransportBackend backend :
        {TransportBackend::kInProcess, TransportBackend::kTcp}) {
@@ -446,64 +294,16 @@ TEST(PrefetchEquivalence, OnOffAndMemoryBitIdenticalOnBothTransports) {
     transport.backend = backend;
     HgpaQueryEngine reference(HgpaIndex::Distribute(pre, 3, memory),
                               NetworkModel{}, transport);
-    std::optional<HgpaQueryEngine> disk_on;
-    {
-      ScopedEnv env("DPPR_PREFETCH", "on");
-      disk_on.emplace(HgpaIndex::Distribute(pre, 3, disk), NetworkModel{},
-                      transport);
+    // A cache that keeps most of a machine's index resident, and one that
+    // holds about one record, so nearly every lookup reads its extent.
+    for (size_t cache_bytes : {size_t{1} << 20, size_t{4096}}) {
+      HgpaQueryEngine disk(HgpaIndex::Distribute(pre, 3, Disk(cache_bytes)),
+                           NetworkModel{}, transport);
+      ExpectEnginesAgree(g, reference, disk);
+      EXPECT_GT(disk.index().StorageStatsTotal().disk_bytes_read, 0u)
+          << "cache " << cache_bytes;
     }
-    std::optional<HgpaQueryEngine> disk_off;
-    {
-      ScopedEnv env("DPPR_PREFETCH", "off");
-      disk_off.emplace(HgpaIndex::Distribute(pre, 3, disk), NetworkModel{},
-                       transport);
-    }
-
-    ExpectEnginesAgree(g, reference, *disk_on);
-    ExpectEnginesAgree(g, reference, *disk_off);
-    ExpectEnginesAgree(g, *disk_on, *disk_off);
-
-    // The gate is observable: only the prefetching engine issues loads, and
-    // the off engine reads every extent inside the fold instead.
-    StorageStats on_stats = disk_on->index().StorageStatsTotal();
-    StorageStats off_stats = disk_off->index().StorageStatsTotal();
-    EXPECT_GT(on_stats.prefetch_issued, 0u);
-    EXPECT_GT(on_stats.prefetch_bytes, 0u);
-    EXPECT_GT(on_stats.prefetch_coalesced_reads, 0u);
-    EXPECT_EQ(off_stats.prefetch_issued, 0u);
-    EXPECT_EQ(off_stats.prefetch_bytes, 0u);
-    EXPECT_EQ(reference.index().StorageStatsTotal().prefetch_issued, 0u);
   }
-}
-
-TEST(PrefetchEquivalence, ServerStatsExposeThePrefetchWindow) {
-  Graph g = RandomDigraph(70, 3.0, 23);
-  HgpaOptions options = SmallOptions();
-  auto pre = HgpaPrecomputation::RunHgpa(g, options);
-
-  std::optional<QueryServer> server;
-  {
-    ScopedEnv env("DPPR_PREFETCH", "on");
-    server.emplace(
-        HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, Disk(size_t{1} << 20))));
-  }
-  for (NodeId q = 0; q < g.num_nodes(); q += 6) (void)server->Query(q);
-  ServerStats stats = server->Stats();
-  EXPECT_GT(stats.prefetch_issued, 0u);
-  EXPECT_GT(stats.prefetch_coalesced_reads, 0u);
-  EXPECT_GT(stats.prefetch_bytes, 0u);
-  EXPECT_GT(stats.cache_hits, 0u);
-}
-
-TEST(PrefetchGate, TypoDies) {
-  // DPPR_PREFETCH=fats must not silently serve unprefetched (or prefetched):
-  // same refuse-to-guess policy as DPPR_STORE.
-  Graph g = RandomDigraph(30, 2.0, 3);
-  HgpaOptions options = SmallOptions();
-  auto pre = HgpaPrecomputation::RunHgpa(g, options);
-  ScopedEnv env("DPPR_PREFETCH", "fats");
-  EXPECT_DEATH(HgpaQueryEngine(HgpaIndex::Distribute(pre, 2)),
-               "DPPR_CHECK failed");
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -102,73 +101,6 @@ TEST(StoreStress, ThunderingHerdMissesCoalesceOntoOneDiskRead) {
   EXPECT_EQ(stats.disk_bytes_read, extent_bytes);  // exactly one pread
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, kThreads);
   EXPECT_GE(stats.cache_misses, 1u);  // at least the loading leader
-}
-
-TEST(StoreStress, ConcurrentPrefetchAndFindShareTheSingleflightTable) {
-  // Prefetch and Find race through the same singleflight table: prefetch
-  // runs may be loading extents a Find is waiting on (and vice versa), while
-  // a small budget keeps evicting what either just brought in. Every Find
-  // must still pin the right vector bit for bit, and the accounting must
-  // stay conserved. Runs under TSAN in CI.
-  constexpr size_t kVectors = 16;
-  constexpr size_t kFinders = 4;
-  constexpr size_t kPrefetchers = 4;
-  constexpr size_t kIters = 200;
-
-  StorageOptions options;
-  options.backend = StorageBackend::kDisk;
-  // A few records resident: prefetch runs and Find loads keep evicting each
-  // other's insertions.
-  options.cache_bytes = 1500;
-  PpvStore store(options);
-  std::vector<SparseVector> expected;
-  std::vector<uint64_t> keys;
-  for (NodeId node = 0; node < kVectors; ++node) {
-    // Two kinds, so both eviction lists and two spill segments churn.
-    VectorKind kind = (node % 2 == 0) ? VectorKind::kOwnVector
-                                      : VectorKind::kSkeletonColumn;
-    expected.push_back(RandomSparseVector(500 + node, 40));
-    store.PutOwned(kind, 0, node, expected.back(),
-                   expected.back().SerializedBytes());
-    keys.push_back(MakeVectorKey(kind, 0, node));
-  }
-
-  std::vector<std::thread> threads;
-  std::vector<uint8_t> ok(kFinders, 0);
-  for (size_t t = 0; t < kPrefetchers; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(9000 + t);
-      for (size_t i = 0; i < kIters; ++i) {
-        // A random contiguous slice of the key list, so runs overlap both
-        // with each other and with in-flight Find loads.
-        size_t begin = rng.Uniform(kVectors);
-        size_t len = 1 + rng.Uniform(kVectors - begin);
-        store.Prefetch(std::span<const uint64_t>(keys).subspan(begin, len));
-      }
-    });
-  }
-  for (size_t t = 0; t < kFinders; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(7000 + t);
-      bool all_good = true;
-      for (size_t i = 0; i < kIters; ++i) {
-        NodeId node = static_cast<NodeId>(rng.Uniform(kVectors));
-        VectorKind kind = (node % 2 == 0) ? VectorKind::kOwnVector
-                                          : VectorKind::kSkeletonColumn;
-        PpvRef ref = store.Find(kind, 0, node);
-        all_good = all_good && ref && *ref == expected[node];
-      }
-      ok[t] = all_good ? 1 : 0;
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (size_t t = 0; t < kFinders; ++t) EXPECT_TRUE(ok[t]) << "finder " << t;
-
-  StorageStats stats = store.storage_stats();
-  // Finds account exactly once each; prefetch loads add misses on top.
-  EXPECT_GE(stats.cache_hits + stats.cache_misses, kFinders * kIters);
-  EXPECT_GT(stats.prefetch_issued, 0u);
-  EXPECT_GT(stats.prefetch_bytes, 0u);
 }
 
 TEST(StoreStress, ConcurrentQueriesThroughTinyCacheStayBitIdentical) {

@@ -270,8 +270,8 @@ TEST(QueryProfileReconciliation, TotalsMatchCounterDeltas) {
 
 TEST(QueryProfileReconciliation, StorageIsExactUnderOverlappingRounds) {
   // Eight clients against a disk store whose cache holds almost nothing:
-  // rounds overlap, and every one of them misses, reads extents and
-  // prefetches on the same stores. Each round's profile.storage must count
+  // rounds overlap, and every one of them misses and reads extents on the
+  // same stores. Each round's profile.storage must count
   // only its own machine tasks, so the sum over distinct rounds equals the
   // window exactly — a delta of the shared store counters across a round
   // would also pick up its neighbours' reads.
@@ -316,10 +316,6 @@ TEST(QueryProfileReconciliation, StorageIsExactUnderOverlappingRounds) {
   EXPECT_EQ(total.cache_hits, stats.cache_hits);
   EXPECT_EQ(total.cache_misses, stats.cache_misses);
   EXPECT_EQ(total.disk_bytes_read, stats.disk_bytes_read);
-  EXPECT_EQ(total.prefetch_issued, stats.prefetch_issued);
-  EXPECT_EQ(total.prefetch_hits, stats.prefetch_hits);
-  EXPECT_EQ(total.prefetch_coalesced_reads, stats.prefetch_coalesced_reads);
-  EXPECT_EQ(total.prefetch_bytes, stats.prefetch_bytes);
 }
 
 TEST(QueryProfileReconciliation, BatchFragmentsSumToTheRound) {
