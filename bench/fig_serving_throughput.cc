@@ -1,9 +1,9 @@
 // Serving throughput: N client threads × M queries against ONE shared
-// engine through the QueryServer admission batcher. Not a paper figure —
-// the paper measures single-query latency — but the regime the ROADMAP
-// targets: sustained concurrent traffic. Rows sweep client threads (and one
-// unbatched row for contrast); counters report QPS, p50/p95 latency, mean
-// realized batch, and coordinator bytes per query.
+// engine through the QueryServer front door, one round per request. Not a
+// paper figure — the paper measures single-query latency — but the regime
+// the ROADMAP targets: sustained concurrent traffic. Rows sweep client
+// threads; counters report QPS, p50–p999 latency, rounds, and coordinator
+// bytes per query.
 
 #include <memory>
 #include <thread>
@@ -32,12 +32,10 @@ std::shared_ptr<const HgpaPrecomputation> SharedPrecomputation() {
   return holder.second;
 }
 
-Counters MeasureServing(size_t clients, size_t max_batch) {
+Counters MeasureServing(size_t clients) {
   auto pre = SharedPrecomputation();
-  HgpaQueryEngine engine(HgpaIndex::Distribute(pre, kMachines));
-  ServeOptions options;
-  options.max_batch = max_batch;
-  QueryServer server(std::move(engine), options);
+  QueryServer server(HgpaQueryEngine(HgpaIndex::Distribute(pre, kMachines)),
+                     ServeOptions{});
 
   std::vector<NodeId> nodes =
       SampleQueries(pre->graph(), clients * kQueriesPerClient);
@@ -63,7 +61,6 @@ Counters MeasureServing(size_t clients, size_t max_batch) {
       {"p95_ms", stats.p95_latency_ms},
       {"p99_ms", stats.p99_latency_ms},
       {"p999_ms", stats.p999_latency_ms},
-      {"mean_batch", stats.mean_batch},
       {"rounds", static_cast<double>(stats.rounds)},
       {"comm_kb_per_query", per_query_kb},
   };
@@ -72,12 +69,8 @@ Counters MeasureServing(size_t clients, size_t max_batch) {
 void RegisterRows() {
   for (size_t clients : {1, 2, 4, 8}) {
     AddRow("serving/web/clients=" + std::to_string(clients),
-           [clients] { return MeasureServing(clients, 16); });
+           [clients] { return MeasureServing(clients); });
   }
-  // Batching off: every request pays its own round — the contrast row that
-  // shows what the admission batcher buys under the same 8-client load.
-  AddRow("serving/web/clients=8/unbatched",
-         [] { return MeasureServing(8, 1); });
 }
 
 }  // namespace

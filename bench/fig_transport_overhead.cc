@@ -61,8 +61,8 @@ Counters MeasureOffline(TransportBackend backend) {
   };
 }
 
-// Concurrent serving through the admission batcher; every round's fragment
-// payloads cross the chosen transport.
+// Concurrent serving, one round per request; every round's fragment payloads
+// cross the chosen transport.
 Counters MeasureServing(TransportBackend backend) {
   auto pre = SharedPrecomputation();
   QueryServer server(HgpaQueryEngine(HgpaIndex::Distribute(pre, kMachines),
@@ -85,7 +85,6 @@ Counters MeasureServing(TransportBackend backend) {
       {"qps", stats.qps},
       {"p50_ms", stats.p50_latency_ms},
       {"p95_ms", stats.p95_latency_ms},
-      {"mean_batch", stats.mean_batch},
       {"comm_mb", stats.comm.megabytes()},
   };
 }

@@ -26,17 +26,16 @@ import sys
 import tempfile
 
 # Metrics whose values are deterministic re-runs of the same workload (byte
-# accounting, read counts). Anything else is timing-dependent — including
-# `rounds` and `mean_batch` in the closed-loop serving bench (and
-# `machine_rounds` in the open-loop one), where how many requests a leader
-# absorbs per round is pure scheduler timing.
-# Per-query fragment bytes are batch-invariant, so comm_kb_per_query stays
-# deterministic even as batching shifts.
+# accounting, read and round counts). Every request runs its own round, so
+# the closed-loop serving bench's `rounds` is exactly clients × 40. Anything
+# else is timing-dependent — including `machine_rounds` in the open-loop
+# bench, which counts only the requests admission control did not shed.
 DETERMINISTIC = {
     "comm_kb_per_query",
     "entries_per_round",
     "disk_mb_read",
     "preads",
+    "rounds",
 }
 
 BENCHES = ["fig_serving_throughput", "fig_serving_scale", "fig_query_fold"]

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 
 #include "dppr/common/env.h"
@@ -199,29 +198,17 @@ HgpaQueryEngine::HgpaQueryEngine(HgpaIndex index, NetworkModel network,
       router_(std::make_shared<const QueryRouter>(index_, routing.mode)) {}
 
 std::vector<uint8_t> HgpaQueryEngine::MachineTask(
-    size_t machine, std::span<const std::span<const Preference>> queries,
-    std::span<const QueryRouter::Plan> plans) const {
-  // Which slot of each plan this machine fills (SIZE_MAX = not targeted).
-  auto slot_of = [&](const QueryRouter::Plan& plan) -> size_t {
-    auto it = std::lower_bound(plan.machines.begin(), plan.machines.end(),
-                               machine);
-    if (it == plan.machines.end() || *it != machine) return SIZE_MAX;
-    return static_cast<size_t>(it - plan.machines.begin());
-  };
-
+    size_t machine, std::span<const Preference> preferences,
+    std::span<const size_t> owners) const {
   DenseAccumulator acc(index_.hierarchy().num_nodes());
   ByteWriter writer;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const size_t slot = slot_of(plans[q]);
-    if (slot == SIZE_MAX) continue;
-    // One fragment per covered owner, each folded with the exact loop the
-    // owner itself would run — absorbed owners differ only in which store
-    // the (replicated) vectors are read from, never in fold order.
-    for (size_t owner : plans[q].owners[slot]) {
-      AccumulateOwner(machine, owner, queries[q], acc);
-      acc.ToSparse().SerializeTo(writer);
-      acc.Clear();
-    }
+  // One fragment per covered owner, each folded with the exact loop the
+  // owner itself would run — absorbed owners differ only in which store the
+  // (replicated) vectors are read from, never in fold order.
+  for (size_t owner : owners) {
+    AccumulateOwner(machine, owner, preferences, acc);
+    acc.ToSparse().SerializeTo(writer);
+    acc.Clear();
   }
   return writer.Release();
 }
@@ -300,117 +287,73 @@ void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
   }
 }
 
-std::vector<SparseVector> HgpaQueryEngine::RunDistributed(
-    std::span<const std::span<const Preference>> queries,
-    std::vector<QueryMetrics>* per_query_metrics,
-    QueryMetrics* round_metrics) const {
-  const size_t num_queries = queries.size();
-  const size_t num_machines = index_.num_machines();
-  std::vector<SparseVector> results(num_queries);
-
-  // Per-query routing plans over the nonzero-weight sources, then the round's
-  // participant set: the ascending union of every plan's targets.
-  std::vector<QueryRouter::Plan> plans(num_queries);
+SparseVector HgpaQueryEngine::RunDistributed(
+    std::span<const Preference> preferences, QueryMetrics* metrics) const {
+  // Route over the nonzero-weight sources.
   std::vector<NodeId> sources;
-  for (size_t q = 0; q < num_queries; ++q) {
-    sources.clear();
-    for (const Preference& pref : queries[q]) {
-      if (pref.weight != 0.0) sources.push_back(pref.node);
-    }
-    plans[q] = router_->Route(sources);
+  for (const Preference& pref : preferences) {
+    if (pref.weight != 0.0) sources.push_back(pref.node);
   }
-  std::vector<uint8_t> is_participant(num_machines, 0);
-  for (const QueryRouter::Plan& plan : plans) {
-    for (size_t m : plan.machines) is_participant[m] = 1;
+  const QueryRouter::Plan plan = router_->Route(sources);
+  if (metrics != nullptr) {
+    *metrics = QueryMetrics{};
+    metrics->machines = plan.machines;
+    metrics->machines_contacted = plan.machines.size();
   }
-  std::vector<size_t> participants;
-  for (size_t m = 0; m < num_machines; ++m) {
-    if (is_participant[m]) participants.push_back(m);
+  if (plan.machines.empty()) return SparseVector();
+
+  // One sink per machine task: tasks run concurrently, and the sinks are
+  // plain counters.
+  std::vector<StorageStats> machine_storage(index_.num_machines());
+  SimCluster::RoundResult round =
+      cluster_.RunRoundOn(plan.machines, [&](size_t machine) {
+        StorageStatsScope storage_scope(&machine_storage[machine]);
+        const size_t slot = static_cast<size_t>(
+            std::lower_bound(plan.machines.begin(), plan.machines.end(),
+                             machine) -
+            plan.machines.begin());
+        return MachineTask(machine, preferences, plan.owners[slot]);
+      });
+
+  WallTimer coordinator_timer;
+  // Each payload holds its machine's owner fragments in plan order; file
+  // them by owner. Owners the plan skipped stay empty and add nothing.
+  std::vector<SparseVector> fragments(index_.num_machines());
+  for (size_t i = 0; i < plan.machines.size(); ++i) {
+    const auto& payload = round.payloads[plan.machines[i]];
+    ByteReader reader(payload.data(), payload.size());
+    for (size_t owner : plan.owners[i]) {
+      fragments[owner] = SparseVector::Deserialize(reader);
+    }
+    DPPR_CHECK(reader.AtEnd());
   }
+  // Reduce in OWNER order — the full plan's machine order. Which physical
+  // machine computed a fragment never reorders the floating-point fold, so
+  // results stay bit-identical to the full plan.
+  DenseAccumulator acc(index_.graph().num_nodes());
+  for (const SparseVector& fragment : fragments) acc.AddVector(fragment, 1.0);
+  SparseVector result = acc.ToSparse();
+  round.metrics.coordinator_seconds = coordinator_timer.ElapsedSeconds();
 
-  QueryMetrics shared;
-  std::vector<CommStats> per_query_comm(num_queries);
-  if (!participants.empty()) {
-    // One sink per machine task: tasks run concurrently, and the sinks are
-    // plain counters.
-    std::vector<StorageStats> machine_storage(num_machines);
-    SimCluster::RoundResult round =
-        cluster_.RunRoundOn(participants, [&](size_t machine) {
-          StorageStatsScope storage_scope(&machine_storage[machine]);
-          return MachineTask(machine, queries, plans);
-        });
-
-    WallTimer coordinator_timer;
-    // Re-walk each participant's (query, owner) serialization order to slice
-    // its payload back into per-query owner fragments.
-    std::vector<std::vector<std::pair<size_t, SparseVector>>> fragments(
-        num_queries);
-    for (size_t machine : participants) {
-      const auto& payload = round.payloads[machine];
-      ByteReader reader(payload.data(), payload.size());
-      for (size_t q = 0; q < num_queries; ++q) {
-        const QueryRouter::Plan& plan = plans[q];
-        auto it = std::lower_bound(plan.machines.begin(), plan.machines.end(),
-                                   machine);
-        if (it == plan.machines.end() || *it != machine) continue;
-        const size_t slot = static_cast<size_t>(it - plan.machines.begin());
-        for (size_t owner : plan.owners[slot]) {
-          size_t before = reader.remaining();
-          fragments[q].emplace_back(owner, SparseVector::Deserialize(reader));
-          per_query_comm[q].Record(before - reader.remaining());
-        }
-      }
-      DPPR_CHECK(reader.AtEnd());
-    }
-    // Reduce every query in OWNER order — the full plan's machine order.
-    // Which physical machine computed a fragment never reorders the
-    // floating-point fold, and the owners the full plan would have gathered
-    // empty fragments from add nothing, so results stay bit-identical.
-    DenseAccumulator acc(index_.graph().num_nodes());
-    for (size_t q = 0; q < num_queries; ++q) {
-      std::sort(fragments[q].begin(), fragments[q].end(),
-                [](const std::pair<size_t, SparseVector>& a,
-                   const std::pair<size_t, SparseVector>& b) {
-                  return a.first < b.first;
-                });
-      for (const auto& [owner, fragment] : fragments[q]) {
-        acc.AddVector(fragment, 1.0);
-      }
-      results[q] = acc.ToSparse();
-      acc.Clear();
-    }
-    round.metrics.coordinator_seconds = coordinator_timer.ElapsedSeconds();
-
-    shared.max_machine_seconds = round.metrics.MaxMachineSeconds();
-    shared.coordinator_seconds = round.metrics.coordinator_seconds;
-    shared.simulated_seconds =
+  if (metrics != nullptr) {
+    metrics->max_machine_seconds = round.metrics.MaxMachineSeconds();
+    metrics->coordinator_seconds = round.metrics.coordinator_seconds;
+    metrics->simulated_seconds =
         round.metrics.SimulatedSeconds(cluster_.network());
-    shared.comm = round.metrics.to_coordinator;
-    shared.round_id = round.round_id;
-    shared.machine_seconds = round.metrics.machine_seconds;
-    for (const StorageStats& storage : machine_storage) shared.storage += storage;
-  }
-  shared.machines = participants;
-  shared.machines_contacted = participants.size();
-  if (round_metrics != nullptr) *round_metrics = shared;
-  if (per_query_metrics != nullptr) {
-    per_query_metrics->assign(num_queries, shared);
-    for (size_t q = 0; q < num_queries; ++q) {
-      QueryMetrics& m = (*per_query_metrics)[q];
-      m.comm = per_query_comm[q];
-      m.machines = plans[q].machines;
-      m.machines_contacted = plans[q].machines.size();
+    metrics->comm = round.metrics.to_coordinator;
+    metrics->round_id = round.round_id;
+    metrics->machine_seconds = std::move(round.metrics.machine_seconds);
+    for (const StorageStats& storage : machine_storage) {
+      metrics->storage += storage;
     }
   }
-  return results;
+  return result;
 }
 
 SparseVector HgpaQueryEngine::Query(NodeId query, QueryMetrics* metrics) const {
   DPPR_CHECK_LT(query, index_.graph().num_nodes());
-  Preference single{query, 1.0};
-  std::span<const Preference> preferences{&single, 1};
-  return std::move(
-      RunDistributed({&preferences, 1}, nullptr, metrics).front());
+  const Preference single{query, 1.0};
+  return RunDistributed({&single, 1}, metrics);
 }
 
 SparseVector HgpaQueryEngine::QueryPreferenceSet(
@@ -418,23 +361,7 @@ SparseVector HgpaQueryEngine::QueryPreferenceSet(
   for (const Preference& p : preferences) {
     DPPR_CHECK_LT(p.node, index_.graph().num_nodes());
   }
-  return std::move(
-      RunDistributed({&preferences, 1}, nullptr, metrics).front());
-}
-
-std::vector<SparseVector> HgpaQueryEngine::QueryPreferenceSetMany(
-    std::span<const std::vector<Preference>> queries,
-    std::vector<QueryMetrics>* per_query_metrics,
-    QueryMetrics* round_metrics) const {
-  std::vector<std::span<const Preference>> spans;
-  spans.reserve(queries.size());
-  for (const std::vector<Preference>& prefs : queries) {
-    for (const Preference& p : prefs) {
-      DPPR_CHECK_LT(p.node, index_.graph().num_nodes());
-    }
-    spans.emplace_back(prefs);
-  }
-  return RunDistributed(spans, per_query_metrics, round_metrics);
+  return RunDistributed(preferences, metrics);
 }
 
 std::vector<double> HgpaQueryEngine::QueryDense(NodeId query,

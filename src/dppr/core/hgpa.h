@@ -144,31 +144,31 @@ class HgpaIndex {
   size_t replica_bytes_ = 0;
 };
 
-/// Query statistics reported by the paper's experiments.
+/// What one query's communication round cost: the paper's experiment
+/// statistics plus the routed plan and the store counters it charged.
 struct QueryMetrics {
   /// max over machines of the measured per-machine compute time.
   double max_machine_seconds = 0.0;
   double coordinator_seconds = 0.0;
   /// End-to-end latency under the network model (the paper's "runtime").
   double simulated_seconds = 0.0;
-  /// Bytes received by the coordinator (the paper's communication cost).
+  /// Bytes received by the coordinator (the paper's communication cost):
+  /// one message per machine that ran, holding its owner fragments.
   CommStats comm;
-  /// Machines that actually ran for this query: the plan's target set
+  /// Machines that actually ran for this query: the plan's machine count
   /// (num_machines under the full broadcast plan; 0 when the round was
   /// skipped entirely, e.g. a result-cache hit or an all-zero preference
   /// set).
   size_t machines_contacted = 0;
-  /// Transport round id of the communication round that answered this query
-  /// (shared by every query in a batch; 0 when no round ran).
+  /// Transport round id of the round that answered this query (0 when no
+  /// round ran).
   uint64_t round_id = 0;
-  /// The machines that ran, ascending (the plans' union for a batch, this
-  /// query's own plan in per-query metrics). Empty when no round ran.
+  /// The machines that ran, ascending. Empty when no round ran.
   std::vector<size_t> machines;
   /// Full-cluster-width measured per-machine compute seconds for the round
   /// (zeros for machines that did not participate). Empty when no round ran.
   std::vector<double> machine_seconds;
-  /// Store counters the round's machine tasks charged, summed over machines
-  /// (round-level: a lookup cannot be split among the queries of a batch).
+  /// Store counters the round's machine tasks charged, summed over machines.
   /// Counted per task through StorageStatsScope, so rounds running at the
   /// same time on the same stores never see each other's hits and reads.
   StorageStats storage;
@@ -183,13 +183,13 @@ struct QueryMetrics {
 /// Distributed PPV construction (Algorithm 1 + Eq. 6/7): each machine folds
 /// the contributions of its hubs along the query node's subgraph chain into
 /// one vector and ships it to the coordinator exactly once; the coordinator
-/// sums the replies in owner order. A QueryRouter plan picks which machines
-/// run each round (see RoutingMode).
+/// sums the replies in owner order. Every query runs exactly one round, and
+/// a QueryRouter plan picks which machines run it (see RoutingMode).
 ///
 /// All query methods are const and safe to call from many threads at once on
 /// one shared engine (every round's state is call-local; the underlying
 /// SimCluster and ThreadPool support concurrent rounds). Results and each
-/// query's fragment traffic are deterministic regardless of interleaving.
+/// query's coordinator traffic are deterministic regardless of interleaving.
 /// set_machine_timer is configuration-time only.
 class HgpaQueryEngine {
  public:
@@ -237,33 +237,14 @@ class HgpaQueryEngine {
   SparseVector QueryPreferenceSet(std::span<const Preference> preferences,
                                   QueryMetrics* metrics = nullptr) const;
 
-  /// Batched form: answers every query in `queries` in ONE communication
-  /// round. Each machine ships one payload holding one PPV fragment per
-  /// query, so an admission batch of b queries still costs one message per
-  /// machine (b·n fewer latency charges than b single rounds pay). Results —
-  /// and each query's own fragment bytes — are bit-identical to issuing the
-  /// queries one at a time.
-  ///
-  /// `per_query_metrics` (resized to queries.size() when non-null) reports
-  /// per query: comm = that query's own fragments (messages = one per
-  /// machine), while the compute/latency fields carry the shared round's
-  /// costs (the whole batch waits for the round). `round_metrics` reports
-  /// the round once: comm = whole payloads.
-  std::vector<SparseVector> QueryPreferenceSetMany(
-      std::span<const std::vector<Preference>> queries,
-      std::vector<QueryMetrics>* per_query_metrics = nullptr,
-      QueryMetrics* round_metrics = nullptr) const;
-
   const HgpaIndex& index() const { return index_; }
 
  private:
-  /// `machine` computes, for every query whose plan targets it, one
-  /// fragment per owner it covers (its own plus absorbed replicated owners),
-  /// in (query, owner) order.
-  std::vector<uint8_t> MachineTask(
-      size_t machine,
-      std::span<const std::span<const Preference>> queries,
-      std::span<const QueryRouter::Plan> plans) const;
+  /// `machine` computes one fragment per owner it covers (its own plus any
+  /// absorbed replicated owners), in `owners` order.
+  std::vector<uint8_t> MachineTask(size_t machine,
+                                   std::span<const Preference> preferences,
+                                   std::span<const size_t> owners) const;
 
   /// Folds owner `owner`'s share of the query — its hubs along every
   /// preference chain plus its own terms — reading vectors from `machine`'s
@@ -274,12 +255,10 @@ class HgpaQueryEngine {
                        std::span<const Preference> preferences,
                        DenseAccumulator& acc) const;
 
-  /// Plans every query, runs one round on the plans' union, and reduces
-  /// each query's fragments in owner order.
-  std::vector<SparseVector> RunDistributed(
-      std::span<const std::span<const Preference>> queries,
-      std::vector<QueryMetrics>* per_query_metrics,
-      QueryMetrics* round_metrics) const;
+  /// Routes the preference set, runs one round on the plan's machines, and
+  /// reduces the owner fragments in owner order.
+  SparseVector RunDistributed(std::span<const Preference> preferences,
+                              QueryMetrics* metrics) const;
 
   HgpaIndex index_;
   SimCluster cluster_;

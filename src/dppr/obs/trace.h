@@ -100,12 +100,12 @@ class Tracer {
   /// Records one complete event on the calling thread's lane, tagged with
   /// the calling thread's CurrentTraceContext(). `name` must be a string
   /// literal. Also the escape hatch for spans whose start time is only known
-  /// after the fact (admission waits measured at batch pop).
+  /// after the fact.
   void RecordComplete(const char* name, double ts_us, double dur_us,
                       uint32_t pid, const std::array<Arg, kMaxArgs>& args);
 
-  /// Same, with an explicit context (for events recorded on behalf of
-  /// another request, e.g. per-request waits logged by the batch leader).
+  /// Same, with an explicit context (TraceSpan passes the context it
+  /// captured when it opened).
   void RecordComplete(const char* name, double ts_us, double dur_us,
                       uint32_t pid, const std::array<Arg, kMaxArgs>& args,
                       TraceContext ctx);

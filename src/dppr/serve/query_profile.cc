@@ -43,37 +43,37 @@ std::string QueryProfile::ToJson() const {
   AppendU64(out, "num_preferences", num_preferences);
   AppendF(out, "latency_seconds", latency_seconds);
   AppendF(out, "wait_seconds", wait_seconds);
-  AppendU64(out, "round_id", round_id);
-  AppendU64(out, "batch_size", batch_size);
+  AppendU64(out, "round_id", metrics.round_id);
   out += "\"machines\":[";
-  for (size_t i = 0; i < machines.size(); ++i) {
+  for (size_t i = 0; i < metrics.machines.size(); ++i) {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%s%zu", i == 0 ? "" : ",", machines[i]);
+    std::snprintf(buf, sizeof(buf), "%s%zu", i == 0 ? "" : ",",
+                  metrics.machines[i]);
     out += buf;
   }
   out += "],";
-  AppendU64(out, "machines_contacted", machines_contacted);
-  AppendU64(out, "fragment_messages", fragment_comm.messages);
-  AppendU64(out, "fragment_bytes", fragment_comm.bytes);
-  AppendU64(out, "round_messages", round_comm.messages);
-  AppendU64(out, "round_bytes", round_comm.bytes);
+  AppendU64(out, "machines_contacted", metrics.machines_contacted);
+  AppendU64(out, "fragment_messages", metrics.comm.messages);
+  AppendU64(out, "fragment_bytes", metrics.comm.bytes);
   // Only participants' entries are interesting; the full-width vector is
   // mostly zeros under routing, so emit (machine, seconds) pairs.
   out += "\"machine_seconds\":{";
   bool first = true;
-  for (size_t m : machines) {
+  for (size_t m : metrics.machines) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%s\"%zu\":%.6f", first ? "" : ",", m,
-                  m < machine_seconds.size() ? machine_seconds[m] : 0.0);
+                  m < metrics.machine_seconds.size()
+                      ? metrics.machine_seconds[m]
+                      : 0.0);
     out += buf;
     first = false;
   }
   out += "},";
-  AppendF(out, "max_machine_seconds", max_machine_seconds);
-  AppendF(out, "coordinator_seconds", coordinator_seconds);
-  AppendU64(out, "store_cache_hits", storage.cache_hits);
-  AppendU64(out, "store_cache_misses", storage.cache_misses);
-  AppendU64(out, "disk_bytes_read", storage.disk_bytes_read);
+  AppendF(out, "max_machine_seconds", metrics.max_machine_seconds);
+  AppendF(out, "coordinator_seconds", metrics.coordinator_seconds);
+  AppendU64(out, "store_cache_hits", metrics.storage.cache_hits);
+  AppendU64(out, "store_cache_misses", metrics.storage.cache_misses);
+  AppendU64(out, "disk_bytes_read", metrics.storage.disk_bytes_read);
   out.pop_back();  // drop the trailing comma
   out += "}";
   return out;

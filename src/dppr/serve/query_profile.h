@@ -9,23 +9,23 @@
 #include <string>
 #include <vector>
 
-#include "dppr/dist/network.h"
+#include "dppr/core/hgpa.h"
 #include "dppr/graph/types.h"
-#include "dppr/store/vector_storage.h"
 
 namespace dppr {
 
 /// Everything one served request cost, assembled by QueryServer after the
-/// request completes. The distributed numbers are copied from the same
-/// QueryMetrics / StorageStats the aggregate counters are fed from, so a
-/// profile's totals reconcile exactly with the `serve.*` registry deltas over
-/// the same window — a profile is an attribution of the ledgers, never a
-/// second measurement. Rendered as one JSON object per line (JSONL) in the
-/// slow-query log; the field catalog is documented in README.md.
+/// request completes: the request's identity and timing around the engine's
+/// own QueryMetrics for its round — the same record the aggregate counters
+/// are fed from, so a profile's totals reconcile exactly with the `serve.*`
+/// registry deltas over the same window. A profile is an attribution of the
+/// ledgers, never a second measurement. Rendered as one JSON object per line
+/// (JSONL) in the slow-query log; the field catalog is documented in
+/// README.md.
 struct QueryProfile {
   /// How the request left the server.
   enum class Outcome : uint8_t {
-    /// Answered by a cluster round (possibly shared with a batch).
+    /// Answered by its own cluster round.
     kServed = 0,
     /// Answered from the front-door result cache; no round ran.
     kCacheHit = 1,
@@ -37,7 +37,7 @@ struct QueryProfile {
   /// of this request carries, and the join key between a slow-log line and a
   /// DPPR_TRACE file.
   uint64_t trace_id = 0;
-  /// Server-unique request id (the `req` arg on serve.* spans).
+  /// Server-unique request id (the `request` arg on serve.* spans).
   uint64_t request_id = 0;
   Outcome outcome = Outcome::kServed;
 
@@ -48,40 +48,15 @@ struct QueryProfile {
 
   /// Admission to completion, queueing included.
   double latency_seconds = 0.0;
-  /// Time parked in the admission queue before a leader picked the request
-  /// up (0 for cache hits / sheds).
+  /// Time spent waiting for a round slot (0 for cache hits / sheds).
   double wait_seconds = 0.0;
 
-  /// The communication round that answered the request. round_id is the
-  /// transport round; batch_size is how many requests shared it (their
-  /// round-level numbers below are identical — the round ran once).
-  uint64_t round_id = 0;
-  size_t batch_size = 0;
-  /// Machines the round ran on, ascending (the routed union for a batch).
-  std::vector<size_t> machines;
-  /// Machines this request's own plan targeted (== machines.size() under
-  /// broadcast or an unbatched routed query).
-  size_t machines_contacted = 0;
-
-  /// This request's own fragment traffic (one message per plan machine).
-  /// Σ fragment_comm over a batch == round_comm, bit-for-bit: fragments are
-  /// sliced from the round payloads, never re-measured.
-  CommStats fragment_comm;
-  /// Whole coordinator ingress of the shared round.
-  CommStats round_comm;
-
-  /// Measured per-machine compute seconds of the round, full cluster width
-  /// (zeros for machines that did not run).
-  std::vector<double> machine_seconds;
-  double max_machine_seconds = 0.0;
-  double coordinator_seconds = 0.0;
-
-  /// Store counters the shared round's own machine tasks charged, summed
-  /// across machines: cache hits/misses and spill reads
-  /// (QueryMetrics::storage). Round-level (a store lookup cannot be
-  /// attributed to one query of a batch), and exact under overlapping
-  /// rounds: Σ over distinct rounds == the ServerStats window.
-  StorageStats storage;
+  /// The engine's record of the round that answered the request: round id,
+  /// routed machines, coordinator traffic (one message per machine that
+  /// ran), per-machine and coordinator time, and the store counters the
+  /// round's own machine tasks charged. Default (no round) for cache hits
+  /// and sheds.
+  QueryMetrics metrics;
 
   /// One JSON object, no trailing newline. Keys are stable — they are the
   /// slow-log schema.

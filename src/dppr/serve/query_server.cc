@@ -59,7 +59,6 @@ QueryServer::QueryServer(HgpaQueryEngine engine, ServeOptions options)
       cache_(ResultCache::Options{options.result_cache_bytes, 16}, label_),
       profiles_(ProfileLog::Options{options.slow_query_us,
                                     options.slow_query_log_path, 64, 32}) {
-  DPPR_CHECK_GE(options_.max_batch, 1u);
   if (options_.thread_cpu_timer) {
     engine_.set_machine_timer(SimCluster::TimerKind::kThreadCpu);
   }
@@ -70,9 +69,7 @@ QueryServer::QueryServer(HgpaQueryEngine engine, ServeOptions options)
                    registry.GetCounter("serve.comm_messages" + label_),
                    registry.GetHistogram("serve.query_latency_us" + label_),
                    registry.GetHistogram("serve.admission_wait_us" + label_),
-                   registry.GetHistogram("serve.batch_size" + label_),
                    registry.GetCounter("serve.shed" + label_),
-                   registry.GetCounter("serve.routing.machine_rounds" + label_),
                    registry.GetHistogram("serve.routing.machines_per_query" +
                                          label_)};
   window_baseline_ = CaptureBaseline();
@@ -131,211 +128,108 @@ QueryServer::Response QueryServer::Submit(std::vector<Preference> preferences) {
   // and frame header this request causes — carries its trace id.
   const obs::TraceContext trace{obs::NewTraceId(), obs::NewTraceId()};
   obs::TraceContextScope trace_scope(trace);
+  Response response;
+  response.trace_id = trace.trace_id;
+  QueryProfile profile;
+  profile.trace_id = trace.trace_id;
+  profile.num_preferences = preferences.size();
   // Single-source weight-1.0 identity, for the cache and the profile.
-  const NodeId source = preferences.size() == 1 && preferences[0].weight == 1.0
-                            ? preferences[0].node
-                            : kInvalidNode;
-  const size_t num_preferences = preferences.size();
+  if (preferences.size() == 1 && preferences[0].weight == 1.0) {
+    profile.source = preferences[0].node;
+  }
 
   // Front-door cache: only single-source weight-1.0 requests are cacheable
   // (preference sets are combinatorial — caching them would thrash the
   // budget for near-zero reuse). A hit never touches the cluster.
-  const bool cacheable = cache_.enabled() && source != kInvalidNode;
+  const bool cacheable = cache_.enabled() && profile.source != kInvalidNode;
   uint64_t cache_key = 0;
   if (cacheable) {
-    cache_key = CacheKey(source);
+    cache_key = CacheKey(profile.source);
     WallTimer lookup;
     if (std::shared_ptr<const SparseVector> hit = cache_.Find(cache_key)) {
-      Response response;
       response.ppv = *hit;
       response.cache_hit = true;
       response.latency_seconds = lookup.ElapsedSeconds();
-      response.trace_id = trace.trace_id;
       // A hit is a served query: it counts into qps and the latency
       // histogram (that is the goodput the cache buys), but runs no round.
       series_.queries->Add(1);
       series_.latency_us->Record(
           static_cast<uint64_t>(response.latency_seconds * 1e6));
       series_.machines_per_query->Record(0);
-      QueryProfile profile;
-      profile.trace_id = trace.trace_id;
       profile.outcome = QueryProfile::Outcome::kCacheHit;
-      profile.source = source;
-      profile.num_preferences = num_preferences;
       profile.latency_seconds = response.latency_seconds;
       profiles_.Observe(profile);
       return response;
     }
   }
 
-  Request request;
-  request.preferences = std::move(preferences);
-  request.cacheable = cacheable;
-  request.cache_key = cache_key;
-  request.trace = trace;
-
   obs::TraceSpan span(obs::kCoordinatorLane, "serve.request");
 
   std::unique_lock<std::mutex> lock(mu_);
-  if (options_.max_pending > 0 && pending_.size() >= options_.max_pending) {
+  auto waiting = [&] { return next_request_id_ - next_slot_; };
+  if (options_.max_pending > 0 && waiting() >= options_.max_pending) {
     if (options_.shed_on_overload) {
       series_.shed->Increment();
-      Response response;
       response.shed = true;
-      response.trace_id = trace.trace_id;
-      QueryProfile profile;
-      profile.trace_id = trace.trace_id;
       profile.outcome = QueryProfile::Outcome::kShed;
-      profile.source = source;
-      profile.num_preferences = num_preferences;
       lock.unlock();  // Observe may touch the log sink; don't hold mu_
       profiles_.Observe(profile);
       return response;
     }
-    // Block policy: wait for the leader to drain the queue below the bound.
-    done_cv_.wait(lock,
-                  [&] { return pending_.size() < options_.max_pending; });
+    // Block policy: wait until a slot grant drains the queue below the bound.
+    slot_cv_.wait(lock, [&] { return waiting() < options_.max_pending; });
   }
-  request.id = next_request_id_++;
-  span.Arg("request", request.id);
-  request.admitted.Restart();
-  pending_.push_back(&request);
-  // One leader per pool thread: every leader runs its own round, so up to
-  // num_threads() rounds are in flight at once. More would only queue their
-  // machine tasks behind each other on the same pool.
-  const size_t max_leaders = ThreadPool::Default().num_threads();
-  auto can_lead = [&] {
-    return !pending_.empty() && active_leaders_ < max_leaders;
-  };
-  while (!request.done) {
-    if (can_lead()) {
-      // Serve FIFO batches until our own request is done — by this leader's
-      // round or by another's — then give the slot back. Leading only to our
-      // own completion (not until the queue drains) keeps every caller's
-      // latency bounded under sustained load — a drain-to-empty leader never
-      // returns while new requests keep arriving.
-      ++active_leaders_;
-      while (!request.done && !pending_.empty()) RunOneBatch(lock);
-      --active_leaders_;
-      if (!pending_.empty()) done_cv_.notify_all();
-    } else {
-      done_cv_.wait(lock, [&] { return request.done || can_lead(); });
-    }
-  }
-  Response response;
-  response.ppv = std::move(request.result);
-  response.metrics = request.metrics;
-  response.latency_seconds = request.latency_seconds;
-  response.trace_id = trace.trace_id;
-  return response;
-}
-
-void QueryServer::RunOneBatch(std::unique_lock<std::mutex>& lock) {
-  // Leaders only call this with a non-empty queue; the chunk they take is
-  // theirs alone, so concurrent leaders never share a request.
-  DPPR_CHECK(!pending_.empty());
-  size_t take = std::min(options_.max_batch, pending_.size());
-  std::vector<Request*> batch(pending_.begin(), pending_.begin() + take);
-  pending_.erase(pending_.begin(), pending_.begin() + take);
-
-  obs::Tracer& tracer = obs::Tracer::Global();
-  std::vector<std::vector<Preference>> queries;
-  queries.reserve(take);
-  // Profile skeletons: request identity must be copied out before the
-  // preferences move below (and before waiters can wake and destroy their
-  // stack-allocated Requests).
-  std::vector<QueryProfile> profiles(take);
-  for (size_t i = 0; i < take; ++i) {
-    Request* request = batch[i];
-    // Admission wait ends here: the request leaves the queue for a round.
-    request->wait_seconds = request->admitted.ElapsedSeconds();
-    series_.admission_wait_us->Record(
-        static_cast<uint64_t>(request->wait_seconds * 1e6));
-    if (tracer.enabled()) {
-      const double wait_us = request->wait_seconds * 1e6;
-      // Recorded on the request's behalf: the leader's thread runs this, so
-      // the wait span carries the waiter's context explicitly.
-      tracer.RecordComplete("serve.wait", tracer.NowMicros() - wait_us,
-                            wait_us, obs::kCoordinatorLane,
-                            {{{"request", request->id}, {}, {}}},
-                            request->trace);
-    }
-    QueryProfile& profile = profiles[i];
-    profile.trace_id = request->trace.trace_id;
-    profile.request_id = request->id;
-    profile.num_preferences = request->preferences.size();
-    if (profile.num_preferences == 1 &&
-        request->preferences[0].weight == 1.0) {
-      profile.source = request->preferences[0].node;
-    }
-    profile.wait_seconds = request->wait_seconds;
-    profile.batch_size = take;
-    // Moved, not copied: the request only needs its result from here on.
-    queries.push_back(std::move(request->preferences));
-  }
-  series_.batch_size->Record(take);
-
-  lock.unlock();
-  std::vector<QueryMetrics> per_query;
-  QueryMetrics round;
-  std::vector<SparseVector> ppvs;
+  profile.request_id = next_request_id_++;
+  span.Arg("request", profile.request_id);
+  WallTimer admitted;
   {
-    // The shared round runs under the FIRST request's context: its trace id
-    // is what the round's machine/store/net spans and frame headers carry.
-    // Exact for unbatched serving; under batching the other members'
-    // profiles still link to the round via round_id.
-    obs::TraceContextScope round_ctx(batch.front()->trace);
+    obs::TraceSpan wait_span(obs::kCoordinatorLane, "serve.wait");
+    wait_span.Arg("request", profile.request_id);
+    // In arrival order, one round slot per pool thread: more rounds in
+    // flight would only queue their machine tasks behind each other on the
+    // same pool.
+    const size_t max_rounds = ThreadPool::Default().num_threads();
+    slot_cv_.wait(lock, [&] {
+      return next_slot_ == profile.request_id && rounds_in_flight_ < max_rounds;
+    });
+    ++next_slot_;
+    ++rounds_in_flight_;
+    lock.unlock();
+  }
+  // The next request in line may find a slot free too, and a blocked arrival
+  // may now fit under max_pending.
+  slot_cv_.notify_all();
+  profile.wait_seconds = admitted.ElapsedSeconds();
+  series_.admission_wait_us->Record(
+      static_cast<uint64_t>(profile.wait_seconds * 1e6));
+
+  {
     obs::TraceSpan round_span(obs::kCoordinatorLane, "serve.round");
-    round_span.Arg("batch", take);
-    round_span.Arg("first_request", batch.front()->id);
-    ppvs = engine_.QueryPreferenceSetMany(queries, &per_query, &round);
-  }
-  // Populate the result cache before re-locking: Insert copies the vector
-  // and takes only the shard's own mutex, so waiters aren't held up by it.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i]->cacheable) cache_.Insert(batch[i]->cache_key, ppvs[i]);
+    round_span.Arg("request", profile.request_id);
+    response.ppv = engine_.QueryPreferenceSet(preferences, &response.metrics);
   }
   lock.lock();
-
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Request* request = batch[i];
-    request->result = std::move(ppvs[i]);
-    request->metrics = per_query[i];
-    request->latency_seconds = request->admitted.ElapsedSeconds();
-    request->done = true;
-    series_.latency_us->Record(
-        static_cast<uint64_t>(request->latency_seconds * 1e6));
-    series_.machines_per_query->Record(per_query[i].machines_contacted);
-
-    // Attribution, not re-measurement: every number below is copied from
-    // the same QueryMetrics / StorageStats the aggregate counters are fed
-    // from, so profile totals reconcile exactly with the registry deltas.
-    QueryProfile& profile = profiles[i];
-    profile.latency_seconds = request->latency_seconds;
-    profile.round_id = per_query[i].round_id;
-    profile.machines = per_query[i].machines;
-    profile.machines_contacted = per_query[i].machines_contacted;
-    profile.fragment_comm = per_query[i].comm;
-    profile.round_comm = round.comm;
-    profile.machine_seconds = round.machine_seconds;
-    profile.max_machine_seconds = round.max_machine_seconds;
-    profile.coordinator_seconds = round.coordinator_seconds;
-    profile.storage = round.storage;
-  }
-  series_.queries->Add(take);
-  series_.rounds->Increment();
-  series_.comm_bytes->Add(round.comm.bytes);
-  series_.comm_messages->Add(round.comm.messages);
-  // Machine-rounds: machines this round actually ran on (the union of the
-  // batch's plans; the whole cluster under the full broadcast plan).
-  series_.routing_machine_rounds->Add(round.machines_contacted);
-  done_cv_.notify_all();
-
-  // Profile observation (ring updates + possible slow-log file I/O) happens
-  // outside mu_ so waiters and new arrivals are never held up by it.
+  --rounds_in_flight_;
   lock.unlock();
-  for (const QueryProfile& profile : profiles) profiles_.Observe(profile);
-  lock.lock();
+  slot_cv_.notify_all();
+
+  if (cacheable) cache_.Insert(cache_key, response.ppv);
+  response.latency_seconds = admitted.ElapsedSeconds();
+  series_.queries->Increment();
+  series_.rounds->Increment();
+  series_.comm_bytes->Add(response.metrics.comm.bytes);
+  series_.comm_messages->Add(response.metrics.comm.messages);
+  series_.latency_us->Record(
+      static_cast<uint64_t>(response.latency_seconds * 1e6));
+  series_.machines_per_query->Record(response.metrics.machines_contacted);
+
+  // Attribution, not re-measurement: the profile carries the same
+  // QueryMetrics the counters above were fed from, so profile totals
+  // reconcile exactly with the registry deltas.
+  profile.latency_seconds = response.latency_seconds;
+  profile.metrics = response.metrics;
+  profiles_.Observe(profile);
+  return response;
 }
 
 QueryServer::WindowBaseline QueryServer::CaptureBaseline() const {
@@ -345,7 +239,6 @@ QueryServer::WindowBaseline QueryServer::CaptureBaseline() const {
                         series_.comm_messages->Value(),
                         series_.latency_us->TakeSnapshot(),
                         series_.shed->Value(),
-                        series_.routing_machine_rounds->Value(),
                         series_.machines_per_query->TakeSnapshot(),
                         cache_.hits(),
                         cache_.misses(),
@@ -380,11 +273,11 @@ ServerStats QueryServer::Stats() const {
   stats.cache_misses = storage.cache_misses;
   stats.disk_bytes_read = storage.disk_bytes_read;
   stats.shed = series_.shed->Value() - window_baseline_.shed;
-  stats.routing_machine_rounds = series_.routing_machine_rounds->Value() -
-                                 window_baseline_.routing_machine_rounds;
-  stats.machines_per_query_mean = series_.machines_per_query->TakeSnapshot()
-                                      .Since(window_baseline_.machines_per_query)
-                                      .Mean();
+  const obs::Histogram::Snapshot machines =
+      series_.machines_per_query->TakeSnapshot().Since(
+          window_baseline_.machines_per_query);
+  stats.machines_per_query_mean = machines.Mean();
+  stats.routing_machine_rounds = machines.sum;
   stats.result_cache_hits = cache_.hits() - window_baseline_.cache_hits;
   stats.result_cache_misses = cache_.misses() - window_baseline_.cache_misses;
   stats.result_cache_evictions =
@@ -443,12 +336,12 @@ std::string QueryServer::StatusJson() const {
   std::snprintf(
       buf, sizeof(buf),
       "\"serving\":{\"queries\":%llu,\"rounds\":%llu,\"qps\":%.2f,"
-      "\"mean_batch\":%.3f,\"shed\":%llu,\"p50_latency_ms\":%.3f,"
+      "\"shed\":%llu,\"p50_latency_ms\":%.3f,"
       "\"p99_latency_ms\":%.3f,\"comm_bytes\":%llu,"
       "\"routing_machine_rounds\":%llu},",
       static_cast<unsigned long long>(stats.queries),
       static_cast<unsigned long long>(stats.rounds), stats.qps,
-      stats.mean_batch, static_cast<unsigned long long>(stats.shed),
+      static_cast<unsigned long long>(stats.shed),
       stats.p50_latency_ms, stats.p99_latency_ms,
       static_cast<unsigned long long>(stats.comm.bytes),
       static_cast<unsigned long long>(stats.routing_machine_rounds));

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "dppr/common/timer.h"
 #include "dppr/core/hgpa.h"
 #include "dppr/obs/metrics.h"
-#include "dppr/obs/trace.h"
 #include "dppr/serve/query_profile.h"
 #include "dppr/serve/result_cache.h"
 
@@ -20,20 +18,19 @@ namespace dppr {
 
 /// Serving configuration.
 struct ServeOptions {
-  /// Upper bound on queries folded into one cluster round. 1 disables
-  /// batching: every request pays its own round (and its own per-machine
-  /// message latency).
+  /// Selects nothing: every request runs its own round. Kept only because
+  /// the pinned benchmark still sets it.
   size_t max_batch = 16;
   /// Charge machine compute in per-thread CPU time instead of wall time, so
   /// concurrent rounds contending for cores don't inflate each other's
   /// machine_seconds (SimCluster::TimerKind::kThreadCpu).
   bool thread_cpu_timer = true;
-  /// Admission bound: maximum requests waiting in the pending queue. 0 means
+  /// Admission bound: maximum requests waiting for a round slot. 0 means
   /// unbounded (the historical behavior). With a bound, an arrival finding
   /// the queue full is shed (Response::shed, counted in `serve.shed`) or
-  /// blocks until space frees, per shed_on_overload. Requests a leader has
-  /// already taken into a round do not count, so up to one round per pool
-  /// thread is in flight on top of the bound.
+  /// blocks until space frees, per shed_on_overload. Requests already
+  /// running their round do not count, so up to one round per pool thread
+  /// is in flight on top of the bound.
   size_t max_pending = 0;
   /// Full-queue policy: true sheds (degrade gracefully, keep latency
   /// bounded), false blocks the caller (backpressure instead of loss).
@@ -54,8 +51,7 @@ struct ServeOptions {
   /// DPPR_ADMISSION ("shed" | "block"; a typo dies),
   /// DPPR_RESULT_CACHE_BYTES (bytes; 0 off), DPPR_SLOW_QUERY_US (µs; unset
   /// off, 0 logs everything), and DPPR_SLOW_QUERY_LOG (path; empty stderr).
-  /// max_batch/thread_cpu_timer keep their defaults — they are call-site
-  /// decisions.
+  /// thread_cpu_timer keeps its default — it is a call-site decision.
   static ServeOptions FromEnv();
 };
 
@@ -70,15 +66,18 @@ struct ServeOptions {
 /// the same `serve.query_latency_us` histogram the dump renders.
 struct ServerStats {
   uint64_t queries = 0;
-  /// Cluster rounds run; queries/rounds is the realized mean batch size.
+  /// Cluster rounds run: one per served query that missed the result cache.
   uint64_t rounds = 0;
   /// Observation window (wall time since construction / ResetStats).
   double wall_seconds = 0.0;
   /// queries / wall_seconds.
   double qps = 0.0;
+  /// queries / rounds. Kept only because the pinned benchmark still reads
+  /// it: every round answers one request, so this is 1 / (1 − result-cache
+  /// hit rate), not a batch size.
   double mean_batch = 0.0;
   /// Request latency percentiles in milliseconds: admission to completion,
-  /// so queueing and batching delay are included. Quantiles of the server's
+  /// so the wait for a round slot is included. Quantiles of the server's
   /// registry histogram over the whole stats window, at the histogram's
   /// log-bucket resolution (<= 3.125% relative error; see obs::Histogram).
   double p50_latency_ms = 0.0;
@@ -105,8 +104,8 @@ struct ServerStats {
   uint64_t result_cache_evictions = 0;
   uint64_t result_cache_bytes = 0;
   /// Shard routing over the window: mean machines per served query (n under
-  /// the full broadcast plan) and total machine-rounds (Σ machines
-  /// contacted).
+  /// the full broadcast plan; 0 for cache hits) and total machine-rounds —
+  /// the sum of the same `serve.routing.machines_per_query` histogram.
   double machines_per_query_mean = 0.0;
   uint64_t routing_machine_rounds = 0;
 };
@@ -114,24 +113,18 @@ struct ServerStats {
 /// Concurrent query front-end over one shared HgpaIndex/HgpaQueryEngine.
 ///
 /// Many client threads call Query / QueryPreferenceSet / QueryTopK
-/// concurrently; each call blocks until its answer is ready. Requests are
-/// folded into shared SimCluster rounds by leaders — one per pool thread
-/// (ThreadPool::Default().num_threads()), so that many rounds can be in
-/// flight at once. A caller becomes a leader when requests are pending and
-/// a leader slot is free; otherwise it enqueues and sleeps. Each leader
-/// takes a FIFO chunk of at most ServeOptions::max_batch requests, runs it
-/// through HgpaQueryEngine::QueryPreferenceSetMany (one communication round
-/// per chunk) with the queue lock released, publishes the answers, and
-/// keeps leading only until its own request is answered — by its own round
-/// or another leader's — so every caller's latency stays bounded under
-/// sustained load. Answers are bit-identical to unbatched queries: batching
-/// and overlap change only cost sharing, never any query's fold order.
+/// concurrently; each call blocks until its answer is ready. Every request
+/// runs its own communication round on its caller's thread, after waiting,
+/// in arrival order, for one of ThreadPool::Default().num_threads() round
+/// slots — so that many rounds can be in flight at once, and more would only
+/// queue their machine tasks behind each other on the same pool. Answers are
+/// bit-identical to HgpaQueryEngine::QueryPreferenceSet: overlap never
+/// changes any query's fold order.
 ///
 /// With DPPR_TRACE set, every request contributes spans to the process
-/// trace: `serve.request` (admission to completion, on the caller's
-/// thread), `serve.wait` (time parked in the admission queue), and
-/// `serve.round` around each leader batch (overlapping when several leaders
-/// run at once) — plus the per-machine
+/// trace: `serve.request` (admission to completion), `serve.wait` (time
+/// spent waiting for a round slot), and `serve.round` around its round
+/// (overlapping when several rounds run at once) — plus the per-machine
 /// `cluster.machine` spans of the round itself.
 class QueryServer {
  public:
@@ -149,10 +142,9 @@ class QueryServer {
 
   struct Response {
     SparseVector ppv;
-    /// Per-query view of the round that served it: comm is this query's own
-    /// fragment traffic; compute/latency fields are the shared round's.
+    /// The engine's record of the round that answered this request.
     QueryMetrics metrics;
-    /// Admission to completion (includes queueing + batching delay).
+    /// Admission to completion (includes the wait for a round slot).
     double latency_seconds = 0.0;
     /// Rejected by admission control: ppv is empty and no round ran. Callers
     /// are expected to retry with backoff.
@@ -210,28 +202,6 @@ class QueryServer {
   const ServeOptions& options() const { return options_; }
 
  private:
-  struct Request {
-    std::vector<Preference> preferences;
-    SparseVector result;
-    QueryMetrics metrics;
-    double latency_seconds = 0.0;
-    bool done = false;
-    /// Server-unique request id; trace spans carry it so a request's wait,
-    /// round, and completion line up in the timeline.
-    uint64_t id = 0;
-    /// Trace context minted at admission; the leader re-establishes it
-    /// around the round and stamps it on spans recorded on the request's
-    /// behalf.
-    obs::TraceContext trace;
-    /// Admission-queue time, recorded when a leader picks the request up.
-    double wait_seconds = 0.0;
-    /// Insert the result into the result cache under cache_key when done
-    /// (single-source weight-1.0 queries with the cache enabled).
-    bool cacheable = false;
-    uint64_t cache_key = 0;
-    WallTimer admitted;
-  };
-
   /// This server's registry series (`serve.*{server="N"}`). Resolved once
   /// at construction; pointers live for the process lifetime.
   struct Series {
@@ -241,9 +211,7 @@ class QueryServer {
     obs::Counter* comm_messages;
     obs::Histogram* latency_us;
     obs::Histogram* admission_wait_us;
-    obs::Histogram* batch_size;
     obs::Counter* shed;
-    obs::Counter* routing_machine_rounds;
     obs::Histogram* machines_per_query;
   };
 
@@ -256,7 +224,6 @@ class QueryServer {
     uint64_t comm_messages = 0;
     obs::Histogram::Snapshot latency;
     uint64_t shed = 0;
-    uint64_t routing_machine_rounds = 0;
     obs::Histogram::Snapshot machines_per_query;
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
@@ -269,10 +236,6 @@ class QueryServer {
   uint64_t CacheKey(NodeId source) const;
 
   Response Submit(std::vector<Preference> preferences);
-  /// Leader: takes up to max_batch requests off the (non-empty) queue, runs
-  /// one cluster round with `lock` released, publishes results. `lock` is
-  /// held on entry and exit.
-  void RunOneBatch(std::unique_lock<std::mutex>& lock);
   /// Call with mu_ held.
   WindowBaseline CaptureBaseline() const;
 
@@ -288,11 +251,15 @@ class QueryServer {
   ProfileLog profiles_;
 
   mutable std::mutex mu_;
-  std::condition_variable done_cv_;
-  std::deque<Request*> pending_;
-  /// Leaders currently serving batches (at most the pool's thread count).
-  size_t active_leaders_ = 0;
+  /// Signalled whenever a round slot is taken or given back.
+  std::condition_variable slot_cv_;
+  /// Admitted requests get consecutive ids; ids below next_slot_ hold or
+  /// have held a round slot, so next_request_id_ - next_slot_ is the number
+  /// waiting (what max_pending bounds).
   uint64_t next_request_id_ = 0;
+  uint64_t next_slot_ = 0;
+  /// Rounds running now (at most the pool's thread count).
+  size_t rounds_in_flight_ = 0;
 
   // Stats window state, guarded by mu_ (the registry series themselves are
   // atomic; the baseline and wall timer define this server's window).

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -75,56 +74,6 @@ TEST(ConcurrentServing, EngineQueriesBitIdenticalToSequentialRun) {
   }
 }
 
-TEST(ConcurrentServing, BatchedQueryMatchesSingleQueries) {
-  Graph graph = RandomDigraph(80, 3.0, 5);
-  HgpaQueryEngine engine = MakeEngine(graph, 3);
-  using Preference = HgpaQueryEngine::Preference;
-
-  std::vector<std::vector<Preference>> batch{
-      {{7, 1.0}},
-      {{3, 0.5}, {40, 0.5}},
-      {{7, 1.0}},  // duplicate of the first query: identical answer expected
-      {{12, 1.0}},
-  };
-  std::vector<QueryMetrics> per_query;
-  QueryMetrics round;
-  std::vector<SparseVector> got =
-      engine.QueryPreferenceSetMany(batch, &per_query, &round);
-  ASSERT_EQ(got.size(), batch.size());
-  ASSERT_EQ(per_query.size(), batch.size());
-
-  uint64_t fragment_bytes = 0;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    QueryMetrics solo_metrics;
-    SparseVector solo = engine.QueryPreferenceSet(batch[i], &solo_metrics);
-    EXPECT_EQ(got[i], solo) << "batch slot " << i;
-    // A query's own fragment traffic is unchanged by batching.
-    EXPECT_EQ(per_query[i].comm.bytes, solo_metrics.comm.bytes) << i;
-    EXPECT_GE(per_query[i].comm.messages, 1u) << i;
-    EXPECT_LE(per_query[i].comm.messages, engine.index().num_machines()) << i;
-    fragment_bytes += per_query[i].comm.bytes;
-  }
-  // The whole batch cost at most one message per machine (routing may skip
-  // non-contributors), and the round's payloads are exactly the
-  // concatenated per-query fragments.
-  EXPECT_GE(round.comm.messages, 1u);
-  EXPECT_LE(round.comm.messages, engine.index().num_machines());
-  EXPECT_GE(round.comm.bytes, fragment_bytes);
-}
-
-TEST(ConcurrentServing, EmptyBatchIsFine) {
-  Graph graph = RandomDigraph(40, 3.0, 9);
-  HgpaQueryEngine engine = MakeEngine(graph, 2);
-  std::vector<QueryMetrics> per_query;
-  QueryMetrics round;
-  EXPECT_TRUE(engine
-                  .QueryPreferenceSetMany(
-                      std::span<const std::vector<HgpaQueryEngine::Preference>>{},
-                      &per_query, &round)
-                  .empty());
-  EXPECT_EQ(round.comm.messages, 0u);
-}
-
 TEST(ConcurrentServing, ServerAnswersBitIdenticalUnderContention) {
   Graph graph = RandomDigraph(90, 3.0, 23);
   HgpaQueryEngine engine = MakeEngine(graph, 4);
@@ -140,9 +89,7 @@ TEST(ConcurrentServing, ServerAnswersBitIdenticalUnderContention) {
     expected_total_bytes += metrics.comm.bytes;
   }
 
-  ServeOptions options;
-  options.max_batch = 4;
-  QueryServer server(std::move(engine), options);
+  QueryServer server(std::move(engine), ServeOptions{});
 
   constexpr size_t kThreads = 8;
   std::vector<SparseVector> got(n);
@@ -162,16 +109,15 @@ TEST(ConcurrentServing, ServerAnswersBitIdenticalUnderContention) {
   for (NodeId q = 0; q < n; ++q) {
     EXPECT_EQ(got[q], expected[q]) << "query " << q;
     EXPECT_EQ(got_comm[q].bytes, expected_comm[q].bytes) << "query " << q;
+    EXPECT_EQ(got_comm[q].messages, expected_comm[q].messages) << "query " << q;
   }
 
   ServerStats stats = server.Stats();
   EXPECT_EQ(stats.queries, n);
-  EXPECT_GE(stats.rounds, 1u);
-  EXPECT_LE(stats.rounds, stats.queries);
-  EXPECT_GE(stats.mean_batch, 1.0);
+  EXPECT_EQ(stats.rounds, stats.queries);
   EXPECT_GT(stats.qps, 0.0);
   EXPECT_GE(stats.p95_latency_ms, stats.p50_latency_ms);
-  // Batching never changes total coordinator ingress, only message count.
+  // Contention never changes coordinator ingress.
   EXPECT_EQ(stats.comm.bytes, expected_total_bytes);
 }
 
@@ -234,16 +180,14 @@ size_t MaxOverlappingRounds(const std::set<double>& trace_ids) {
 }
 
 TEST(ConcurrentServing, RoundsOverlapUpToOnePerPoolThread) {
-  const size_t max_leaders = ThreadPool::Default().num_threads();
-  if (max_leaders < 2) GTEST_SKIP() << "a 1-thread pool runs one round at a time";
+  const size_t max_rounds = ThreadPool::Default().num_threads();
+  if (max_rounds < 2) GTEST_SKIP() << "a 1-thread pool runs one round at a time";
 
   Graph graph = RandomDigraph(150, 3.0, 47);
   HgpaQueryEngine engine = MakeEngine(graph, 3);
   std::vector<SparseVector> expected(150);
   for (NodeId q = 0; q < 150; ++q) expected[q] = engine.Query(q);
-  ServeOptions options;
-  options.max_batch = 1;  // every request pays its own round: most overlap
-  QueryServer server(std::move(engine), options);
+  QueryServer server(std::move(engine), ServeOptions{});
 
   constexpr size_t kThreads = 12;
   constexpr size_t kPerThread = 8;
@@ -253,7 +197,7 @@ TEST(ConcurrentServing, RoundsOverlapUpToOnePerPoolThread) {
   std::atomic<size_t> mismatches{0};
   size_t max_in_flight = 0;
   obs::Tracer::Global().set_enabled(true);
-  // Overlap needs leaders to genuinely coincide, which scheduling doesn't
+  // Overlap needs rounds to genuinely coincide, which scheduling doesn't
   // guarantee for any single burst: repeat saturating bursts until two
   // rounds overlap. The cap must hold across every burst regardless.
   for (size_t burst = 0; burst < kMaxBursts && max_in_flight < 2; ++burst) {
@@ -279,8 +223,18 @@ TEST(ConcurrentServing, RoundsOverlapUpToOnePerPoolThread) {
 
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GE(max_in_flight, 2u) << "no two rounds ever overlapped";
-  EXPECT_LE(max_in_flight, max_leaders)
+  EXPECT_LE(max_in_flight, max_rounds)
       << "more rounds in flight than the pool has threads";
+
+  // One round per request, each under its own transport round id.
+  ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.rounds, stats.queries);
+  std::set<uint64_t> round_ids;
+  for (const QueryProfile& p : server.RecentProfiles()) {
+    EXPECT_TRUE(round_ids.insert(p.metrics.round_id).second)
+        << "round " << p.metrics.round_id << " answered two requests";
+  }
+  EXPECT_FALSE(round_ids.empty());
 }
 
 TEST(ConcurrentServing, ResetStatsClearsWindow) {
