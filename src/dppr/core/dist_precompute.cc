@@ -5,6 +5,7 @@
 
 #include "dppr/common/serialize.h"
 #include "dppr/common/timer.h"
+#include "dppr/core/skeleton_rows.h"
 #include "dppr/graph/local_graph.h"
 #include "dppr/obs/metrics.h"
 #include "dppr/obs/trace.h"
@@ -57,6 +58,50 @@ size_t Sum(const std::vector<size_t>& values) {
   size_t total = 0;
   for (size_t v : values) total += v;
   return total;
+}
+
+/// Drops a consumed payload's bytes now rather than at the end of the round.
+void Free(std::vector<uint8_t>& payload) { std::vector<uint8_t>().swap(payload); }
+
+/// Ingests one level inbox (records machine `src` addressed to `owner`) into
+/// the owner's store. Hub partials stream straight in; skeleton columns stay
+/// in the inbox and each complete (subgraph, owner) block is transposed
+/// from their wire bytes into the owner's row block. A block's columns all
+/// come from its subgraph's home machine, back to back in Eq. 7 rank order,
+/// so one inbox holds whole blocks.
+void IngestLevelInbox(const Hierarchy& hierarchy, const PlacementPlan& plan,
+                      size_t owner, ByteReader& reader, PpvStore& store,
+                      MachineTimeLedger& ledger) {
+  SubgraphId block_sub = kInvalidSubgraph;
+  std::vector<std::span<const uint8_t>> columns;
+  auto flush = [&] {
+    if (columns.empty()) return;
+    DPPR_CHECK_EQ(columns.size(), plan.machine_hubs[owner].at(block_sub).size());
+    PutSkeletonRows(hierarchy.subgraph(block_sub), owner, plan.num_machines(),
+                    columns, store);
+    columns.clear();
+  };
+  while (!reader.AtEnd()) {
+    const size_t start = reader.position();
+    const VectorRecord::View record = VectorRecord::DeserializeView(reader);
+    if (record.kind != VectorKind::kSkeletonColumn) {
+      std::span<const uint8_t> bytes = reader.Slice(start, reader.position());
+      ByteReader one(bytes.data(), bytes.size());
+      ledger.Add(owner, store.IngestFrom(one));
+      continue;
+    }
+    ledger.Add(owner, record.seconds);
+    if (record.sub != block_sub) {
+      flush();
+      block_sub = record.sub;
+    }
+    // Columns arrive in the rank order the rows index by.
+    const std::vector<NodeId>& hubs = plan.machine_hubs[owner].at(block_sub);
+    DPPR_CHECK_LT(columns.size(), hubs.size());
+    DPPR_CHECK_EQ(record.node, hubs[columns.size()]);
+    columns.push_back(record.vec);
+  }
+  flush();
 }
 
 }  // namespace
@@ -126,6 +171,7 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
             while (!reader.AtEnd()) {
               result.ledger.Add(m, result.stores[m].IngestFrom(reader));
             }
+            Free(round.payloads[m]);
           }
         },
         &result.offline);
@@ -162,7 +208,8 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
     // Eq. 7 owner — owner == home stays in the self-addressed slot (never
     // crosses the network), everything else rides the exchange. The receive
     // side ingests (dst, src) in index order, so store contents are
-    // independent of task scheduling.
+    // independent of task scheduling, and transposes each owner's columns
+    // into its row block as part of the ingest (coordinator time).
     obs::TraceSpan span(obs::kCoordinatorLane, "precompute.shuffle_superstep");
     span.Arg("level", level);
     SimCluster::ExchangeResult round = cluster.RunExchange(
@@ -213,10 +260,11 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
         [&](SimCluster::ExchangeResult& exchanged) {
           for (size_t dst = 0; dst < num_machines; ++dst) {
             for (size_t src = 0; src < num_machines; ++src) {
-              ByteReader reader(exchanged.inboxes[dst][src]);
-              while (!reader.AtEnd()) {
-                result.ledger.Add(dst, result.stores[dst].IngestFrom(reader));
-              }
+              std::vector<uint8_t>& inbox = exchanged.inboxes[dst][src];
+              ByteReader reader(inbox);
+              IngestLevelInbox(h, result.plan, dst, reader, result.stores[dst],
+                               result.ledger);
+              Free(inbox);
             }
           }
         },

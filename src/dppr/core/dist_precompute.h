@@ -47,14 +47,18 @@ struct DistPrecomputeOptions {
 /// one gather round of leaf local PPVs, then per hierarchy level (deepest
 /// first) one shuffle round: each home machine induces its subgraphs once,
 /// computes skeleton column + hub partial for every hub, and ships each
-/// VectorRecord to its Eq. 7 owner via RunExchange. The record lands in its
-/// owner's PpvStore, and the folded MultiRoundStats — rounds, simulated
-/// seconds, bytes shipped, with shuffle traffic in its own column — are the
-/// numbers the paper's offline tables measure.
+/// VectorRecord to its Eq. 7 owner via RunExchange. Partials land in their
+/// owner's PpvStore as they arrive; the owner's columns of each subgraph are
+/// transposed into its skeleton row block during the ingest
+/// (PutSkeletonRows), which the round's coordinator time charges. The folded
+/// MultiRoundStats — rounds, simulated seconds, bytes shipped, with shuffle
+/// traffic in its own column — are the numbers the paper's offline tables
+/// measure.
 ///
-/// The produced vectors are bit-identical to HgpaPrecomputation::Run on the
-/// same hierarchy (both call the same compute kernels and the wire format
-/// round-trips doubles exactly); the centralized path remains the oracle.
+/// The stores are bit-identical to HgpaIndex::Distribute of
+/// HgpaPrecomputation::Run on the same hierarchy (both call the same compute
+/// kernels and the same transpose, and the wire format round-trips doubles
+/// exactly); the centralized path remains the oracle.
 class DistributedPrecompute {
  public:
   struct Result {

@@ -1,25 +1,16 @@
 #include "dppr/core/hgpa.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <utility>
 
 #include "dppr/common/env.h"
 #include "dppr/common/serialize.h"
 #include "dppr/common/timer.h"
+#include "dppr/core/skeleton_rows.h"
 #include "dppr/ppr/sparse_vector.h"
 
 namespace dppr {
-namespace {
-
-/// Hubs of one chain subgraph whose skeleton-column lookups the machine fold
-/// resolves together (SparseVector::ValuesAt). Also the most (skeleton,
-/// partial) pairs one fold holds pinned at once, which keeps a disk store's
-/// residency cache from being out-pinned.
-constexpr size_t kLockstepHubs = 16;
-
-}  // namespace
 
 ReplicationOptions ReplicationOptions::FromEnv() {
   ReplicationOptions options;
@@ -52,20 +43,42 @@ HgpaIndex HgpaIndex::Distribute(
   for (size_t m = 0; m < num_machines; ++m) index.stores_.emplace_back(storage);
   index.offline_ = MachineTimeLedger(num_machines);
 
-  auto place = [&](VectorKind kind, SubgraphId sub, NodeId node, size_t machine) {
+  auto find = [&](VectorKind kind, SubgraphId sub,
+                  NodeId node) -> const HgpaPrecomputation::Item& {
     const HgpaPrecomputation::Item* item = pre.FindItem(kind, sub, node);
     DPPR_CHECK(item != nullptr);
-    index.stores_[machine].Put(kind, sub, node, &item->vec, item->bytes);
-    index.offline_.Add(machine, item->seconds);
+    return *item;
+  };
+  auto place = [&](VectorKind kind, SubgraphId sub, NodeId node, size_t machine) {
+    const HgpaPrecomputation::Item& item = find(kind, sub, node);
+    index.stores_[machine].Put(kind, sub, node, &item.vec, item.bytes);
+    index.offline_.Add(machine, item.seconds);
   };
 
   // Walk the hierarchy in subgraph order (not the plan's hash-map order) so
-  // the ledger's floating-point sums are deterministic across runs.
+  // the ledger's floating-point sums are deterministic across runs. Each
+  // owner's skeleton columns are charged to it and stored transposed, one
+  // (subgraph, owner) block at a time, from the wire bytes the offline path
+  // would ship.
   for (const auto& sub : hierarchy.subgraphs()) {
     for (NodeId hub : sub.hubs) {
       size_t machine = plan.own_machine[hub];
       place(VectorKind::kHubPartial, sub.id, hub, machine);
-      place(VectorKind::kSkeletonColumn, sub.id, hub, machine);
+      index.offline_.Add(
+          machine, find(VectorKind::kSkeletonColumn, sub.id, hub).seconds);
+    }
+    for (size_t m = 0; m < num_machines; ++m) {
+      auto it = plan.machine_hubs[m].find(sub.id);
+      if (it == plan.machine_hubs[m].end()) continue;
+      std::vector<std::vector<uint8_t>> wire;
+      for (NodeId hub : it->second) {
+        ByteWriter writer;
+        find(VectorKind::kSkeletonColumn, sub.id, hub).vec.SerializeTo(writer);
+        wire.push_back(writer.Release());
+      }
+      const std::vector<std::span<const uint8_t>> columns(wire.begin(),
+                                                          wire.end());
+      PutSkeletonRows(sub, m, num_machines, columns, index.stores_[m]);
     }
   }
   for (SubgraphId leaf : hierarchy.leaves()) {
@@ -99,31 +112,46 @@ HgpaIndex HgpaIndex::FromDistributed(DistributedPrecompute::Result result,
 }
 
 void HgpaIndex::ReplicateHotShards(const ReplicationOptions& replication) {
-  if (replication.budget_bytes == 0 || stores_.size() <= 1) return;
+  const size_t num_machines = stores_.size();
+  if (replication.budget_bytes == 0 || num_machines <= 1) return;
   // Routing can only skip (or absorb) a machine for a chain subgraph when
   // EVERY hub that machine owns in the subgraph is replicated — a partial
   // group still forces the machine into the round. So replication packs
-  // whole (subgraph, owner) hub groups. Heat proxy: a subgraph's reach —
-  // the nodes whose query chain passes through it is exactly its node set,
-  // so high-level groups that sit on every chain score highest — divided by
-  // the group's bytes (most fan-out reduction per replicated byte).
+  // whole (subgraph, owner) blocks: the owner's hub partials plus its row
+  // block. Heat proxy: a subgraph's reach — the nodes whose query chain
+  // passes through it is exactly its node set, so high-level groups that sit
+  // on every chain score highest — divided by the group's bytes (most
+  // fan-out reduction per replicated byte).
   struct Group {
     double score;
     SubgraphId sub;
     uint32_t owner;
     size_t bytes;
   };
+  // Calls `fn(kind, key_sub, node, vec)` for every vector of block
+  // (sub, owner) in `owner`'s store.
+  auto for_each_in_block = [&](SubgraphId sub, size_t owner, auto&& fn) {
+    for (NodeId hub : machine_hubs_[owner].at(sub)) {
+      PpvRef partial = stores_[owner].Find(VectorKind::kHubPartial, sub, hub);
+      DPPR_CHECK(partial);
+      fn(VectorKind::kHubPartial, sub, hub, *partial);
+    }
+    const SubgraphId block = SkeletonRowBlock(sub, owner, num_machines);
+    for (NodeId u : hierarchy_->subgraph(sub).nodes) {
+      if (PpvRef row = stores_[owner].Find(VectorKind::kSkeletonRow, block, u)) {
+        fn(VectorKind::kSkeletonRow, block, u, *row);
+      }
+    }
+  };
   std::vector<Group> groups;
-  for (size_t m = 0; m < stores_.size(); ++m) {
+  for (size_t m = 0; m < num_machines; ++m) {
     for (const auto& [sub, hubs] : machine_hubs_[m]) {
       size_t bytes = 0;
-      for (NodeId hub : hubs) {
-        PpvPair pair = stores_[m].FindPair(sub, hub);
-        DPPR_CHECK(pair.skeleton);
-        DPPR_CHECK(pair.partial);
-        bytes += pair.skeleton->SerializedBytes() +
-                 pair.partial->SerializedBytes();
-      }
+      for_each_in_block(sub, m,
+                        [&](VectorKind, SubgraphId, NodeId,
+                            const SparseVector& vec) {
+                          bytes += vec.SerializedBytes();
+                        });
       const double reach =
           static_cast<double>(hierarchy_->subgraph(sub).nodes.size());
       groups.push_back({reach / static_cast<double>(bytes), sub,
@@ -141,17 +169,16 @@ void HgpaIndex::ReplicateHotShards(const ReplicationOptions& replication) {
     // Groups are replicated whole or not at all; an oversized group is
     // skipped and packing continues with the smaller ones behind it.
     if (replica_bytes_ + g.bytes > replication.budget_bytes) continue;
+    for_each_in_block(g.sub, g.owner,
+                      [&](VectorKind kind, SubgraphId key_sub, NodeId node,
+                          const SparseVector& vec) {
+                        const size_t bytes = vec.SerializedBytes();
+                        for (size_t m = 0; m < num_machines; ++m) {
+                          if (m == g.owner) continue;
+                          stores_[m].PutOwned(kind, key_sub, node, vec, bytes);
+                        }
+                      });
     for (NodeId hub : machine_hubs_[g.owner].at(g.sub)) {
-      PpvPair pair = stores_[g.owner].FindPair(g.sub, hub);
-      const size_t skeleton_bytes = pair.skeleton->SerializedBytes();
-      const size_t partial_bytes = pair.partial->SerializedBytes();
-      for (size_t m = 0; m < stores_.size(); ++m) {
-        if (m == g.owner) continue;
-        stores_[m].PutOwned(VectorKind::kSkeletonColumn, g.sub, hub,
-                            *pair.skeleton, skeleton_bytes);
-        stores_[m].PutOwned(VectorKind::kHubPartial, g.sub, hub,
-                            *pair.partial, partial_bytes);
-      }
       replicated_hubs_.insert(
           MakeVectorKey(VectorKind::kHubPartial, g.sub, hub));
     }
@@ -219,6 +246,7 @@ void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
   const Hierarchy& hierarchy = index_.hierarchy();
   const PpvStore& store = index_.store(machine);
   const double alpha = index_.options().ppr.alpha;
+  const size_t num_machines = index_.num_machines();
 
   const auto& my_hubs = index_.hubs_on_machine(owner);
 
@@ -237,40 +265,30 @@ void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
       auto it = my_hubs.find(sub);
       if (it == my_hubs.end()) continue;
       const std::vector<NodeId>& hubs = it->second;
-      for (size_t first = 0; first < hubs.size(); first += kLockstepHubs) {
-        const size_t group = std::min(kLockstepHubs, hubs.size() - first);
-        // One paired probe per hub resolves both of its vectors (a hub
-        // placed here always stores its skeleton column and partial
-        // together). PpvRef pins keep each vector resident until the group
-        // is folded — under the disk backend the residency cache may evict
-        // it the moment the pin drops — so a task never pins more than
-        // kLockstepHubs pairs.
-        std::array<PpvPair, kLockstepHubs> hub_vectors;
-        std::array<const SparseVector*, kLockstepHubs> skeletons;
-        for (size_t i = 0; i < group; ++i) {
-          hub_vectors[i] = store.FindPair(sub, hubs[first + i]);
-          DPPR_DCHECK(hub_vectors[i].skeleton);
-          DPPR_DCHECK(hub_vectors[i].partial);
-          skeletons[i] = &*hub_vectors[i].skeleton;
-        }
-        // The group's skeleton-column searches run in lockstep, so their
-        // cache misses overlap; the fold below stays in hub order.
-        std::array<double, kLockstepHubs> skeleton_values;
-        SparseVector::ValuesAt({skeletons.data(), group}, query,
-                               skeleton_values.data());
-        for (size_t i = 0; i < group; ++i) {
-          const NodeId hub = hubs[first + i];
-          double s = skeleton_values[i];
-          if (s == 0.0) continue;
-          // Hub-coordinate replacement: coordinate h gets its exact local
-          // PPV value at this level.
-          acc.Add(hub, query_weight * s);
-          // Adjusted skeleton weight S_u(h) = s_u(h) - α·f_u(h) scales the
-          // hub's partial vector over the non-hub coordinates.
-          if (query == hub) s -= alpha;
-          if (s == 0.0) continue;
-          acc.AddVector(*hub_vectors[i].partial, query_weight * s / alpha);
-        }
+      // The query's row of block (sub, owner) lists its nonzero skeleton
+      // values by hub rank, so walking it visits exactly the hubs with
+      // s != 0, in hub order. The pin keeps the row resident while it is
+      // walked; under the disk backend the cache may evict it any time.
+      PpvRef row = store.Find(VectorKind::kSkeletonRow,
+                              SkeletonRowBlock(sub, owner, num_machines), query);
+      if (!row || row->empty()) continue;
+      // Rows come off disk: a rank past the block's hubs must not index
+      // out of bounds.
+      DPPR_CHECK_LT(row->entries().back().index, hubs.size());
+      for (const SparseVector::Entry& entry : row->entries()) {
+        const NodeId hub = hubs[entry.index];
+        double s = entry.value;
+        if (s == 0.0) continue;
+        // Hub-coordinate replacement: coordinate h gets its exact local PPV
+        // value at this level.
+        acc.Add(hub, query_weight * s);
+        // Adjusted skeleton weight S_u(h) = s_u(h) - α·f_u(h) scales the
+        // hub's partial vector over the non-hub coordinates.
+        if (query == hub) s -= alpha;
+        if (s == 0.0) continue;
+        PpvRef partial = store.Find(VectorKind::kHubPartial, sub, hub);
+        DPPR_DCHECK(partial);
+        acc.AddVector(*partial, query_weight * s / alpha);
       }
     }
 

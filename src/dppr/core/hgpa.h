@@ -17,15 +17,16 @@
 
 namespace dppr {
 
-/// Hot-shard replication policy. Hub (skeleton column, partial vector)
-/// pairs are tiny, read-only after precompute, and sit on every query
-/// chain's fold path — copying the hottest of them into every machine's
-/// store lets the routed query path absorb those owners' folds onto a
-/// machine that must run anyway, shrinking most routing sets toward the
-/// source's own-vector machine. A pair is replicated whole (the fold needs
-/// both halves; a skeleton without its partial absorbs nothing).
+/// Hot-shard replication policy. A (subgraph, owner) block — the owner's hub
+/// partials of the subgraph plus its skeleton rows — is read-only after
+/// precompute and sits on the fold path of every query chain through the
+/// subgraph. Copying the hottest blocks into every machine's store lets the
+/// routed query path absorb those owners' folds onto a machine that must run
+/// anyway, shrinking most routing sets toward the source's own-vector
+/// machine. A block is replicated whole (the fold needs the query's row and
+/// the partials it names).
 struct ReplicationOptions {
-  /// Per-machine byte budget for replicated pairs (serialized bytes, the
+  /// Per-machine byte budget for replicated blocks (serialized bytes, the
   /// same ledger unit as MaxMachineBytes). 0 disables replication — the
   /// default, so byte-ledger equivalence across backends is unaffected
   /// unless explicitly asked for.
@@ -38,18 +39,22 @@ struct ReplicationOptions {
 /// A precomputation distributed onto n simulated machines under a shared
 /// PlacementPlan: the paper's hub-node partitioning (Eq. 7) splits every
 /// subgraph's hub set evenly across machines, and leaf subgraphs are packed
-/// onto machines by greedy least-loaded assignment. The same type serves GPA
-/// (flat hierarchy) and HGPA (deep hierarchy), built either from a
-/// centralized precomputation (stores reference its vectors) or from a
-/// distributed offline run (stores own their vectors).
+/// onto machines by greedy least-loaded assignment. Each machine holds its
+/// hubs' partials, its leaves' own vectors, and one skeleton row block per
+/// (subgraph, owner) (core/skeleton_rows.h). The same type serves GPA (flat
+/// hierarchy) and HGPA (deep hierarchy), built either from a centralized
+/// precomputation or from a distributed offline run (stores own every
+/// vector).
 class HgpaIndex {
  public:
-  /// Places `precomputation` onto `num_machines` machines. With the default
-  /// referencing backend this is cheap relative to precomputation (vectors
-  /// are shared, not copied), so machine sweeps can redistribute one
-  /// precomputation many times; retained as the bit-equality oracle for the
-  /// distributed offline path. `storage` picks each machine store's backend
-  /// (DPPR_STORE=disk spills every placed vector to per-machine spill files).
+  /// Places `precomputation` onto `num_machines` machines. Partials and own
+  /// vectors are placed as they are — with the default referencing backend
+  /// the stores share them, not copy them — while each (subgraph, owner)
+  /// block's skeleton columns are transposed into rows the store owns, so
+  /// every redistribution pays one pass over the skeleton nonzeros. Retained
+  /// as the bit-equality oracle for the distributed offline path. `storage`
+  /// picks each machine store's backend (DPPR_STORE=disk spills every placed
+  /// vector to per-machine spill files).
   static HgpaIndex Distribute(
       std::shared_ptr<const HgpaPrecomputation> precomputation,
       size_t num_machines,
@@ -68,13 +73,15 @@ class HgpaIndex {
   const HgpaOptions& options() const { return options_; }
   size_t num_machines() const { return stores_.size(); }
 
-  /// True when the stores own their vectors (distributed offline path);
-  /// false when they reference a shared centralized precomputation.
+  /// True when the stores own every vector (distributed offline path);
+  /// false when they reference a shared centralized precomputation's
+  /// partials and own vectors.
   bool owns_vectors() const { return precomputation_ == nullptr; }
 
   const PpvStore& store(size_t machine) const { return stores_[machine]; }
 
-  /// Hubs a machine is responsible for, grouped by subgraph. Query-time
+  /// Hubs a machine is responsible for, grouped by subgraph, in Eq. 7 rank
+  /// order: a skeleton row's entry i names the i-th hub here. Query-time
   /// machine work iterates the query chain against this map.
   const std::unordered_map<SubgraphId, std::vector<NodeId>>& hubs_on_machine(
       size_t machine) const {
@@ -94,14 +101,14 @@ class HgpaIndex {
     return hierarchy_;
   }
 
-  /// True when this hub's (skeleton, partial) pair was replicated into every
-  /// machine's store under the replication budget.
+  /// True when this hub's block (its owner's partials and rows of `sub`) was
+  /// replicated into every machine's store under the replication budget.
   bool hub_replicated(SubgraphId sub, NodeId hub) const {
     return replicated_hubs_.count(MakeVectorKey(VectorKind::kHubPartial, sub,
                                                 hub)) > 0;
   }
-  /// Replicated hub pairs, and the serialized bytes each machine spends
-  /// holding the other machines' replicated pairs (≤ the budget).
+  /// Hubs in replicated blocks, and the serialized bytes each machine spends
+  /// holding the other machines' replicated blocks (≤ the budget).
   size_t num_replicated_hubs() const { return replicated_hubs_.size(); }
   size_t replica_bytes_per_machine() const { return replica_bytes_; }
 
@@ -123,22 +130,23 @@ class HgpaIndex {
   size_t ResidentBytesTotal() const;
 
  private:
-  /// Copies the hottest (subgraph, owner) hub groups — ranked by chain
-  /// reach per byte, deterministic tie-break — whole into every other
-  /// machine's store until the per-machine budget is full; oversized groups
-  /// are skipped and packing continues.
+  /// Copies the hottest (subgraph, owner) blocks — partials plus row block,
+  /// ranked by chain reach per byte, deterministic tie-break — whole into
+  /// every other machine's store until the per-machine budget is full;
+  /// oversized blocks are skipped and packing continues.
   void ReplicateHotShards(const ReplicationOptions& replication);
 
   const Graph* graph_ = nullptr;
   std::shared_ptr<const Hierarchy> hierarchy_;
   HgpaOptions options_;
-  /// Keep-alive for referencing-mode stores; null when stores_ own vectors.
+  /// Keep-alive for referencing-mode stores; null when stores_ own every
+  /// vector.
   std::shared_ptr<const HgpaPrecomputation> precomputation_;
   std::vector<PpvStore> stores_;
   std::vector<std::unordered_map<SubgraphId, std::vector<NodeId>>> machine_hubs_;
   std::vector<size_t> own_machine_;
   MachineTimeLedger offline_{1};
-  /// Keys (kHubPartial-kinded) of the replicated hub pairs.
+  /// Keys (kHubPartial-kinded) of the hubs in replicated blocks.
   std::unordered_set<uint64_t> replicated_hubs_;
   /// Serialized bytes of replicas each non-owner machine holds.
   size_t replica_bytes_ = 0;
@@ -193,9 +201,11 @@ struct QueryMetrics {
 /// set_machine_timer is configuration-time only.
 class HgpaQueryEngine {
  public:
-  /// Takes the index by value: an index is a cheap handle (vector stores
-  /// reference the shared precomputation), and owning it keeps the engine
-  /// safe to build from temporaries. `transport` picks the message layer the
+  /// Takes the index by value, which keeps the engine safe to build from
+  /// temporaries; move it in where the caller is done with it, because a
+  /// copy deep-copies every vector an in-memory store owns (the skeleton
+  /// rows at least). A disk store's copy shares its spill files and starts
+  /// with a cold cache. `transport` picks the message layer the
   /// per-query fragment rounds travel over (DPPR_TRANSPORT=tcp → real
   /// localhost sockets); answers and fragment byte accounting are
   /// bit-identical across backends.
@@ -246,8 +256,9 @@ class HgpaQueryEngine {
                                    std::span<const Preference> preferences,
                                    std::span<const size_t> owners) const;
 
-  /// Folds owner `owner`'s share of the query — its hubs along every
-  /// preference chain plus its own terms — reading vectors from `machine`'s
+  /// Folds owner `owner`'s share of the query — for every preference chain
+  /// subgraph, the query's row of block (subgraph, owner) and the partials
+  /// it names, plus the owner's own terms — reading vectors from `machine`'s
   /// store. Usually owner == machine; a routed plan may pass a replicated
   /// owner absorbed onto `machine`. The fold order is identical either way,
   /// which is what keeps routed results bit-identical.

@@ -36,7 +36,7 @@ SparseVector LiftDenseToGlobal(const LocalGraph& lg, std::span<const double> den
 
 // Removes entries at the given sorted global indices. Stored hub partial
 // vectors drop all hub coordinates of their subgraph: at query time those
-// coordinates are reconstructed exactly from the skeleton columns (the
+// coordinates are reconstructed exactly from the skeleton values (the
 // hub-coordinate replacement rule, see HgpaQueryEngine), so keeping them
 // would only waste space and wire bytes.
 SparseVector DropIndices(const SparseVector& vec,

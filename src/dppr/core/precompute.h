@@ -54,7 +54,7 @@ std::vector<NodeId> LocalizeHubs(const LocalGraph& lg,
 
 /// p^H_hub[S]: forward push blocked at `sub`'s hub set (`local_hubs` =
 /// LocalizeHubs(lg, sub)), lifted to global ids, with all hub coordinates
-/// dropped (reconstructed from skeleton columns at query time).
+/// dropped (reconstructed from skeleton values at query time).
 SparseVector ComputeHubPartial(const LocalGraph& lg, const HierarchySubgraph& sub,
                                std::span<const NodeId> local_hubs, NodeId hub,
                                const HgpaOptions& options);

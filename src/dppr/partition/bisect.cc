@@ -187,9 +187,15 @@ uint64_t FmRefine(const WGraph& g, std::vector<uint8_t>& side,
       current_weight0 = next_weight0;
       current_cut = static_cast<uint64_t>(static_cast<int64_t>(current_cut) - gu);
       moves.push_back(u);
+      // Moving u changes only its own edges. If v now shares u's side, edge
+      // (u, v) stopped being cut and moving v would cut it again, so v's
+      // gain drops by 2w; otherwise the edge became cut and v's gain rises
+      // by 2w. Gains are integers and WGraph weights are symmetric, so this
+      // equals a fresh MoveGain(v).
       for (const auto& nbr : g.neighbors(u)) {
         if (locked[nbr.to]) continue;
-        gain[nbr.to] = MoveGain(g, side, nbr.to);
+        const int64_t w2 = 2 * static_cast<int64_t>(nbr.weight);
+        gain[nbr.to] += side[nbr.to] == side[u] ? -w2 : w2;
         ++stamp[nbr.to];
         pq.push({gain[nbr.to], stamp[nbr.to], nbr.to});
       }

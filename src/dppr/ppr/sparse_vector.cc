@@ -57,42 +57,6 @@ double SparseVector::ValueAt(NodeId index) const {
   return 0.0;
 }
 
-void SparseVector::ValuesAt(std::span<const SparseVector* const> vectors,
-                            NodeId index, double* out) {
-  constexpr size_t kLanes = 16;
-  // An empty vector searches this one-entry stand-in instead: a hit and a
-  // miss both read 0.0, exactly what ValueAt returns for an empty vector.
-  static constexpr Entry kEmptyLane{0, 0.0};
-  const Entry* base[kLanes];
-  size_t len[kLanes];
-  for (size_t first = 0; first < vectors.size(); first += kLanes) {
-    const size_t lanes = std::min(kLanes, vectors.size() - first);
-    size_t longest = 1;
-    for (size_t i = 0; i < lanes; ++i) {
-      const std::vector<Entry>& entries = vectors[first + i]->entries_;
-      base[i] = entries.empty() ? &kEmptyLane : entries.data();
-      len[i] = entries.empty() ? 1 : entries.size();
-      longest = std::max(longest, len[i]);
-      __builtin_prefetch(base[i] + len[i] / 2);
-    }
-    // Each lane keeps the last entry with id <= index (when there is one) in
-    // [base, base + len) and halves len per pass. A lane already at len 1
-    // steps by half = 0, so every lane runs the longest lane's pass count
-    // with no per-lane branch.
-    for (size_t passes = longest; passes > 1; passes -= passes / 2) {
-      for (size_t i = 0; i < lanes; ++i) {
-        const size_t half = len[i] / 2;
-        base[i] += base[i][half].index <= index ? half : 0;
-        len[i] -= half;
-        __builtin_prefetch(base[i] + len[i] / 2);
-      }
-    }
-    for (size_t i = 0; i < lanes; ++i) {
-      out[first + i] = base[i]->index == index ? base[i]->value : 0.0;
-    }
-  }
-}
-
 double SparseVector::L1Norm() const {
   double sum = 0.0;
   for (const Entry& e : entries_) sum += std::abs(e.value);
@@ -126,31 +90,39 @@ void SparseVector::SerializeTo(ByteWriter& writer) const {
   }
 }
 
-SparseVector SparseVector::Deserialize(ByteReader& reader) {
-  size_t count = reader.GetVarU64();
+SparseVectorReader::SparseVectorReader(ByteReader& reader)
+    : reader_(&reader), count_(reader.GetVarU64()) {
   // Every entry needs at least one varint byte plus a double, so a count
   // beyond remaining()/9 is corrupt; checking up front keeps a hostile count
   // from driving a huge reserve() before the per-entry reads would fail.
-  DPPR_CHECK_LE(count, reader.remaining() / 9);
+  DPPR_CHECK_LE(count_, reader.remaining() / 9);
+}
+
+bool SparseVectorReader::Next(SparseVector::Entry& entry) {
+  if (read_ == count_) return false;
+  uint64_t delta = reader_->GetVarU64();
+  // A well-framed hostile payload could still smuggle wrapped or duplicate
+  // indices past the framing checks. Deltas must keep ids strictly
+  // increasing (after the first) — the sorted-unique invariant ValueAt and
+  // DenseAccumulator::AddVector's one-compare bound rely on —
+  // and inside the 30-bit id range every node id in the system obeys (see
+  // MakeVectorKey). The reader does not know the graph's node count, so an
+  // id in [num_nodes, 2^30) passes here and dies at AddVector's bound.
+  DPPR_CHECK(read_ == 0 || delta > 0);
+  uint64_t index = prev_ + delta;
+  DPPR_CHECK_LT(index, 1u << 30);
+  entry = {static_cast<NodeId>(index), reader_->GetDouble()};
+  prev_ = index;
+  ++read_;
+  return true;
+}
+
+SparseVector SparseVector::Deserialize(ByteReader& reader) {
+  SparseVectorReader entries(reader);
   SparseVector v;
-  v.entries_.reserve(count);
-  uint64_t prev = 0;
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t delta = reader.GetVarU64();
-    // A well-framed hostile payload could still smuggle wrapped or duplicate
-    // indices past the framing checks. Deltas must keep ids strictly
-    // increasing (after the first) — the sorted-unique invariant ValueAt,
-    // ValuesAt and DenseAccumulator::AddVector's one-compare bound rely on —
-    // and inside the 30-bit id range every node id in the system obeys (see
-    // MakeVectorKey). The reader does not know the graph's node count, so an
-    // id in [num_nodes, 2^30) passes here and dies at AddVector's bound.
-    DPPR_CHECK(i == 0 || delta > 0);
-    uint64_t index = prev + delta;
-    DPPR_CHECK_LT(index, 1u << 30);
-    double value = reader.GetDouble();
-    v.entries_.push_back({static_cast<NodeId>(index), value});
-    prev = index;
-  }
+  v.entries_.reserve(entries.size());
+  Entry entry;
+  while (entries.Next(entry)) v.entries_.push_back(entry);
   return v;
 }
 

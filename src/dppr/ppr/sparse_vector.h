@@ -45,14 +45,6 @@ class SparseVector {
   /// Value at `index` (0.0 when absent); binary search.
   double ValueAt(NodeId index) const;
 
-  /// out[i] = vectors[i]->ValueAt(index), bit for bit, for every i. The
-  /// searches run in lockstep, up to 16 at a time: each pass advances every
-  /// lane by one branchless lower-bound step and prefetches that lane's next
-  /// probe, so the lanes' cache misses overlap instead of forming one
-  /// dependent chain per vector.
-  static void ValuesAt(std::span<const SparseVector* const> vectors,
-                       NodeId index, double* out);
-
   double L1Norm() const;
 
   /// dense[e.index] += scale * e.value for every entry.
@@ -75,6 +67,28 @@ class SparseVector {
 
  private:
   std::vector<Entry> entries_;
+};
+
+/// Reads a serialized SparseVector entry by entry, with every check
+/// Deserialize makes (Deserialize is this reader plus a vector), so a
+/// consumer can walk a vector still on the wire without materializing it —
+/// the offline ingest transposes skeleton columns this way.
+class SparseVectorReader {
+ public:
+  /// Consumes the entry count from `reader`, which must outlive this reader
+  /// and is advanced by each Next.
+  explicit SparseVectorReader(ByteReader& reader);
+
+  size_t size() const { return count_; }
+
+  /// Reads the next entry into `entry`; false once all size() were read.
+  bool Next(SparseVector::Entry& entry);
+
+ private:
+  ByteReader* reader_;
+  size_t count_;
+  size_t read_ = 0;
+  uint64_t prev_ = 0;
 };
 
 /// Reusable dense accumulator for summing many sparse vectors (coordinator

@@ -45,13 +45,32 @@ struct DiskMetrics {
 
 /// First line of a segment-manifest spill. A named spill path holds this
 /// small text manifest; the records live in per-kind segment files next to
-/// it.
-constexpr std::string_view kManifestMagic = "DPPR-SPILL-MANIFEST v1";
+/// it. v2 stores skeleton rows; a v1 spill (skeleton columns) dies at open.
+constexpr std::string_view kManifestMagic = "DPPR-SPILL-MANIFEST v2";
 
-/// Manifest line prefixes and named-segment filename suffixes, indexed by
-/// VectorKind.
-constexpr const char* kSegmentName[kNumVectorKinds] = {
-    "hub_partial", "skeleton_column", "own_vector"};
+constexpr size_t kNumSegments = DiskSpillStorage::kNumSegments;
+
+/// Manifest line prefixes and named-segment filename suffixes, in segment
+/// order.
+constexpr const char* kSegmentName[kNumSegments] = {
+    "hub_partial", "skeleton_row", "own_vector"};
+
+/// The segment index of a stored kind. Skeleton columns have none: stores
+/// hold skeletons as rows.
+size_t SegmentOf(VectorKind kind) {
+  switch (kind) {
+    case VectorKind::kHubPartial:
+      return 0;
+    case VectorKind::kSkeletonRow:
+      return 1;
+    case VectorKind::kOwnVector:
+      return 2;
+    case VectorKind::kSkeletonColumn:
+      break;
+  }
+  DPPR_CHECK(kind != VectorKind::kSkeletonColumn);
+  return 0;
+}
 
 std::string DirOf(const std::string& path) {
   size_t slash = path.find_last_of('/');
@@ -174,9 +193,9 @@ namespace {
 /// three `<path>.<kind>` segment files plus the manifest written at `path`.
 /// Segments are created eagerly (not on first append of their kind) so a
 /// clone taken at any time shares every file the original will ever write.
-std::array<std::shared_ptr<SpillFile>, kNumVectorKinds> CreateSegments(
+std::array<std::shared_ptr<SpillFile>, kNumSegments> CreateSegments(
     const StorageOptions& options) {
-  std::array<std::shared_ptr<SpillFile>, kNumVectorKinds> files;
+  std::array<std::shared_ptr<SpillFile>, kNumSegments> files;
   if (options.spill_path.empty()) {
     for (auto& file : files) file = SpillFile::CreateTemp(options.spill_dir);
     return files;
@@ -185,7 +204,7 @@ std::array<std::shared_ptr<SpillFile>, kNumVectorKinds> CreateSegments(
   std::string base = BaseOf(options.spill_path);
   std::string manifest(kManifestMagic);
   manifest += '\n';
-  for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
+  for (size_t k = 0; k < kNumSegments; ++k) {
     std::string segment_base = base + "." + kSegmentName[k];
     files[k] = SpillFile::CreateAt(dir + "/" + segment_base);
     manifest += std::string(kSegmentName[k]) + " " + segment_base + "\n";
@@ -221,17 +240,17 @@ DiskSpillStorage::DiskSpillStorage(const StorageOptions& options)
 
 std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
     const std::string& path, const StorageOptions& options) {
-  // Segment manifest: magic line, one "<kind> <basename>" line per kind in
-  // enum order, then the "end" trailer — a truncated manifest loses the
-  // trailer, and a file without the magic line is no manifest; both die
+  // Segment manifest: magic line, one "<kind> <basename>" line per segment
+  // in segment order, then the "end" trailer — a truncated manifest loses
+  // the trailer, and a file without the magic line is no manifest; both die
   // here.
   std::vector<std::string> lines = SplitLines(ReadWholeFile(path));
-  DPPR_CHECK_GE(lines.size(), size_t{kNumVectorKinds} + 2);
+  DPPR_CHECK_GE(lines.size(), kNumSegments + 2);
   DPPR_CHECK(lines[0] == kManifestMagic);
-  DPPR_CHECK(lines[1 + kNumVectorKinds] == "end");
+  DPPR_CHECK(lines[1 + kNumSegments] == "end");
   std::string dir = DirOf(path);
   SegmentArray files;
-  for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
+  for (size_t k = 0; k < kNumSegments; ++k) {
     const std::string& line = lines[1 + k];
     std::string prefix = std::string(kSegmentName[k]) + " ";
     DPPR_CHECK(line.rfind(prefix, 0) == 0);
@@ -248,7 +267,7 @@ std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
   // is fully re-validated (VectorRecord::Deserialize DPPR_CHECKs kinds, id
   // ranges and blob framing), so truncation or corruption dies here — at
   // open — rather than serving garbage at query time.
-  for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
+  for (size_t k = 0; k < kNumSegments; ++k) {
     store->files_[k]->Scan([&](std::span<const uint8_t> bytes) {
       ByteReader reader(bytes.data(), bytes.size());
       while (!reader.AtEnd()) {
@@ -256,7 +275,7 @@ std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
         VectorRecord record = VectorRecord::Deserialize(reader);
         // Every record must carry its segment's kind: a record smuggled into
         // the wrong file would later be read back from the wrong segment.
-        DPPR_CHECK(static_cast<uint8_t>(record.kind) == k);
+        DPPR_CHECK_EQ(SegmentOf(record.kind), k);
         store->IndexExtent(MakeVectorKey(record.kind, record.sub, record.node),
                            {start, reader.position() - start});
         store->Charge(record.kind, record.vec.SerializedBytes());
@@ -264,6 +283,10 @@ std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
     });
   }
   return store;
+}
+
+SpillFile& DiskSpillStorage::SegmentFor(VectorKind kind) const {
+  return *files_[SegmentOf(kind)];
 }
 
 void DiskSpillStorage::IndexExtent(uint64_t key, SpillExtent extent) {
@@ -276,7 +299,7 @@ void DiskSpillStorage::AppendVector(VectorKind kind, SubgraphId sub, NodeId node
                                     size_t serialized_bytes) {
   ByteWriter writer;
   VectorRecord::Serialize(writer, kind, sub, node, seconds, vec);
-  SpillExtent extent = files_[static_cast<uint8_t>(kind)]->Append(writer.bytes());
+  SpillExtent extent = SegmentFor(kind).Append(writer.bytes());
   IndexExtent(MakeVectorKey(kind, sub, node), extent);
   // The ledger charges the vector's serialized size, same as the in-memory
   // backends, so the paper's space metrics are backend-invariant; the record
@@ -307,8 +330,8 @@ double DiskSpillStorage::IngestFrom(ByteReader& reader) {
   // dropped right after — ingest streams the raw record bytes to the spill
   // file, so coordinator RAM stays bounded by one record, not the index.
   VectorRecord record = VectorRecord::Deserialize(reader);
-  SpillExtent extent = files_[static_cast<uint8_t>(record.kind)]->Append(
-      reader.Slice(start, reader.position()));
+  SpillExtent extent =
+      SegmentFor(record.kind).Append(reader.Slice(start, reader.position()));
   IndexExtent(MakeVectorKey(record.kind, record.sub, record.node), extent);
   Charge(record.kind, record.vec.SerializedBytes());
   return record.seconds;
@@ -319,8 +342,7 @@ PpvRef DiskSpillStorage::CachedLocked(uint64_t key) const {
   if (cit == cache_.end()) return {};
   Count(&StorageStats::cache_hits, 1);
   DiskMetrics::Get().hits->Increment();
-  std::list<uint64_t>& lru = LruFor(key);
-  lru.splice(lru.begin(), lru, cit->second.lru_it);
+  lru_.splice(lru_.begin(), lru_, cit->second.lru_it);
   return PpvRef(cit->second.vec);
 }
 
@@ -365,31 +387,6 @@ PpvRef DiskSpillStorage::Find(VectorKind kind, SubgraphId sub, NodeId node) cons
   }
 }
 
-PpvPair DiskSpillStorage::FindPair(SubgraphId sub, NodeId hub) const {
-  const uint64_t skel_key = MakeVectorKey(VectorKind::kSkeletonColumn, sub, hub);
-  const uint64_t part_key = MakeVectorKey(VectorKind::kHubPartial, sub, hub);
-  const bool has_skel = extents_.find(skel_key) != extents_.end();
-  const bool has_part = extents_.find(part_key) != extents_.end();
-  PpvPair pair;
-  if (!has_skel && !has_part) return pair;
-  {
-    // Fast path: both vectors resident (the warm steady state) resolve under
-    // a single lock acquisition.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (has_skel) pair.skeleton = CachedLocked(skel_key);
-    if (has_part) pair.partial = CachedLocked(part_key);
-  }
-  // Whatever the cache couldn't serve takes the full per-key Find (miss
-  // accounting, singleflight, extent load) — same behavior as two Finds.
-  if (has_skel && !pair.skeleton) {
-    pair.skeleton = Find(VectorKind::kSkeletonColumn, sub, hub);
-  }
-  if (has_part && !pair.partial) {
-    pair.partial = Find(VectorKind::kHubPartial, sub, hub);
-  }
-  return pair;
-}
-
 PpvRef DiskSpillStorage::Load(uint64_t key, VectorKind kind, SubgraphId sub,
                               NodeId node, SpillExtent extent,
                               std::shared_ptr<InFlightLoad> load) const {
@@ -419,7 +416,7 @@ PpvRef DiskSpillStorage::Load(uint64_t key, VectorKind kind, SubgraphId sub,
     obs::TraceSpan read_span(obs::kCoordinatorLane, "store.extent_read");
     read_span.Arg("bytes", extent.length);
     WallTimer read_timer;
-    SegmentFor(key).Read(extent, buf);
+    SegmentFor(kind).Read(extent, buf);
     ByteReader reader(buf.data(), buf.size());
     VectorRecord parsed = VectorRecord::Deserialize(reader);
     DPPR_CHECK(reader.AtEnd());
@@ -456,19 +453,12 @@ void DiskSpillStorage::InsertIntoCacheLocked(
   // The singleflight table guarantees no concurrent load of this key, so the
   // cache cannot already hold it (insertion only ever happens right here).
   DPPR_DCHECK(cache_.find(key) == cache_.end());
-  std::list<uint64_t>& lru = LruFor(key);
-  lru.push_front(key);
-  cache_.emplace(key, CacheEntry{std::move(vec), bytes, lru.begin()});
+  lru_.push_front(key);
+  cache_.emplace(key, CacheEntry{std::move(vec), bytes, lru_.begin()});
   resident_bytes_ += bytes;
   while (resident_bytes_ > cache_budget_) {
-    // Bulky kinds (hub partials, own vectors) are evicted first; the tiny
-    // skeleton columns — read on every chain walk — go only once no bulky
-    // entry is left to give back.
-    std::list<uint64_t>& victims =
-        !bulky_lru_.empty() ? bulky_lru_ : skeleton_lru_;
-    if (victims.empty()) break;
-    uint64_t victim = victims.back();
-    victims.pop_back();
+    uint64_t victim = lru_.back();
+    lru_.pop_back();
     auto vit = cache_.find(victim);
     resident_bytes_ -= vit->second.bytes;
     // Outstanding PpvRef pins (including the caller's when the budget is

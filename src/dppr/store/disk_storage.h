@@ -72,23 +72,24 @@ class SpillFile {
 
 /// Disk-backed spill storage: every put serializes its vector as a
 /// VectorRecord and appends it to one of three per-kind spill segments —
-/// hub partials, skeleton columns, and own vectors each get their own file,
-/// so the tiny skeleton columns a query chain walks cluster into a dense
-/// segment instead of interleaving with multi-KB partials.
+/// hub partials, skeleton rows, and own vectors each get their own file, so
+/// a block's rows sit next to each other instead of interleaving with
+/// partials. Skeleton columns are never stored (they die at put).
 /// Ingest streams the raw wire bytes straight through, so the coordinator
 /// never materializes a machine's index in RAM. Lookups go through a
 /// byte-budgeted read-through LRU residency cache keyed on the vector key. A
 /// cache miss preads the record's extent, re-validates it (header must match
 /// the key — a corrupted or aliased extent dies rather than serving
 /// garbage), and inserts the vector; eviction drops least-recently-used
-/// entries until the budget holds — bulky kinds (partials, own vectors)
-/// first, skeleton columns only when no bulky entry is left, since a
-/// skeleton column is read on every chain walk but costs little to keep —
-/// and outstanding PpvRef pins keep their vectors alive regardless.
+/// entries, of any kind, until the budget holds, and outstanding PpvRef pins
+/// keep their vectors alive regardless. Plain LRU suits the fold's reads: a
+/// query reads one row per chain block, once, while the partials those rows
+/// name are read by every query, so they stay recent.
 ///
 /// A named store (options.spill_path) writes a small text manifest at the
-/// path plus one `<path>.<kind>` segment per kind; PpvStore::OpenSpill reads
-/// the manifest back, and a path holding anything else dies at open.
+/// path plus one `<path>.<kind>` segment per stored kind (`hub_partial`,
+/// `skeleton_row`, `own_vector`); PpvStore::OpenSpill reads the manifest
+/// back, and a path holding anything else dies at open.
 ///
 /// The miss path is singleflighted: concurrent misses of the same vector
 /// coalesce onto one disk read — the first thread loads, the rest wait for
@@ -97,8 +98,8 @@ class SpillFile {
 /// misses (the lookup was not served from RAM) but charge no disk bytes;
 /// only the loading thread's read is billed.
 ///
-/// Find/FindPair are thread-safe (cache state under a mutex, disk reads
-/// outside it); writes follow the single-threaded-ingest contract.
+/// Find is thread-safe (cache state under a mutex, disk reads outside it);
+/// writes follow the single-threaded-ingest contract.
 class DiskSpillStorage final : public VectorStorage {
  public:
   /// Fresh store spilling to options.spill_path (manifest + named segments
@@ -121,10 +122,6 @@ class DiskSpillStorage final : public VectorStorage {
   double Ingest(VectorRecord record) override;
   double IngestFrom(ByteReader& reader) override;
   PpvRef Find(VectorKind kind, SubgraphId sub, NodeId node) const override;
-  /// One cache-lock pass resolving both hub vectors when both are resident
-  /// (the warm steady state); anything colder falls back to the full
-  /// per-key Find path. Accounting matches two Finds exactly.
-  PpvPair FindPair(SubgraphId sub, NodeId hub) const override;
   /// Shares the spill segments with the clone (appends interleave safely;
   /// each store only indexes its own records) and starts a fresh cache.
   std::unique_ptr<VectorStorage> Clone() const override;
@@ -132,12 +129,12 @@ class DiskSpillStorage final : public VectorStorage {
   size_t ResidentBytes() const override;
 
   size_t cache_budget_bytes() const { return cache_budget_; }
-  const std::shared_ptr<SpillFile>& segment(VectorKind kind) const {
-    return files_[static_cast<uint8_t>(kind)];
-  }
+
+  /// Spill segments, one per stored kind.
+  static constexpr size_t kNumSegments = 3;
 
  private:
-  using SegmentArray = std::array<std::shared_ptr<SpillFile>, kNumVectorKinds>;
+  using SegmentArray = std::array<std::shared_ptr<SpillFile>, kNumSegments>;
 
   DiskSpillStorage(SegmentArray files, size_t cache_budget)
       : files_(std::move(files)), cache_budget_(cache_budget) {}
@@ -150,11 +147,9 @@ class DiskSpillStorage final : public VectorStorage {
                     const SparseVector& vec, size_t serialized_bytes);
   void IndexExtent(uint64_t key, SpillExtent extent);
 
-  /// The segment holding `key`'s record (derived from the key's kind bits —
-  /// extents never need to remember their file).
-  SpillFile& SegmentFor(uint64_t key) const {
-    return *files_[static_cast<uint8_t>(VectorKindOfKey(key))];
-  }
+  /// The segment holding `kind`'s records (extents never need to remember
+  /// their file: a key's kind bits name it).
+  SpillFile& SegmentFor(VectorKind kind) const;
 
   /// One in-flight load that concurrent misses of the same key rendezvous
   /// on. Lives in inflight_ while the leader reads; followers keep it alive
@@ -177,19 +172,11 @@ class DiskSpillStorage final : public VectorStorage {
               SpillExtent extent, std::shared_ptr<InFlightLoad> load) const;
 
   /// Cache-hit lookup under mu_; returns an empty ref on miss without
-  /// touching the singleflight table. Shared by Find/FindPair fast paths.
+  /// touching the singleflight table.
   PpvRef CachedLocked(uint64_t key) const;
 
-  /// The LRU list `key`'s cache entry lives on: skeleton columns get their
-  /// own list so eviction can drain the bulky kinds first.
-  std::list<uint64_t>& LruFor(uint64_t key) const {
-    return VectorKindOfKey(key) == VectorKind::kSkeletonColumn ? skeleton_lru_
-                                                               : bulky_lru_;
-  }
-
-  /// Inserts a loaded vector into the cache and evicts past-budget entries —
-  /// bulky LRU first, skeleton LRU only once the bulky list is empty. Caller
-  /// holds mu_.
+  /// Inserts a loaded vector into the cache and evicts least-recently-used
+  /// entries past the budget. Caller holds mu_.
   void InsertIntoCacheLocked(uint64_t key, std::shared_ptr<const SparseVector> vec,
                              size_t bytes) const;
 
@@ -207,10 +194,8 @@ class DiskSpillStorage final : public VectorStorage {
   };
   mutable std::mutex mu_;
   mutable std::unordered_map<uint64_t, CacheEntry> cache_;
-  /// Front = most recently used. Hub partials + own vectors (the eviction
-  /// victims of first resort) on one list, skeleton columns on the other.
-  mutable std::list<uint64_t> bulky_lru_;
-  mutable std::list<uint64_t> skeleton_lru_;
+  /// Front = most recently used.
+  mutable std::list<uint64_t> lru_;
   mutable size_t resident_bytes_ = 0;
   /// Singleflight table: key -> the load currently reading that extent.
   mutable std::unordered_map<uint64_t, std::shared_ptr<InFlightLoad>> inflight_;

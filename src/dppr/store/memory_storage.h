@@ -26,10 +26,6 @@ class MemoryRefStorage : public VectorStorage {
   void PutOwned(VectorKind kind, SubgraphId sub, NodeId node, SparseVector vec,
                 size_t serialized_bytes) override;
   PpvRef Find(VectorKind kind, SubgraphId sub, NodeId node) const override;
-  /// One probe of the paired (skeleton, partial) index instead of two map_
-  /// lookups — the query fold resolves both hub vectors per hub, so this
-  /// halves its hash probes on the in-memory backends.
-  PpvPair FindPair(SubgraphId sub, NodeId hub) const override;
   std::unique_ptr<VectorStorage> Clone() const override;
   size_t num_owned() const override { return owned_.size(); }
 
@@ -43,12 +39,6 @@ class MemoryRefStorage : public VectorStorage {
 
  private:
   std::unordered_map<uint64_t, const SparseVector*> map_;
-  /// (sub, hub) -> (skeleton column, hub partial), maintained alongside map_
-  /// for the two paired kinds; keyed on the kind-less low 60 bits of the
-  /// packed key. Missing members stay null.
-  std::unordered_map<uint64_t,
-                     std::pair<const SparseVector*, const SparseVector*>>
-      pair_map_;
   /// Owned vectors with their keys; deque for address stability under
   /// growth, keys so Clone can re-point map_ entries.
   std::deque<std::pair<uint64_t, SparseVector>> owned_;

@@ -9,6 +9,11 @@
 
 namespace dppr {
 
+/// What PpvStore::FindPair returns (see there).
+struct PpvPair {
+  PpvRef partial;
+};
+
 /// One simulated machine's vector storage: a value-type handle over a
 /// pluggable VectorStorage backend (see StorageBackend). Call sites pick a
 /// backend per construction — the centralized oracle path defaults to
@@ -76,11 +81,11 @@ class PpvStore {
     return storage_->Find(kind, sub, node);
   }
 
-  /// The (skeleton column, hub partial) pair for one hub from a single
-  /// probe — what the query fold resolves per hub. Results and hit/miss
-  /// accounting match two Finds exactly.
+  /// The hub's partial, from one Find. Kept only because the pinned
+  /// benchmark's store.find probe still calls it; skeleton values live in
+  /// rows now, so there is no pair left to resolve.
   PpvPair FindPair(SubgraphId sub, NodeId hub) const {
-    return storage_->FindPair(sub, hub);
+    return {Find(VectorKind::kHubPartial, sub, hub)};
   }
 
   StorageBackend backend() const { return storage_->backend(); }

@@ -21,22 +21,32 @@ void VectorRecord::Serialize(ByteWriter& writer, VectorKind kind, SubgraphId sub
   vec.SerializeTo(writer);
 }
 
-VectorRecord VectorRecord::Deserialize(ByteReader& reader) {
-  VectorRecord record;
+VectorRecord::View VectorRecord::DeserializeView(ByteReader& reader) {
+  View view;
   uint8_t kind = reader.GetU8();
   DPPR_CHECK_LT(kind, kNumVectorKinds);
-  record.kind = static_cast<VectorKind>(kind);
+  view.kind = static_cast<VectorKind>(kind);
   uint64_t sub = reader.GetVarU64();
   uint64_t node = reader.GetVarU64();
   // Same ranges MakeVectorKey enforces; rejecting here pins the failure on
   // the wire bytes rather than a later store insert.
   DPPR_CHECK_LT(sub, 1u << 30);
   DPPR_CHECK_LT(node, 1u << 30);
-  record.sub = static_cast<SubgraphId>(sub);
-  record.node = static_cast<NodeId>(node);
-  record.seconds = reader.GetDouble();
-  std::span<const uint8_t> blob = reader.GetBlob();
-  ByteReader vec_reader(blob.data(), blob.size());
+  view.sub = static_cast<SubgraphId>(sub);
+  view.node = static_cast<NodeId>(node);
+  view.seconds = reader.GetDouble();
+  view.vec = reader.GetBlob();
+  return view;
+}
+
+VectorRecord VectorRecord::Deserialize(ByteReader& reader) {
+  View view = DeserializeView(reader);
+  VectorRecord record;
+  record.kind = view.kind;
+  record.sub = view.sub;
+  record.node = view.node;
+  record.seconds = view.seconds;
+  ByteReader vec_reader(view.vec.data(), view.vec.size());
   record.vec = SparseVector::Deserialize(vec_reader);
   // A declared length longer than the vector payload means trailing garbage
   // inside the record — corrupt, not just padded.

@@ -2,6 +2,7 @@
 #define DPPR_STORE_VECTOR_RECORD_H_
 
 #include <cstdint>
+#include <span>
 
 #include "dppr/common/macros.h"
 #include "dppr/common/serialize.h"
@@ -11,16 +12,25 @@
 
 namespace dppr {
 
-/// The three precomputed vector kinds of the paper's decomposition.
+/// The precomputed vector kinds of the paper's decomposition. Skeletons come
+/// in two layouts: reverse push produces columns, and the precomputation and
+/// the offline wire carry them; every serving store holds them transposed
+/// into rows, so a query reads one row per chain block instead of one value
+/// out of every hub's column.
 enum class VectorKind : uint8_t {
   /// p^H_h[S]: partial vector of hub h w.r.t. subgraph S (Def. 1 / Thm. 2).
   kHubPartial = 0,
   /// Skeleton column of hub h over S: entry u holds s_u[S](h) (Def. 2).
+  /// Never stored: see kSkeletonRow.
   kSkeletonColumn = 1,
   /// Leaf-level local PPV r_u[leaf] of a non-hub node (Eq. 6 last term).
   kOwnVector = 2,
+  /// Skeleton row of node u in block (S, owner): entry i holds s_u[S](h) for
+  /// the owner's i-th hub of S in Eq. 7 rank order. Keyed under
+  /// SkeletonRowBlock(S, owner, num_machines) (core/skeleton_rows.h).
+  kSkeletonRow = 3,
 };
-inline constexpr uint8_t kNumVectorKinds = 3;
+inline constexpr uint8_t kNumVectorKinds = 4;
 
 /// Packs (kind, subgraph, node) into a lookup key. The range checks are
 /// always on (DPPR_CHECK): a silently truncated key aliases another vector's
@@ -32,8 +42,8 @@ inline uint64_t MakeVectorKey(VectorKind kind, SubgraphId sub, NodeId node) {
          node;
 }
 
-/// Kind bits of a packed key — the disk backend's per-kind spill segments and
-/// skeleton-favoring eviction both route on this without unpacking the rest.
+/// Kind bits of a packed key — the disk backend's per-kind spill segments
+/// route on this without unpacking the rest.
 inline VectorKind VectorKindOfKey(uint64_t key) {
   uint64_t kind = key >> 60;
   DPPR_DCHECK(kind < kNumVectorKinds);
@@ -66,6 +76,21 @@ struct VectorRecord {
   /// DPPR_CHECK-fails on malformed input: unknown kind, out-of-range ids,
   /// truncated or oversized nested vector payload.
   static VectorRecord Deserialize(ByteReader& reader);
+
+  /// A record whose vector is left serialized: `vec` views its SparseVector
+  /// wire bytes inside the buffer the record was read from (SparseVectorReader
+  /// walks them, with the vector checks).
+  struct View {
+    VectorKind kind = VectorKind::kOwnVector;
+    SubgraphId sub = kInvalidSubgraph;
+    NodeId node = kInvalidNode;
+    double seconds = 0.0;
+    std::span<const uint8_t> vec;
+  };
+
+  /// Consumes one record, checking everything Deserialize checks except the
+  /// vector payload inside its blob.
+  static View DeserializeView(ByteReader& reader);
 };
 
 }  // namespace dppr

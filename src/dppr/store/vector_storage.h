@@ -55,14 +55,6 @@ class PpvRef {
   std::shared_ptr<const SparseVector> pin_;
 };
 
-/// The (skeleton column, hub partial) pair the query fold resolves per hub —
-/// one FindPair call instead of two independent Find probes on the same
-/// (sub, hub). Either member may be empty exactly as Find would return it.
-struct PpvPair {
-  PpvRef skeleton;
-  PpvRef partial;
-};
-
 /// The pluggable representations behind PpvStore.
 enum class StorageBackend : uint8_t {
   /// Vectors alias an external owner (the centralized HgpaPrecomputation);
@@ -203,15 +195,6 @@ class VectorStorage {
   /// Empty ref when this machine does not hold the vector.
   virtual PpvRef Find(VectorKind kind, SubgraphId sub, NodeId node) const = 0;
 
-  /// Resolves the (skeleton column, hub partial) pair for one hub. Exactly
-  /// equivalent to two Finds — same results, same hit/miss accounting per
-  /// present member — but backends override it to answer from one probe
-  /// (memory: a paired index; disk: one cache-lock pass for both keys).
-  virtual PpvPair FindPair(SubgraphId sub, NodeId hub) const {
-    return {Find(VectorKind::kSkeletonColumn, sub, hub),
-            Find(VectorKind::kHubPartial, sub, hub)};
-  }
-
   /// Deep copy with the same ledger; residency cache and stats start fresh.
   virtual std::unique_ptr<VectorStorage> Clone() const = 0;
 
@@ -247,8 +230,10 @@ class VectorStorage {
     if (StorageStats* sink = StorageStatsScope::Current()) sink->*counter += n;
   }
 
-  /// Ledger charge shared by every backend's insert path.
+  /// Ledger charge shared by every backend's insert path. Stores hold
+  /// skeletons as rows only; a column reaching a store skipped the transpose.
   void Charge(VectorKind kind, size_t serialized_bytes) {
+    DPPR_CHECK(kind != VectorKind::kSkeletonColumn);
     total_bytes_ += serialized_bytes;
     bytes_by_kind_[static_cast<uint8_t>(kind)] += serialized_bytes;
     ++num_vectors_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -47,12 +48,12 @@ TEST(DiskSpillStorage, LedgerChargesSerializedBytesLikeMemory) {
   for (NodeId node = 0; node < 10; ++node) {
     SparseVector vec = RandomSparseVector(100 + node, 25);
     size_t bytes = vec.SerializedBytes();
-    disk.PutOwned(VectorKind::kSkeletonColumn, 3, node, vec, bytes);
-    memory.PutOwned(VectorKind::kSkeletonColumn, 3, node, std::move(vec), bytes);
+    disk.PutOwned(VectorKind::kSkeletonRow, 3, node, vec, bytes);
+    memory.PutOwned(VectorKind::kSkeletonRow, 3, node, std::move(vec), bytes);
   }
   EXPECT_EQ(disk.TotalSerializedBytes(), memory.TotalSerializedBytes());
-  EXPECT_EQ(disk.SerializedBytesByKind(VectorKind::kSkeletonColumn),
-            memory.SerializedBytesByKind(VectorKind::kSkeletonColumn));
+  EXPECT_EQ(disk.SerializedBytesByKind(VectorKind::kSkeletonRow),
+            memory.SerializedBytesByKind(VectorKind::kSkeletonRow));
 }
 
 TEST(DiskSpillStorage, WarmLookupsHitColdLookupsMiss) {
@@ -117,6 +118,64 @@ TEST(DiskSpillStorage, LruEvictsColdestUnderPressure) {
   EXPECT_LE(store.ResidentBytes(), probe.size() + 8);
 }
 
+// Spill extent of a vector put with PutOwned: its whole VectorRecord.
+uint64_t RecordBytes(VectorKind kind, SubgraphId sub, NodeId node,
+                     const SparseVector& vec) {
+  ByteWriter writer;
+  VectorRecord::Serialize(writer, kind, sub, node, /*seconds=*/0.0, vec);
+  return writer.size();
+}
+
+TEST(DiskSpillStorage, PlainLruKeepsThePartialsEveryQueryReads) {
+  // The fold's read pattern: a query reads its row once, then the partials
+  // the row names, and every query names the same partials. Under a budget
+  // that holds every partial but not every row, plain LRU evicts the rows
+  // and keeps the partials, so a warm store reads only row extents. A cache
+  // that evicted partials ahead of rows would re-read them on every query.
+  constexpr NodeId kHubs = 8;
+  constexpr NodeId kRows = 40;
+  std::vector<SparseVector> partials;
+  std::vector<SparseVector> rows;
+  uint64_t partial_bytes = 0;
+  uint64_t largest_row = 0;
+  for (NodeId hub = 0; hub < kHubs; ++hub) {
+    partials.push_back(RandomSparseVector(200 + hub, 30));
+    partial_bytes +=
+        RecordBytes(VectorKind::kHubPartial, 1, hub, partials.back());
+  }
+  for (NodeId u = 0; u < kRows; ++u) {
+    rows.push_back(RandomSparseVector(300 + u, 20));
+    largest_row = std::max(
+        largest_row, RecordBytes(VectorKind::kSkeletonRow, 1, u, rows.back()));
+  }
+  PpvStore store(DiskOptions(partial_bytes + 2 * largest_row));
+  for (NodeId hub = 0; hub < kHubs; ++hub) {
+    store.PutOwned(VectorKind::kHubPartial, 1, hub, partials[hub],
+                   partials[hub].SerializedBytes());
+  }
+  for (NodeId u = 0; u < kRows; ++u) {
+    store.PutOwned(VectorKind::kSkeletonRow, 1, u, rows[u],
+                   rows[u].SerializedBytes());
+  }
+  auto query = [&](NodeId u) {
+    PpvRef row = store.Find(VectorKind::kSkeletonRow, 1, u);
+    ASSERT_TRUE(row);
+    EXPECT_EQ(*row, rows[u]);
+    for (NodeId hub = 0; hub < kHubs; ++hub) {
+      EXPECT_EQ(*store.Find(VectorKind::kHubPartial, 1, hub), partials[hub]);
+    }
+  };
+  query(0);  // warms the partials
+  const uint64_t warm = store.storage_stats().disk_bytes_read;
+  uint64_t row_bytes = 0;
+  for (NodeId u = 1; u < kRows; ++u) {
+    query(u);
+    row_bytes += RecordBytes(VectorKind::kSkeletonRow, 1, u, rows[u]);
+  }
+  EXPECT_EQ(store.storage_stats().disk_bytes_read - warm, row_bytes);
+  EXPECT_LT(store.ResidentBytes(), partial_bytes + kRows * largest_row);
+}
+
 TEST(DiskSpillStorage, PinOutlivesEviction) {
   // A pinned vector stays valid after the cache dropped it — the whole point
   // of PpvRef over raw pointers.
@@ -137,7 +196,7 @@ TEST(DiskSpillStorage, PinOutlivesEviction) {
 
 TEST(DiskSpillStorage, IngestStreamsWireBytes) {
   VectorRecord record;
-  record.kind = VectorKind::kSkeletonColumn;
+  record.kind = VectorKind::kSkeletonRow;
   record.sub = 5;
   record.node = 6;
   record.seconds = 1.25;
@@ -150,7 +209,7 @@ TEST(DiskSpillStorage, IngestStreamsWireBytes) {
   EXPECT_DOUBLE_EQ(store.IngestFrom(reader), 1.25);
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(store.TotalSerializedBytes(), record.vec.SerializedBytes());
-  EXPECT_EQ(*store.Find(VectorKind::kSkeletonColumn, 5, 6), record.vec);
+  EXPECT_EQ(*store.Find(VectorKind::kSkeletonRow, 5, 6), record.vec);
 }
 
 TEST(DiskSpillStorage, CopySharesSpillFileWithIndependentCaches) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dppr/core/hgpa.h"
+#include "dppr/core/skeleton_rows.h"
 #include "dppr/graph/datasets.h"
 #include "dppr/store/vector_record.h"
 #include "test_util.h"
@@ -26,15 +27,39 @@ size_t MachineOf(const PlacementPlan& plan, const HgpaPrecomputation::Item& item
 }
 
 // Asserts the distributed run reproduced the centralized oracle exactly:
-// every item bit-identical, placed on the planned machine and nowhere else,
-// with matching byte ledgers.
-void ExpectBitIdentical(const HgpaPrecomputation& pre,
+// every partial and own vector bit-identical, placed on the planned machine
+// and nowhere else; every skeleton row bit-identical to the one
+// HgpaIndex::Distribute transposes from the precomputation's columns (which
+// skeleton_rows_test checks against the columns themselves); and nothing
+// else stored.
+void ExpectBitIdentical(std::shared_ptr<const HgpaPrecomputation> pre,
                         const DistributedPrecompute::Result& result) {
+  const size_t n = result.num_machines();
+  StorageOptions memory;
+  memory.backend = StorageBackend::kMemoryRef;
+  HgpaIndex oracle = HgpaIndex::Distribute(pre, n, memory);
+  size_t expected = 0;
+  for (size_t m = 0; m < n; ++m) {
+    EXPECT_EQ(result.stores[m].num_vectors(), oracle.store(m).num_vectors())
+        << "machine " << m;
+    expected += oracle.store(m).num_vectors();
+    for (const auto& [sub, hubs] : result.plan.machine_hubs[m]) {
+      const SubgraphId block = SkeletonRowBlock(sub, m, n);
+      for (NodeId u : result.hierarchy->subgraph(sub).nodes) {
+        PpvRef want = oracle.store(m).Find(VectorKind::kSkeletonRow, block, u);
+        PpvRef got = result.stores[m].Find(VectorKind::kSkeletonRow, block, u);
+        ASSERT_EQ(static_cast<bool>(got), static_cast<bool>(want))
+            << "row of node " << u << " in block (" << sub << ", " << m << ")";
+        if (want) EXPECT_EQ(*got, *want) << "row of node " << u;
+      }
+    }
+  }
   size_t stored = 0;
   for (const auto& store : result.stores) stored += store.num_vectors();
-  ASSERT_EQ(stored, pre.items().size());
+  ASSERT_EQ(stored, expected);
 
-  for (const auto& item : pre.items()) {
+  for (const auto& item : pre->items()) {
+    if (item.kind == VectorKind::kSkeletonColumn) continue;  // stored as rows
     size_t machine = MachineOf(result.plan, item);
     PpvRef got = result.stores[machine].Find(item.kind, item.sub, item.node);
     ASSERT_TRUE(got)
@@ -58,7 +83,7 @@ TEST(DistPrecompute, HgpaVectorsBitIdenticalToCentralized) {
   dist.num_machines = 4;
   DistributedPrecompute::Result result = DistributedPrecompute::Run(
       g, pre->hierarchy(), options, dist);  // same hierarchy (copied)
-  ExpectBitIdentical(*pre, result);
+  ExpectBitIdentical(pre, result);
 }
 
 TEST(DistPrecompute, GpaFlatHierarchyBitIdenticalToCentralized) {
@@ -70,7 +95,7 @@ TEST(DistPrecompute, GpaFlatHierarchyBitIdenticalToCentralized) {
   dist.num_machines = 3;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-  ExpectBitIdentical(*pre, result);
+  ExpectBitIdentical(pre, result);
 }
 
 TEST(DistPrecompute, SequentialAndParallelClusterModesAgree) {
@@ -84,7 +109,7 @@ TEST(DistPrecompute, SequentialAndParallelClusterModesAgree) {
     dist.sequential = sequential;
     DistributedPrecompute::Result result =
         DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-    ExpectBitIdentical(*pre, result);
+    ExpectBitIdentical(pre, result);
   }
 }
 
@@ -205,7 +230,23 @@ TEST(DistPrecompute, OfflineStatsCountSuperstepsAndTraffic) {
     level_bytes += level.local_bytes + level.shuffled_bytes;
   }
   EXPECT_EQ(locality.offline.comm.bytes + level_bytes, record_bytes);
-  EXPECT_EQ(locality.TotalBytes(), pre->TotalBytes());
+  // The stores hold the precomputation's partials and own vectors byte for
+  // byte and its columns as rows, exactly the rows Distribute builds.
+  StorageOptions memory;
+  memory.backend = StorageBackend::kMemoryRef;
+  HgpaIndex oracle = HgpaIndex::Distribute(pre, dist.num_machines, memory);
+  EXPECT_EQ(locality.TotalBytes(), oracle.TotalBytes());
+  size_t partial_own_bytes = 0;
+  for (const auto& item : pre->items()) {
+    if (item.kind != VectorKind::kSkeletonColumn) partial_own_bytes += item.bytes;
+  }
+  size_t stored_partial_own = 0;
+  for (const auto& store : locality.stores) {
+    EXPECT_EQ(store.SerializedBytesByKind(VectorKind::kSkeletonColumn), 0u);
+    stored_partial_own += store.SerializedBytesByKind(VectorKind::kHubPartial) +
+                          store.SerializedBytesByKind(VectorKind::kOwnVector);
+  }
+  EXPECT_EQ(stored_partial_own, partial_own_bytes);
 
   EXPECT_GT(locality.offline.simulated_seconds, 0.0);
   EXPECT_GT(locality.ledger.TotalSeconds(), 0.0);
@@ -223,7 +264,7 @@ TEST(DistPrecompute, LocalityBitIdenticalToCentralizedInBothSchedulers) {
     dist.sequential = sequential;
     DistributedPrecompute::Result locality =
         DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-    ExpectBitIdentical(*pre, locality);
+    ExpectBitIdentical(pre, locality);
   }
 }
 
@@ -236,7 +277,7 @@ TEST(DistPrecompute, GpaLocalityModeBitIdenticalToCentralized) {
   dist.num_machines = 3;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-  ExpectBitIdentical(*pre, result);
+  ExpectBitIdentical(pre, result);
   // GPA's flat hierarchy has one hub level: one leaf gather + one shuffle.
   EXPECT_EQ(result.offline.rounds, 2u);
   EXPECT_EQ(result.offline.exchange_rounds, 1u);
@@ -297,9 +338,25 @@ TEST(DistPrecompute, SingleMachineClusterHoldsEverything) {
   dist.num_machines = 1;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-  EXPECT_EQ(result.stores[0].num_vectors(), pre->items().size());
-  EXPECT_EQ(result.stores[0].num_owned(), pre->items().size());
-  EXPECT_EQ(result.TotalBytes(), pre->TotalBytes());
+  // One machine holds every partial and own vector, and one row per node
+  // with a nonzero skeleton value in each subgraph (one block per subgraph).
+  size_t rows = 0;
+  size_t non_column_items = 0;
+  for (const auto& sub : result.hierarchy->subgraphs()) {
+    std::vector<bool> has_row(g.num_nodes(), false);
+    for (NodeId hub : sub.hubs) {
+      const auto* column = pre->FindItem(VectorKind::kSkeletonColumn, sub.id, hub);
+      for (const auto& e : column->vec.entries()) has_row[e.index] = true;
+    }
+    for (bool b : has_row) rows += b;
+  }
+  for (const auto& item : pre->items()) {
+    non_column_items += item.kind != VectorKind::kSkeletonColumn;
+  }
+  EXPECT_EQ(result.stores[0].num_vectors(), non_column_items + rows);
+  EXPECT_EQ(result.stores[0].num_owned(), non_column_items + rows);
+  EXPECT_EQ(result.TotalBytes(),
+            HgpaIndex::Distribute(pre, 1).TotalBytes());
 }
 
 TEST(DistPrecompute, PreferenceSetQueriesMatchAcrossPaths) {

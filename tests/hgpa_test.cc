@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dppr/core/skeleton_rows.h"
 #include "dppr/graph/datasets.h"
 #include "dppr/ppr/dense_solver.h"
 #include "dppr/ppr/metrics.h"
@@ -113,13 +114,45 @@ TEST(Hgpa, OfflineLedgerConservesTotalComputeTime) {
 }
 
 TEST(Hgpa, StorageAccountingIsDistributionInvariant) {
+  // Partials and own vectors are placed as they are, so their bytes do not
+  // depend on the machine count. Skeletons are stored as rows, one per node
+  // and (subgraph, owner) block, so their bytes do; but on every machine
+  // count the rows hold exactly the columns' nonzeros.
   Graph g = RandomDigraph(100, 3.0, 92);
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
-  size_t expected = pre->TotalBytes();
+  size_t partial_own_bytes = 0;
+  size_t column_entries = 0;
+  for (const auto& item : pre->items()) {
+    if (item.kind == VectorKind::kSkeletonColumn) {
+      column_entries += item.vec.size();
+    } else {
+      partial_own_bytes += item.bytes;
+    }
+  }
   for (size_t machines : {1u, 2u, 5u}) {
     HgpaIndex index = HgpaIndex::Distribute(pre, machines);
-    EXPECT_EQ(index.TotalBytes(), expected);
-    EXPECT_GE(index.MaxMachineBytes() * machines, expected);
+    size_t placed_partial_own = 0;
+    size_t row_bytes = 0;
+    size_t row_entries = 0;
+    for (size_t m = 0; m < machines; ++m) {
+      const PpvStore& store = index.store(m);
+      EXPECT_EQ(store.SerializedBytesByKind(VectorKind::kSkeletonColumn), 0u);
+      placed_partial_own += store.SerializedBytesByKind(VectorKind::kHubPartial) +
+                            store.SerializedBytesByKind(VectorKind::kOwnVector);
+      row_bytes += store.SerializedBytesByKind(VectorKind::kSkeletonRow);
+      for (const auto& [sub, hubs] : index.hubs_on_machine(m)) {
+        const SubgraphId block = SkeletonRowBlock(sub, m, machines);
+        for (NodeId u : index.hierarchy().subgraph(sub).nodes) {
+          if (PpvRef row = store.Find(VectorKind::kSkeletonRow, block, u)) {
+            row_entries += row->size();
+          }
+        }
+      }
+    }
+    EXPECT_EQ(placed_partial_own, partial_own_bytes) << machines;
+    EXPECT_EQ(row_entries, column_entries) << machines;
+    EXPECT_EQ(index.TotalBytes(), partial_own_bytes + row_bytes) << machines;
+    EXPECT_GE(index.MaxMachineBytes() * machines, index.TotalBytes());
   }
 }
 

@@ -174,6 +174,40 @@ TEST(Hierarchy, MultiwayFanoutProducesMoreChildren) {
   EXPECT_GE(h.subgraph(h.root()).children.size(), 3u);
 }
 
+// FNV-1a over every subgraph's level, parent, nodes and hubs: equal hashes
+// mean equal hierarchies.
+uint64_t HierarchyHash(const Hierarchy& h) {
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&](uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(h.num_subgraphs());
+  for (const auto& sub : h.subgraphs()) {
+    mix(sub.level);
+    mix(sub.parent);
+    mix(sub.nodes.size());
+    for (NodeId u : sub.nodes) mix(u);
+    mix(sub.hubs.size());
+    for (NodeId u : sub.hubs) mix(u);
+  }
+  return hash;
+}
+
+TEST(Hierarchy, BuildIsPinnedOnFixedGraphs) {
+  // FmRefine updates neighbour gains incrementally instead of rescanning
+  // each neighbour's adjacency; that is exact only if every hierarchy comes
+  // out the same. These hashes are the ones the full-rescan FmRefine
+  // produced on the same graphs with default options.
+  EXPECT_EQ(HierarchyHash(Hierarchy::Build(WebLike(0.1), HierarchyOptions{})),
+            0x209d12b9b8d34c5dull);
+  EXPECT_EQ(HierarchyHash(Hierarchy::Build(RandomDigraph(3000, 4.0, 11),
+                                           HierarchyOptions{})),
+            0x4a5f7ff582a56856ull);
+}
+
 class HierarchyDatasetTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(HierarchyDatasetTest, ValidatesOnScaledDatasets) {

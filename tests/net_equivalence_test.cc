@@ -12,6 +12,7 @@
 
 #include "dppr/core/dist_precompute.h"
 #include "dppr/core/hgpa.h"
+#include "dppr/core/skeleton_rows.h"
 #include "dppr/serve/query_server.h"
 #include "test_util.h"
 
@@ -46,8 +47,9 @@ DistributedPrecompute::Result RunOffline(const Graph& g, const Hierarchy& h,
 
 // Every stored vector of `b` must equal its `a` counterpart bit for bit, and
 // both must hold the same vectors and bytes per machine. The walk mirrors
-// the placement plan: hubs' skeleton columns and partial vectors on the
-// machine owning the hub, own vectors on the machine owning the node.
+// the placement plan: hubs' partial vectors on the machine owning the hub,
+// each (subgraph, owner) block's skeleton rows on the owner, own vectors on
+// the machine owning the node.
 void ExpectStoresIdentical(const HgpaIndex& a, const HgpaIndex& b) {
   ASSERT_EQ(a.num_machines(), b.num_machines());
   ASSERT_EQ(a.own_machine(), b.own_machine());
@@ -70,8 +72,20 @@ void ExpectStoresIdentical(const HgpaIndex& a, const HgpaIndex& b) {
   };
   for (const auto& sub : h.subgraphs()) {
     for (NodeId hub : sub.hubs) {
-      expect_same(VectorKind::kSkeletonColumn, sub.id, hub);
       expect_same(VectorKind::kHubPartial, sub.id, hub);
+    }
+  }
+  const size_t n = a.num_machines();
+  for (size_t m = 0; m < n; ++m) {
+    for (const auto& [sub, hubs] : a.hubs_on_machine(m)) {
+      const SubgraphId block = SkeletonRowBlock(sub, m, n);
+      for (NodeId u : h.subgraph(sub).nodes) {
+        PpvRef x = a.store(m).Find(VectorKind::kSkeletonRow, block, u);
+        PpvRef y = b.store(m).Find(VectorKind::kSkeletonRow, block, u);
+        ASSERT_EQ(static_cast<bool>(x), static_cast<bool>(y))
+            << "row of node " << u << " in block (" << sub << ", " << m << ")";
+        if (x) EXPECT_EQ(*x, *y) << "row of node " << u;
+      }
     }
   }
   for (SubgraphId leaf : h.leaves()) {

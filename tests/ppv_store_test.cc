@@ -85,11 +85,11 @@ TEST(PpvStore, OwnedAddressesSurviveGrowthAndMove) {
 TEST(PpvStore, CopyDeepCopiesOwnedVectors) {
   PpvStore store(MemRef());
   SparseVector vec = RandomSparseVector(9, 30);
-  store.PutOwned(VectorKind::kSkeletonColumn, 2, 5, vec, vec.SerializedBytes());
+  store.PutOwned(VectorKind::kSkeletonRow, 2, 5, vec, vec.SerializedBytes());
 
   PpvStore copy = store;
-  const SparseVector* original = &*store.Find(VectorKind::kSkeletonColumn, 2, 5);
-  PpvRef copied = copy.Find(VectorKind::kSkeletonColumn, 2, 5);
+  const SparseVector* original = &*store.Find(VectorKind::kSkeletonRow, 2, 5);
+  PpvRef copied = copy.Find(VectorKind::kSkeletonRow, 2, 5);
   ASSERT_TRUE(copied);
   EXPECT_NE(&*copied, original);  // must not alias the source store's memory
   EXPECT_EQ(*copied, vec);
@@ -97,7 +97,7 @@ TEST(PpvStore, CopyDeepCopiesOwnedVectors) {
 
   // The copy stays valid after the source dies.
   { PpvStore doomed = std::move(store); }
-  EXPECT_EQ(*copy.Find(VectorKind::kSkeletonColumn, 2, 5), vec);
+  EXPECT_EQ(*copy.Find(VectorKind::kSkeletonRow, 2, 5), vec);
 }
 
 TEST(PpvStore, SelfAssignmentIsANoOp) {
@@ -148,9 +148,26 @@ TEST(PpvStore, BytesLedgerSplitsByKind) {
             partial.SerializedBytes());
   EXPECT_EQ(store.SerializedBytesByKind(VectorKind::kOwnVector),
             own.SerializedBytes());
-  EXPECT_EQ(store.SerializedBytesByKind(VectorKind::kSkeletonColumn), 0u);
+  EXPECT_EQ(store.SerializedBytesByKind(VectorKind::kSkeletonRow), 0u);
   EXPECT_EQ(store.TotalSerializedBytes(),
             partial.SerializedBytes() + own.SerializedBytes());
+}
+
+TEST(PpvStore, SkeletonColumnPutDies) {
+  // Stores hold skeletons as rows (PutSkeletonRows); a column reaching one
+  // skipped the transpose, on every backend.
+  for (StorageBackend backend :
+       {StorageBackend::kMemoryRef, StorageBackend::kMemoryOwned,
+        StorageBackend::kDisk}) {
+    StorageOptions options;
+    options.backend = backend;
+    PpvStore store(options);
+    SparseVector vec = RandomSparseVector(4, 5);
+    EXPECT_DEATH(store.PutOwned(VectorKind::kSkeletonColumn, 0, 0, vec,
+                                vec.SerializedBytes()),
+                 "DPPR_CHECK failed")
+        << StorageBackendName(backend);
+  }
 }
 
 TEST(PpvStore, DuplicateKeyDies) {
@@ -209,7 +226,7 @@ TEST(VectorRecord, ConcatenatedRecordsRoundTrip) {
 
 TEST(VectorRecord, IngestChargesStoreAndReturnsSeconds) {
   VectorRecord record;
-  record.kind = VectorKind::kSkeletonColumn;
+  record.kind = VectorKind::kSkeletonRow;
   record.sub = 4;
   record.node = 9;
   record.seconds = 2.5;
@@ -219,7 +236,7 @@ TEST(VectorRecord, IngestChargesStoreAndReturnsSeconds) {
 
   PpvStore store;
   EXPECT_DOUBLE_EQ(store.Ingest(std::move(record)), 2.5);
-  PpvRef found = store.Find(VectorKind::kSkeletonColumn, 4, 9);
+  PpvRef found = store.Find(VectorKind::kSkeletonRow, 4, 9);
   ASSERT_TRUE(found);
   EXPECT_EQ(*found, expected);
   EXPECT_EQ(store.TotalSerializedBytes(), bytes);

@@ -1,14 +1,14 @@
-// Coverage for the disk store's layout and lookups: the paired (skeleton,
-// partial) lookup, per-kind spill segments with their manifest (and the
-// hostile manifests that must die at open), and bit-identity of the full
-// query surface across storage backends and transports.
+// Coverage for the disk store's layout: per-kind spill segments with their
+// manifest (and the hostile manifests that must die at open), and
+// bit-identity of the full query surface across storage backends and
+// transports.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,89 +48,15 @@ void WriteText(const std::string& path, const std::string& text) {
   out << text;
 }
 
+// The kinds a store holds, in segment order.
+constexpr std::array<VectorKind, 3> kStoredKinds{
+    VectorKind::kHubPartial, VectorKind::kSkeletonRow, VectorKind::kOwnVector};
+
 void RemoveSpill(const std::string& path) {
   std::remove(path.c_str());
-  for (const char* suffix : {"hub_partial", "skeleton_column", "own_vector"}) {
+  for (const char* suffix : {"hub_partial", "skeleton_row", "own_vector"}) {
     std::remove((path + "." + suffix).c_str());
   }
-}
-
-// ---------------------------------------------------------------------------
-// FindPair
-// ---------------------------------------------------------------------------
-
-TEST(FindPair, MatchesTwoFindsAcrossBackends) {
-  for (StorageBackend backend :
-       {StorageBackend::kMemoryRef, StorageBackend::kMemoryOwned,
-        StorageBackend::kDisk}) {
-    StorageOptions options;
-    options.backend = backend;
-    PpvStore store(options);
-    for (NodeId hub = 0; hub < 5; ++hub) {
-      SparseVector skel = RandomSparseVector(400 + hub, 12);
-      SparseVector part = RandomSparseVector(500 + hub, 30);
-      store.PutOwned(VectorKind::kSkeletonColumn, 2, hub, skel,
-                     skel.SerializedBytes());
-      store.PutOwned(VectorKind::kHubPartial, 2, hub, part,
-                     part.SerializedBytes());
-    }
-    // A lone skeleton (no partial) and a fully absent hub exercise the
-    // partial-pair edges.
-    SparseVector lonely = RandomSparseVector(600, 8);
-    store.PutOwned(VectorKind::kSkeletonColumn, 2, 5, lonely,
-                   lonely.SerializedBytes());
-
-    for (NodeId hub = 0; hub < 5; ++hub) {
-      PpvPair pair = store.FindPair(2, hub);
-      ASSERT_TRUE(pair.skeleton) << "backend " << static_cast<int>(backend);
-      ASSERT_TRUE(pair.partial);
-      EXPECT_EQ(*pair.skeleton, *store.Find(VectorKind::kSkeletonColumn, 2, hub));
-      EXPECT_EQ(*pair.partial, *store.Find(VectorKind::kHubPartial, 2, hub));
-    }
-    PpvPair partial_pair = store.FindPair(2, 5);
-    ASSERT_TRUE(partial_pair.skeleton);
-    EXPECT_EQ(*partial_pair.skeleton, lonely);
-    EXPECT_FALSE(partial_pair.partial);
-    PpvPair absent = store.FindPair(2, 99);
-    EXPECT_FALSE(absent.skeleton);
-    EXPECT_FALSE(absent.partial);
-  }
-}
-
-TEST(FindPair, WarmPairCountsTwoHitsLikeTwoFinds) {
-  PpvStore store(Disk());
-  SparseVector skel = RandomSparseVector(1, 10);
-  SparseVector part = RandomSparseVector(2, 20);
-  store.PutOwned(VectorKind::kSkeletonColumn, 0, 0, skel, skel.SerializedBytes());
-  store.PutOwned(VectorKind::kHubPartial, 0, 0, part, part.SerializedBytes());
-
-  (void)store.FindPair(0, 0);  // cold: two loads
-  StorageStats cold = store.storage_stats();
-  EXPECT_EQ(cold.cache_misses, 2u);
-  (void)store.FindPair(0, 0);  // warm: both from the single-lock fast path
-  StorageStats warm = store.storage_stats();
-  EXPECT_EQ(warm.cache_hits, cold.cache_hits + 2);
-  EXPECT_EQ(warm.cache_misses, cold.cache_misses);
-  EXPECT_EQ(warm.disk_bytes_read, cold.disk_bytes_read);
-}
-
-TEST(FindPair, CopiedStoreDoesNotAliasSourcePairIndex) {
-  // Clone re-points the paired index at the copied owned vectors; the copy
-  // must stay valid after the source dies.
-  StorageOptions options;
-  options.backend = StorageBackend::kMemoryOwned;
-  auto store = std::make_optional<PpvStore>(options);
-  SparseVector skel = RandomSparseVector(8, 10);
-  SparseVector part = RandomSparseVector(9, 10);
-  store->PutOwned(VectorKind::kSkeletonColumn, 1, 2, skel, skel.SerializedBytes());
-  store->PutOwned(VectorKind::kHubPartial, 1, 2, part, part.SerializedBytes());
-
-  PpvStore copy = *store;
-  PpvPair pair = copy.FindPair(1, 2);
-  EXPECT_NE(&*pair.skeleton, &*store->FindPair(1, 2).skeleton);
-  store.reset();
-  EXPECT_EQ(*pair.skeleton, skel);
-  EXPECT_EQ(*copy.FindPair(1, 2).partial, part);
 }
 
 // ---------------------------------------------------------------------------
@@ -144,21 +70,21 @@ TEST(SpillSegments, NamedSpillWritesManifestAndSegments) {
   std::vector<SparseVector> expected;
   {
     PpvStore store(options);
-    for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
+    for (size_t k = 0; k < kStoredKinds.size(); ++k) {
       expected.push_back(RandomSparseVector(700 + k, 20));
-      store.PutOwned(static_cast<VectorKind>(k), 3, k, expected.back(),
+      store.PutOwned(kStoredKinds[k], 3, k, expected.back(),
                      expected.back().SerializedBytes());
     }
   }
-  EXPECT_EQ(ReadText(path).rfind("DPPR-SPILL-MANIFEST v1", 0), 0u);
-  for (const char* suffix : {"hub_partial", "skeleton_column", "own_vector"}) {
+  EXPECT_EQ(ReadText(path).rfind("DPPR-SPILL-MANIFEST v2", 0), 0u);
+  for (const char* suffix : {"hub_partial", "skeleton_row", "own_vector"}) {
     EXPECT_TRUE(std::ifstream(path + "." + suffix).good()) << suffix;
   }
 
   PpvStore reopened = PpvStore::OpenSpill(path);
-  EXPECT_EQ(reopened.num_vectors(), size_t{kNumVectorKinds});
-  for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
-    PpvRef found = reopened.Find(static_cast<VectorKind>(k), 3, k);
+  EXPECT_EQ(reopened.num_vectors(), kStoredKinds.size());
+  for (size_t k = 0; k < kStoredKinds.size(); ++k) {
+    PpvRef found = reopened.Find(kStoredKinds[k], 3, k);
     ASSERT_TRUE(found);
     EXPECT_EQ(*found, expected[k]);
   }
@@ -169,9 +95,9 @@ std::string WriteValidSegmentSpill(const std::string& path) {
   StorageOptions options = Disk();
   options.spill_path = path;
   PpvStore store(options);
-  for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
+  for (size_t k = 0; k < kStoredKinds.size(); ++k) {
     SparseVector vec = RandomSparseVector(900 + k, 20);
-    store.PutOwned(static_cast<VectorKind>(k), 0, k, vec, vec.SerializedBytes());
+    store.PutOwned(kStoredKinds[k], 0, k, vec, vec.SerializedBytes());
   }
   return ReadText(path);
 }
@@ -183,9 +109,8 @@ TEST(SpillManifestHostile, RawRecordStreamDies) {
   std::string path = TempPath("rawstream");
   ByteWriter writer;
   for (NodeId i = 0; i < 4; ++i) {
-    for (uint8_t k = 0; k < kNumVectorKinds; ++k) {
-      VectorRecord::Serialize(writer, static_cast<VectorKind>(k), 1, i,
-                              /*seconds=*/0.0,
+    for (size_t k = 0; k < kStoredKinds.size(); ++k) {
+      VectorRecord::Serialize(writer, kStoredKinds[k], 1, i, /*seconds=*/0.0,
                               RandomSparseVector(800 + 10 * i + k, 15));
     }
   }
@@ -211,9 +136,9 @@ TEST(SpillManifestHostile, MissingEndTrailerDies) {
 TEST(SpillManifestHostile, WrongKindLineDies) {
   std::string path = TempPath("wrongkind");
   std::string manifest = WriteValidSegmentSpill(path);
-  size_t pos = manifest.find("skeleton_column ");
+  size_t pos = manifest.find("skeleton_row ");
   ASSERT_NE(pos, std::string::npos);
-  manifest.replace(pos, 16, "skeleton_kolumn ");
+  manifest.replace(pos, 13, "skeleton_rou ");
   WriteText(path, manifest);
   EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
   RemoveSpill(path);
@@ -249,9 +174,25 @@ TEST(SpillManifestHostile, RecordInWrongSegmentDies) {
   ByteWriter writer;
   VectorRecord::Serialize(writer, VectorKind::kOwnVector, 0, 42, 0.0,
                           RandomSparseVector(42, 5));
-  std::string skeleton_segment = path + ".skeleton_column";
+  std::string skeleton_segment = path + ".skeleton_row";
   std::ofstream out(skeleton_segment,
                     std::ios::binary | std::ios::app);
+  out.write(reinterpret_cast<const char*>(writer.bytes().data()),
+            static_cast<std::streamsize>(writer.bytes().size()));
+  out.close();
+  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
+  RemoveSpill(path);
+}
+
+TEST(SpillManifestHostile, SkeletonColumnRecordDies) {
+  // Stores hold skeletons as rows; a column record has no segment to live
+  // in, so a spill carrying one is refused at open.
+  std::string path = TempPath("column");
+  WriteValidSegmentSpill(path);
+  ByteWriter writer;
+  VectorRecord::Serialize(writer, VectorKind::kSkeletonColumn, 0, 42, 0.0,
+                          RandomSparseVector(43, 5));
+  std::ofstream out(path + ".skeleton_row", std::ios::binary | std::ios::app);
   out.write(reinterpret_cast<const char*>(writer.bytes().data()),
             static_cast<std::streamsize>(writer.bytes().size()));
   out.close();
