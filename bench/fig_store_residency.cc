@@ -74,7 +74,7 @@ Counters MeasureResidency(StorageBackend backend, size_t cache_bytes) {
 
 void RegisterRows() {
   AddRow("residency/web/memory-baseline", [] {
-    return MeasureResidency(StorageBackend::kMemoryRef,
+    return MeasureResidency(StorageBackend::kMemoryOwned,
                             std::numeric_limits<size_t>::max());
   });
   AddRow("residency/web/disk/budget=inf", [] {
@@ -83,18 +83,15 @@ void RegisterRows() {
   });
   // Budget as a fraction of the (max) per-machine ledger: 100% keeps a warm
   // working set, 1% forces nearly every lookup back to the spill file. The
-  // ledger is placement-determined, so probe it once with a referencing
-  // (no-spill) distribution regardless of the DPPR_STORE environment.
+  // ledger is placement-determined, so probe it once with an in-memory
+  // distribution regardless of the DPPR_STORE environment.
   for (size_t percent : {100, 25, 5, 1}) {
     AddRow("residency/web/disk/budget=" + std::to_string(percent) + "pct",
            [percent] {
-             static const size_t ledger = [] {
-               StorageOptions probe;
-               probe.backend = StorageBackend::kMemoryRef;
-               return HgpaIndex::Distribute(SharedPrecomputation(), kMachines,
-                                            probe)
-                   .MaxMachineBytes();
-             }();
+             static const size_t ledger =
+                 HgpaIndex::Distribute(SharedPrecomputation(), kMachines,
+                                       StorageOptions{})
+                     .MaxMachineBytes();
              size_t budget = ledger * percent / 100;
              return MeasureResidency(StorageBackend::kDisk,
                                      budget > 0 ? budget : 1);

@@ -60,13 +60,11 @@ int main(int argc, char** argv) {
 
   StorageOptions storage = StorageOptions::FromEnv();
   if (disk) {
-    // Probe the per-machine ledger with a cheap referencing (no-spill)
-    // placement, then budget the real disk store's cache to it.
-    StorageOptions probe;
-    probe.backend = StorageBackend::kMemoryRef;
+    // Probe the per-machine ledger with an in-memory (no-spill) placement,
+    // then budget the real disk store's cache to it.
     storage.backend = StorageBackend::kDisk;
     storage.cache_bytes =
-        HgpaIndex::Distribute(pre, 6, probe).MaxMachineBytes();
+        HgpaIndex::Distribute(pre, 6, StorageOptions{}).MaxMachineBytes();
   }
   std::printf("precomputation done; serving from 6 simulated machines "
               "(%s store, %s transport)\n\n",

@@ -69,16 +69,14 @@ void Free(std::vector<uint8_t>& payload) { std::vector<uint8_t>().swap(payload);
 /// from their wire bytes into the owner's row block. A block's columns all
 /// come from its subgraph's home machine, back to back in Eq. 7 rank order,
 /// so one inbox holds whole blocks.
-void IngestLevelInbox(const Hierarchy& hierarchy, const PlacementPlan& plan,
-                      size_t owner, ByteReader& reader, PpvStore& store,
+void IngestLevelInbox(const Placement& placement, size_t owner,
+                      ByteReader& reader, PpvStore& store,
                       MachineTimeLedger& ledger) {
   SubgraphId block_sub = kInvalidSubgraph;
   std::vector<std::span<const uint8_t>> columns;
   auto flush = [&] {
     if (columns.empty()) return;
-    DPPR_CHECK_EQ(columns.size(), plan.machine_hubs[owner].at(block_sub).size());
-    PutSkeletonRows(hierarchy.subgraph(block_sub), owner, plan.num_machines(),
-                    columns, store);
+    PutSkeletonRows(placement, block_sub, owner, columns, store);
     columns.clear();
   };
   while (!reader.AtEnd()) {
@@ -96,7 +94,7 @@ void IngestLevelInbox(const Hierarchy& hierarchy, const PlacementPlan& plan,
       block_sub = record.sub;
     }
     // Columns arrive in the rank order the rows index by.
-    const std::vector<NodeId>& hubs = plan.machine_hubs[owner].at(block_sub);
+    const std::span<const NodeId> hubs = placement.OwnedHubs(block_sub, owner);
     DPPR_CHECK_LT(columns.size(), hubs.size());
     DPPR_CHECK_EQ(record.node, hubs[columns.size()]);
     columns.push_back(record.vec);
@@ -128,14 +126,15 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
 
   Result result;
   result.graph = &graph;
-  result.hierarchy = std::make_shared<const Hierarchy>(std::move(hierarchy));
+  result.placement = Placement(
+      std::make_shared<const Hierarchy>(std::move(hierarchy)), num_machines);
   result.options = options;
-  result.plan = PlacementPlan::Build(*result.hierarchy, num_machines);
   result.stores.reserve(num_machines);
   for (size_t m = 0; m < num_machines; ++m) result.stores.emplace_back(dist.storage);
   result.ledger = MachineTimeLedger(num_machines);
 
-  const Hierarchy& h = *result.hierarchy;
+  const Placement& placement = result.placement;
+  const Hierarchy& h = placement.hierarchy();
   SimCluster cluster(num_machines, dist.network, dist.sequential,
                      dist.transport);
   const ShuffleMetrics& shuffle_metrics = ShuffleMetrics::Get();
@@ -153,7 +152,7 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
     cluster.RunRound(
         [&](size_t machine) {
           ByteWriter writer;
-          for (SubgraphId leaf : result.plan.machine_leaves[machine]) {
+          for (SubgraphId leaf : placement.LeavesOn(machine)) {
             const HierarchySubgraph& sub = h.subgraph(leaf);
             LocalGraph lg = LocalGraph::Induce(graph, sub.nodes);
             for (NodeId u : sub.nodes) {
@@ -176,7 +175,7 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
         },
         &result.offline);
     for (size_t m = 0; m < num_machines; ++m) {
-      result.induces += result.plan.machine_leaves[m].size();
+      result.induces += placement.LeavesOn(m).size();
     }
     shuffle_metrics.induces->Add(result.induces);
   }
@@ -217,7 +216,7 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
           std::vector<ByteWriter> outbox(num_machines);
           for (const auto& sub : h.subgraphs()) {
             if (sub.level != level || sub.hubs.empty()) continue;
-            if (result.plan.home_machine[sub.id] != machine) continue;
+            if (placement.Home(sub.id) != machine) continue;
             LocalGraph lg =
                 LocalGraph::Induce(graph, sub.nodes, skeleton_in_edges);
             ++induces_m[machine];
@@ -226,7 +225,7 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
             // bit-safe.
             const std::vector<NodeId> local_hubs = LocalizeHubs(lg, sub);
             for (NodeId hub : sub.hubs) {
-              const size_t dst = result.plan.own_machine[hub];
+              const size_t dst = placement.OwnMachine(hub);
               size_t bytes = 0;
               {
                 WallTimer timer;
@@ -262,7 +261,7 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
             for (size_t src = 0; src < num_machines; ++src) {
               std::vector<uint8_t>& inbox = exchanged.inboxes[dst][src];
               ByteReader reader(inbox);
-              IngestLevelInbox(h, result.plan, dst, reader, result.stores[dst],
+              IngestLevelInbox(placement, dst, reader, result.stores[dst],
                                result.ledger);
               Free(inbox);
             }

@@ -15,8 +15,8 @@ namespace dppr {
 
 /// The offline phase's compute-site policy. It has one value and selects
 /// nothing: each machine induces only the subgraphs it is *home* to
-/// (PlacementPlan::home_machine — the machine whose leaf packing already
-/// holds the data), computes every hub for them, and ships each record to
+/// (Placement::Home — the machine whose leaf packing already holds the
+/// data), computes every hub for them, and ships each record to
 /// its Eq. 7 owner in one machine→machine exchange round per level. Induces
 /// never cross machines; records do.
 enum class OfflinePlacement : uint8_t { kLocality = 0 };
@@ -28,10 +28,10 @@ struct DistPrecomputeOptions {
   /// Run each round's machine tasks in machine order on the calling thread
   /// (fully deterministic scheduling) instead of on the process ThreadPool.
   bool sequential = false;
-  /// Backend of each machine's store. Defaults to in-memory owning;
-  /// DPPR_STORE=disk spills every ingested record to per-machine spill files
-  /// instead, so coordinator RAM stays bounded by one record per ingest.
-  StorageOptions storage = StorageOptions::FromEnv(StorageBackend::kMemoryOwned);
+  /// Backend of each machine's store. Defaults to in memory; DPPR_STORE=disk
+  /// spills every ingested record to per-machine spill files instead, so
+  /// coordinator RAM stays bounded by one record per ingest.
+  StorageOptions storage = StorageOptions::FromEnv();
   /// Message layer every superstep's payloads travel over. Defaults to the
   /// in-process hand-off; DPPR_TRANSPORT=tcp moves them through real
   /// localhost sockets. Produced vectors and byte ledgers are bit-identical
@@ -43,7 +43,7 @@ struct DistPrecomputeOptions {
 };
 
 /// The paper's *distributed offline phase* (§5): plans per-machine work from
-/// the hierarchy (PlacementPlan) and executes it as SimCluster supersteps —
+/// the hierarchy (Placement) and executes it as SimCluster supersteps —
 /// one gather round of leaf local PPVs, then per hierarchy level (deepest
 /// first) one shuffle round: each home machine induces its subgraphs once,
 /// computes skeleton column + hub partial for every hub, and ships each
@@ -63,11 +63,12 @@ class DistributedPrecompute {
  public:
   struct Result {
     const Graph* graph = nullptr;
-    std::shared_ptr<const Hierarchy> hierarchy;
+    /// Where the run put every vector, over the run's hierarchy
+    /// (placement.hierarchy()). HgpaIndex::FromDistributed adopts it.
+    Placement placement;
     HgpaOptions options;
     /// Machine m's vectors, owned (deserialized from its round payloads).
     std::vector<PpvStore> stores;
-    PlacementPlan plan;
     /// Offline cost report: one entry accumulated per superstep.
     MultiRoundStats offline;
     /// Per hub level (deepest first): what the level's superstep induced

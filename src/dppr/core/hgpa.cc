@@ -25,20 +25,14 @@ HgpaIndex HgpaIndex::Distribute(
     size_t num_machines, const StorageOptions& storage,
     const ReplicationOptions& replication) {
   DPPR_CHECK(precomputation != nullptr);
-  DPPR_CHECK_GE(num_machines, 1u);
+  const HgpaPrecomputation& pre = *precomputation;
 
   HgpaIndex index;
-  index.precomputation_ = std::move(precomputation);
-  const HgpaPrecomputation& pre = *index.precomputation_;
-  // Aliasing share: the hierarchy lives inside the precomputation, which the
-  // index keeps alive for its own lifetime.
-  index.hierarchy_ = std::shared_ptr<const Hierarchy>(index.precomputation_,
-                                                      &pre.hierarchy());
   index.graph_ = &pre.graph();
   index.options_ = pre.options();
-  const Hierarchy& hierarchy = *index.hierarchy_;
-
-  PlacementPlan plan = PlacementPlan::Build(hierarchy, num_machines);
+  Placement placement(std::make_shared<const Hierarchy>(pre.hierarchy()),
+                      num_machines);
+  const Hierarchy& hierarchy = placement.hierarchy();
   index.stores_.reserve(num_machines);
   for (size_t m = 0; m < num_machines; ++m) index.stores_.emplace_back(storage);
   index.offline_ = MachineTimeLedger(num_machines);
@@ -51,101 +45,100 @@ HgpaIndex HgpaIndex::Distribute(
   };
   auto place = [&](VectorKind kind, SubgraphId sub, NodeId node, size_t machine) {
     const HgpaPrecomputation::Item& item = find(kind, sub, node);
-    index.stores_[machine].Put(kind, sub, node, &item.vec, item.bytes);
+    index.stores_[machine].PutOwned(kind, sub, node, item.vec, item.bytes);
     index.offline_.Add(machine, item.seconds);
   };
 
-  // Walk the hierarchy in subgraph order (not the plan's hash-map order) so
-  // the ledger's floating-point sums are deterministic across runs. Each
-  // owner's skeleton columns are charged to it and stored transposed, one
-  // (subgraph, owner) block at a time, from the wire bytes the offline path
-  // would ship.
+  // Walk the hierarchy in subgraph order (not the placement's hash-map
+  // order) so the ledger's floating-point sums are deterministic across
+  // runs. Each owner's skeleton columns are charged to it and stored
+  // transposed, one (subgraph, owner) block at a time, from the wire bytes
+  // the offline path would ship.
   for (const auto& sub : hierarchy.subgraphs()) {
     for (NodeId hub : sub.hubs) {
-      size_t machine = plan.own_machine[hub];
+      const size_t machine = placement.OwnMachine(hub);
       place(VectorKind::kHubPartial, sub.id, hub, machine);
       index.offline_.Add(
           machine, find(VectorKind::kSkeletonColumn, sub.id, hub).seconds);
     }
     for (size_t m = 0; m < num_machines; ++m) {
-      auto it = plan.machine_hubs[m].find(sub.id);
-      if (it == plan.machine_hubs[m].end()) continue;
+      const std::span<const NodeId> hubs = placement.OwnedHubs(sub.id, m);
+      if (hubs.empty()) continue;
       std::vector<std::vector<uint8_t>> wire;
-      for (NodeId hub : it->second) {
+      for (NodeId hub : hubs) {
         ByteWriter writer;
         find(VectorKind::kSkeletonColumn, sub.id, hub).vec.SerializeTo(writer);
         wire.push_back(writer.Release());
       }
       const std::vector<std::span<const uint8_t>> columns(wire.begin(),
                                                           wire.end());
-      PutSkeletonRows(sub, m, num_machines, columns, index.stores_[m]);
+      PutSkeletonRows(placement, sub.id, m, columns, index.stores_[m]);
     }
   }
   for (SubgraphId leaf : hierarchy.leaves()) {
     for (NodeId u : hierarchy.subgraph(leaf).nodes) {
-      place(VectorKind::kOwnVector, leaf, u, plan.own_machine[u]);
+      place(VectorKind::kOwnVector, leaf, u, placement.OwnMachine(u));
     }
   }
 
-  index.machine_hubs_ = std::move(plan.machine_hubs);
-  index.own_machine_ = std::move(plan.own_machine);
-  index.ReplicateHotShards(replication);
+  index.ReplicateHotShards(placement, replication);
+  index.placement_ = std::make_shared<const Placement>(std::move(placement));
   return index;
 }
 
 HgpaIndex HgpaIndex::FromDistributed(DistributedPrecompute::Result result,
                                      const ReplicationOptions& replication) {
   DPPR_CHECK(result.graph != nullptr);
-  DPPR_CHECK(result.hierarchy != nullptr);
   DPPR_CHECK_GE(result.stores.size(), 1u);
+  DPPR_CHECK_EQ(result.stores.size(), result.placement.num_machines());
 
   HgpaIndex index;
   index.graph_ = result.graph;
-  index.hierarchy_ = std::move(result.hierarchy);
   index.options_ = result.options;
   index.stores_ = std::move(result.stores);
-  index.machine_hubs_ = std::move(result.plan.machine_hubs);
-  index.own_machine_ = std::move(result.plan.own_machine);
   index.offline_ = std::move(result.ledger);
-  index.ReplicateHotShards(replication);
+  index.ReplicateHotShards(result.placement, replication);
+  index.placement_ =
+      std::make_shared<const Placement>(std::move(result.placement));
   return index;
 }
 
-void HgpaIndex::ReplicateHotShards(const ReplicationOptions& replication) {
+void HgpaIndex::ReplicateHotShards(Placement& placement,
+                                   const ReplicationOptions& replication) {
   const size_t num_machines = stores_.size();
   if (replication.budget_bytes == 0 || num_machines <= 1) return;
-  // Routing can only skip (or absorb) a machine for a chain subgraph when
-  // EVERY hub that machine owns in the subgraph is replicated — a partial
-  // group still forces the machine into the round. So replication packs
-  // whole (subgraph, owner) blocks: the owner's hub partials plus its row
-  // block. Heat proxy: a subgraph's reach — the nodes whose query chain
-  // passes through it is exactly its node set, so high-level groups that sit
-  // on every chain score highest — divided by the group's bytes (most
-  // fan-out reduction per replicated byte).
-  struct Group {
+  // Routing can only skip (or absorb) an owner for a chain subgraph when its
+  // whole block is readable everywhere, so replication packs whole
+  // (subgraph, owner) blocks: the owner's hub partials plus its row block.
+  // Heat proxy: a subgraph's reach — the nodes whose query chain passes
+  // through it is exactly its node set, so high-level blocks that sit on
+  // every chain score highest — divided by the block's bytes (most fan-out
+  // reduction per replicated byte).
+  struct Block {
     double score;
     SubgraphId sub;
     uint32_t owner;
     size_t bytes;
   };
+  const Hierarchy& hierarchy = placement.hierarchy();
   // Calls `fn(kind, key_sub, node, vec)` for every vector of block
   // (sub, owner) in `owner`'s store.
   auto for_each_in_block = [&](SubgraphId sub, size_t owner, auto&& fn) {
-    for (NodeId hub : machine_hubs_[owner].at(sub)) {
+    for (NodeId hub : placement.OwnedHubs(sub, owner)) {
       PpvRef partial = stores_[owner].Find(VectorKind::kHubPartial, sub, hub);
       DPPR_CHECK(partial);
       fn(VectorKind::kHubPartial, sub, hub, *partial);
     }
-    const SubgraphId block = SkeletonRowBlock(sub, owner, num_machines);
-    for (NodeId u : hierarchy_->subgraph(sub).nodes) {
+    const SubgraphId block = placement.Block(sub, owner);
+    for (NodeId u : hierarchy.subgraph(sub).nodes) {
       if (PpvRef row = stores_[owner].Find(VectorKind::kSkeletonRow, block, u)) {
         fn(VectorKind::kSkeletonRow, block, u, *row);
       }
     }
   };
-  std::vector<Group> groups;
+  std::vector<Block> blocks;
   for (size_t m = 0; m < num_machines; ++m) {
-    for (const auto& [sub, hubs] : machine_hubs_[m]) {
+    for (const auto& [sub, hubs] : placement.HubsOn(m)) {
       size_t bytes = 0;
       for_each_in_block(sub, m,
                         [&](VectorKind, SubgraphId, NodeId,
@@ -153,36 +146,33 @@ void HgpaIndex::ReplicateHotShards(const ReplicationOptions& replication) {
                           bytes += vec.SerializedBytes();
                         });
       const double reach =
-          static_cast<double>(hierarchy_->subgraph(sub).nodes.size());
-      groups.push_back({reach / static_cast<double>(bytes), sub,
+          static_cast<double>(hierarchy.subgraph(sub).nodes.size());
+      blocks.push_back({reach / static_cast<double>(bytes), sub,
                         static_cast<uint32_t>(m), bytes});
     }
   }
   // (sub, owner) is unique, so the order is total and every machine
   // replicates the same set regardless of hash-map iteration order.
-  std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
+  std::sort(blocks.begin(), blocks.end(), [](const Block& a, const Block& b) {
     if (a.score != b.score) return a.score > b.score;
     if (a.sub != b.sub) return a.sub < b.sub;
     return a.owner < b.owner;
   });
-  for (const Group& g : groups) {
-    // Groups are replicated whole or not at all; an oversized group is
+  for (const Block& b : blocks) {
+    // Blocks are replicated whole or not at all; an oversized block is
     // skipped and packing continues with the smaller ones behind it.
-    if (replica_bytes_ + g.bytes > replication.budget_bytes) continue;
-    for_each_in_block(g.sub, g.owner,
+    if (replica_bytes_ + b.bytes > replication.budget_bytes) continue;
+    for_each_in_block(b.sub, b.owner,
                       [&](VectorKind kind, SubgraphId key_sub, NodeId node,
                           const SparseVector& vec) {
                         const size_t bytes = vec.SerializedBytes();
                         for (size_t m = 0; m < num_machines; ++m) {
-                          if (m == g.owner) continue;
+                          if (m == b.owner) continue;
                           stores_[m].PutOwned(kind, key_sub, node, vec, bytes);
                         }
                       });
-    for (NodeId hub : machine_hubs_[g.owner].at(g.sub)) {
-      replicated_hubs_.insert(
-          MakeVectorKey(VectorKind::kHubPartial, g.sub, hub));
-    }
-    replica_bytes_ += g.bytes;
+    placement.MarkReplicated(b.sub, b.owner);
+    replica_bytes_ += b.bytes;
   }
 }
 
@@ -222,7 +212,8 @@ HgpaQueryEngine::HgpaQueryEngine(HgpaIndex index, NetworkModel network,
                                  RoutingOptions routing)
     : index_(std::move(index)),
       cluster_(index_.num_machines(), network, /*sequential=*/false, transport),
-      router_(std::make_shared<const QueryRouter>(index_, routing.mode)) {}
+      router_(std::make_shared<const QueryRouter>(index_.placement(),
+                                                  routing.mode)) {}
 
 std::vector<uint8_t> HgpaQueryEngine::MachineTask(
     size_t machine, std::span<const Preference> preferences,
@@ -243,12 +234,10 @@ std::vector<uint8_t> HgpaQueryEngine::MachineTask(
 void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
                                       std::span<const Preference> preferences,
                                       DenseAccumulator& acc) const {
-  const Hierarchy& hierarchy = index_.hierarchy();
+  const Placement& placement = *index_.placement();
+  const Hierarchy& hierarchy = placement.hierarchy();
   const PpvStore& store = index_.store(machine);
   const double alpha = index_.options().ppr.alpha;
-  const size_t num_machines = index_.num_machines();
-
-  const auto& my_hubs = index_.hubs_on_machine(owner);
 
   for (const Preference& pref : preferences) {
     NodeId query = pref.node;
@@ -262,15 +251,14 @@ void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
     // decomposition, r_u(h) = Σ_{j<m} hubsum_j(h) + s_u[S_m](h), and the
     // deeper levels never touch coordinate h again.
     for (SubgraphId sub : hierarchy.Chain(query)) {
-      auto it = my_hubs.find(sub);
-      if (it == my_hubs.end()) continue;
-      const std::vector<NodeId>& hubs = it->second;
+      const std::span<const NodeId> hubs = placement.OwnedHubs(sub, owner);
+      if (hubs.empty()) continue;
       // The query's row of block (sub, owner) lists its nonzero skeleton
       // values by hub rank, so walking it visits exactly the hubs with
       // s != 0, in hub order. The pin keeps the row resident while it is
       // walked; under the disk backend the cache may evict it any time.
       PpvRef row = store.Find(VectorKind::kSkeletonRow,
-                              SkeletonRowBlock(sub, owner, num_machines), query);
+                              placement.Block(sub, owner), query);
       if (!row || row->empty()) continue;
       // Rows come off disk: a rank past the block's hubs must not index
       // out of bounds.
@@ -294,7 +282,7 @@ void HgpaQueryEngine::AccumulateOwner(size_t machine, size_t owner,
 
     // Own term (Algorithm 1 lines 6-8): leaf local PPV for non-hubs, the
     // unadjusted partial vector for hubs.
-    if (index_.own_vector_machine(query) == owner) {
+    if (placement.OwnMachine(query) == owner) {
       SubgraphId final_sub = hierarchy.final_subgraph(query);
       VectorKind kind = hierarchy.is_hub(query) ? VectorKind::kHubPartial
                                                 : VectorKind::kOwnVector;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "dppr/core/dist_precompute.h"
@@ -36,24 +35,24 @@ struct ReplicationOptions {
   static ReplicationOptions FromEnv();
 };
 
-/// A precomputation distributed onto n simulated machines under a shared
-/// PlacementPlan: the paper's hub-node partitioning (Eq. 7) splits every
+/// A precomputation distributed onto n simulated machines under one shared
+/// Placement: the paper's hub-node partitioning (Eq. 7) splits every
 /// subgraph's hub set evenly across machines, and leaf subgraphs are packed
-/// onto machines by greedy least-loaded assignment. Each machine holds its
-/// hubs' partials, its leaves' own vectors, and one skeleton row block per
-/// (subgraph, owner) (core/skeleton_rows.h). The same type serves GPA (flat
-/// hierarchy) and HGPA (deep hierarchy), built either from a centralized
-/// precomputation or from a distributed offline run (stores own every
-/// vector).
+/// onto machines by greedy least-loaded assignment. Each machine's store
+/// owns its hubs' partials, its leaves' own vectors, and one skeleton row
+/// block per (subgraph, owner) (core/skeleton_rows.h). The same type serves
+/// GPA (flat hierarchy) and HGPA (deep hierarchy), built either from a
+/// centralized precomputation or from a distributed offline run; either way
+/// the placement is the index's only record of where anything lives.
 class HgpaIndex {
  public:
-  /// Places `precomputation` onto `num_machines` machines. Partials and own
-  /// vectors are placed as they are — with the default referencing backend
-  /// the stores share them, not copy them — while each (subgraph, owner)
-  /// block's skeleton columns are transposed into rows the store owns, so
-  /// every redistribution pays one pass over the skeleton nonzeros. Retained
-  /// as the bit-equality oracle for the distributed offline path. `storage`
-  /// picks each machine store's backend (DPPR_STORE=disk spills every placed
+  /// Places `precomputation` onto `num_machines` machines: each store gets
+  /// its own copy of its partials and own vectors, and each (subgraph,
+  /// owner) block's skeleton columns transposed into rows, so every
+  /// redistribution pays one pass over the skeleton nonzeros. The index
+  /// keeps a copy of the hierarchy, not the precomputation. Retained as the
+  /// bit-equality oracle for the distributed offline path. `storage` picks
+  /// each machine store's backend (DPPR_STORE=disk spills every placed
   /// vector to per-machine spill files).
   static HgpaIndex Distribute(
       std::shared_ptr<const HgpaPrecomputation> precomputation,
@@ -61,55 +60,41 @@ class HgpaIndex {
       const StorageOptions& storage = StorageOptions::FromEnv(),
       const ReplicationOptions& replication = ReplicationOptions::FromEnv());
 
-  /// Adopts the machine-owned stores a DistributedPrecompute run produced
-  /// (placement is already fixed by the run's PlacementPlan). The offline
-  /// ledger carries the run's per-machine compute charges.
+  /// Adopts the stores and the placement a DistributedPrecompute run
+  /// produced. The offline ledger carries the run's per-machine compute
+  /// charges.
   static HgpaIndex FromDistributed(
       DistributedPrecompute::Result result,
       const ReplicationOptions& replication = ReplicationOptions::FromEnv());
 
   const Graph& graph() const { return *graph_; }
-  const Hierarchy& hierarchy() const { return *hierarchy_; }
+  const Hierarchy& hierarchy() const { return placement_->hierarchy(); }
   const HgpaOptions& options() const { return options_; }
   size_t num_machines() const { return stores_.size(); }
 
-  /// True when the stores own every vector (distributed offline path);
-  /// false when they reference a shared centralized precomputation's
-  /// partials and own vectors.
-  bool owns_vectors() const { return precomputation_ == nullptr; }
-
   const PpvStore& store(size_t machine) const { return stores_[machine]; }
 
-  /// Hubs a machine is responsible for, grouped by subgraph, in Eq. 7 rank
-  /// order: a skeleton row's entry i names the i-th hub here. Query-time
-  /// machine work iterates the query chain against this map.
+  /// Where every vector lives, replicated blocks included. Shared, so a
+  /// router stays valid when the engine that built it is moved.
+  const std::shared_ptr<const Placement>& placement() const {
+    return placement_;
+  }
+
+  /// Placement::HubsOn; kept because perfbench/dppr_bench.cc calls it.
   const std::unordered_map<SubgraphId, std::vector<NodeId>>& hubs_on_machine(
       size_t machine) const {
-    return machine_hubs_[machine];
+    return placement_->HubsOn(machine);
+  }
+  /// Placement::OwnMachine; kept because perfbench/dppr_bench.cc calls it.
+  size_t own_vector_machine(NodeId u) const {
+    return placement_->OwnMachine(u);
   }
 
-  /// Machine holding u's own vector (leaf local PPV for non-hubs, the hub
-  /// partial vector for hubs).
-  size_t own_vector_machine(NodeId u) const { return own_machine_[u]; }
-
-  /// Full own-vector placement table (what QueryRouter snapshots).
-  const std::vector<size_t>& own_machine() const { return own_machine_; }
-
-  /// Hierarchy as a shared handle (kept alive by the index; lets a router
-  /// outlive index moves).
-  std::shared_ptr<const Hierarchy> shared_hierarchy() const {
-    return hierarchy_;
-  }
-
-  /// True when this hub's block (its owner's partials and rows of `sub`) was
-  /// replicated into every machine's store under the replication budget.
-  bool hub_replicated(SubgraphId sub, NodeId hub) const {
-    return replicated_hubs_.count(MakeVectorKey(VectorKind::kHubPartial, sub,
-                                                hub)) > 0;
-  }
   /// Hubs in replicated blocks, and the serialized bytes each machine spends
   /// holding the other machines' replicated blocks (≤ the budget).
-  size_t num_replicated_hubs() const { return replicated_hubs_.size(); }
+  size_t num_replicated_hubs() const {
+    return placement_->num_replicated_hubs();
+  }
   size_t replica_bytes_per_machine() const { return replica_bytes_; }
 
   /// Per-machine offline time: each vector's compute time charged to the
@@ -122,9 +107,10 @@ class HgpaIndex {
   size_t TotalBytes() const;
   std::vector<size_t> BytesPerMachine() const;
 
-  /// Residency counters summed over machine stores (cache hits/misses and
-  /// spill bytes read; all hits for in-memory backends). Safe to call while
-  /// queries are in flight — this is what ServerStats' cold/warm view reads.
+  /// Residency counters summed over machine stores' lifetimes (cache
+  /// hits/misses and spill bytes read; all hits for in-memory stores),
+  /// whoever's lookups caused them. Safe to call while queries are in
+  /// flight. A served round's own share is QueryMetrics::storage.
   StorageStats StorageStatsTotal() const;
   /// Serialized bytes currently resident in RAM across machine stores.
   size_t ResidentBytesTotal() const;
@@ -132,22 +118,17 @@ class HgpaIndex {
  private:
   /// Copies the hottest (subgraph, owner) blocks — partials plus row block,
   /// ranked by chain reach per byte, deterministic tie-break — whole into
-  /// every other machine's store until the per-machine budget is full;
-  /// oversized blocks are skipped and packing continues.
-  void ReplicateHotShards(const ReplicationOptions& replication);
+  /// every other machine's store until the per-machine budget is full, and
+  /// marks each copied block Replicated in `placement` (before the index
+  /// shares it); oversized blocks are skipped and packing continues.
+  void ReplicateHotShards(Placement& placement,
+                          const ReplicationOptions& replication);
 
   const Graph* graph_ = nullptr;
-  std::shared_ptr<const Hierarchy> hierarchy_;
+  std::shared_ptr<const Placement> placement_;
   HgpaOptions options_;
-  /// Keep-alive for referencing-mode stores; null when stores_ own every
-  /// vector.
-  std::shared_ptr<const HgpaPrecomputation> precomputation_;
   std::vector<PpvStore> stores_;
-  std::vector<std::unordered_map<SubgraphId, std::vector<NodeId>>> machine_hubs_;
-  std::vector<size_t> own_machine_;
   MachineTimeLedger offline_{1};
-  /// Keys (kHubPartial-kinded) of the hubs in replicated blocks.
-  std::unordered_set<uint64_t> replicated_hubs_;
   /// Serialized bytes of replicas each non-owner machine holds.
   size_t replica_bytes_ = 0;
 };
@@ -203,9 +184,9 @@ class HgpaQueryEngine {
  public:
   /// Takes the index by value, which keeps the engine safe to build from
   /// temporaries; move it in where the caller is done with it, because a
-  /// copy deep-copies every vector an in-memory store owns (the skeleton
-  /// rows at least). A disk store's copy shares its spill files and starts
-  /// with a cold cache. `transport` picks the message layer the
+  /// copy deep-copies every vector of an in-memory store. A disk store's
+  /// copy shares its spill files and starts with a cold cache; the
+  /// placement is shared either way. `transport` picks the message layer the
   /// per-query fragment rounds travel over (DPPR_TRANSPORT=tcp → real
   /// localhost sockets); answers and fragment byte accounting are
   /// bit-identical across backends.

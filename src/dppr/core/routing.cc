@@ -3,77 +3,53 @@
 #include <algorithm>
 
 #include "dppr/common/macros.h"
-#include "dppr/core/hgpa.h"
 
 namespace dppr {
 
-QueryRouter::QueryRouter(const HgpaIndex& index, RoutingMode mode)
-    : hierarchy_(index.shared_hierarchy()),
-      mode_(mode),
-      num_machines_(index.num_machines()),
-      own_machine_(index.own_machine()) {
-  sub_contributors_.resize(hierarchy_->num_subgraphs());
-  for (size_t m = 0; m < num_machines_; ++m) {
-    for (const auto& [sub, hubs] : index.hubs_on_machine(m)) {
-      bool absorbable = true;
-      for (NodeId hub : hubs) {
-        if (!index.hub_replicated(sub, hub)) {
-          absorbable = false;
-          break;
-        }
-      }
-      sub_contributors_[sub].push_back(
-          {static_cast<uint32_t>(m), static_cast<uint8_t>(absorbable)});
-    }
-  }
-  for (auto& contributors : sub_contributors_) {
-    std::sort(contributors.begin(), contributors.end(),
-              [](const SubContributor& a, const SubContributor& b) {
-                return a.machine < b.machine;
-              });
-  }
-  own_term_replicated_.assign(hierarchy_->num_nodes(), 0);
-  for (NodeId u = 0; u < hierarchy_->num_nodes(); ++u) {
-    // A hub's own term is its (unadjusted) partial vector — replicated iff
-    // its hub pair is. Leaf own vectors only ever live on their own machine.
-    if (hierarchy_->is_hub(u) &&
-        index.hub_replicated(hierarchy_->final_subgraph(u), u)) {
-      own_term_replicated_[u] = 1;
-    }
-  }
-}
-
 QueryRouter::Plan QueryRouter::Route(std::span<const NodeId> sources) const {
+  const Placement& placement = *placement_;
+  const size_t n = placement.num_machines();
   if (mode_ == RoutingMode::kBroadcast) {
     // The full plan: every machine runs, each as its own single owner.
     Plan plan;
     if (sources.empty()) return plan;
-    for (size_t m = 0; m < num_machines_; ++m) {
+    for (size_t m = 0; m < n; ++m) {
       plan.machines.push_back(m);
       plan.owners.push_back({m});
     }
-    plan.contributors = num_machines_;
+    plan.contributors = n;
     return plan;
   }
+  const Hierarchy& hierarchy = placement.hierarchy();
   // Per machine: 0 = no vector of this query, 1 = contributes but every
   // needed vector is replicated (fold can run anywhere), 2 = must run.
-  std::vector<uint8_t> state(num_machines_, 0);
+  std::vector<uint8_t> state(n, 0);
+  auto need = [&](size_t machine, bool replicated) {
+    const uint8_t level = replicated ? 1 : 2;
+    if (state[machine] < level) state[machine] = level;
+  };
   for (NodeId u : sources) {
-    DPPR_CHECK_LT(u, own_machine_.size());
-    for (SubgraphId sub : hierarchy_->Chain(u)) {
-      for (const SubContributor& c : sub_contributors_[sub]) {
-        const uint8_t need = c.absorbable ? 1 : 2;
-        if (state[c.machine] < need) state[c.machine] = need;
+    DPPR_CHECK_LT(u, hierarchy.num_nodes());
+    for (SubgraphId sub : hierarchy.Chain(u)) {
+      // Ranks 0 .. k-1 have distinct owners, and every later rank repeats
+      // one of them.
+      const size_t k = std::min(hierarchy.subgraph(sub).hubs.size(), n);
+      size_t owner = placement.Owner(sub, 0);
+      for (size_t rank = 0; rank < k; ++rank) {
+        need(owner, placement.Replicated(sub, owner));
+        if (++owner == n) owner = 0;
       }
     }
-    const size_t own = own_machine_[u];
-    const uint8_t need = own_term_replicated_[u] ? 1 : 2;
-    if (state[own] < need) state[own] = need;
+    // A hub's own term is its partial, in its block; leaf own vectors are
+    // never replicated.
+    const size_t own = placement.OwnMachine(u);
+    need(own, hierarchy.is_hub(u) &&
+                  placement.Replicated(hierarchy.final_subgraph(u), own));
   }
 
   Plan plan;
   std::vector<size_t> absorbable;
-  for (size_t m = 0; m < num_machines_; ++m) {
+  for (size_t m = 0; m < n; ++m) {
     if (state[m] == 2) {
       plan.machines.push_back(m);
     } else if (state[m] == 1) {
@@ -92,10 +68,10 @@ QueryRouter::Plan QueryRouter::Route(std::span<const NodeId> sources) const {
   // alone serves the whole query.
   size_t anchor;
   if (plan.machines.empty()) {
-    anchor = own_machine_[sources.front()];
+    anchor = placement.OwnMachine(sources.front());
     plan.machines.push_back(anchor);
   } else {
-    const size_t preferred = own_machine_[sources.front()];
+    const size_t preferred = placement.OwnMachine(sources.front());
     anchor = state[preferred] == 2 ? preferred : plan.machines.front();
   }
   plan.owners.resize(plan.machines.size());

@@ -5,13 +5,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "dppr/partition/hierarchy.h"
+#include "dppr/core/placement.h"
 
 namespace dppr {
-
-class HgpaIndex;
 
 /// Which machines a query round runs on.
 enum class RoutingMode : uint8_t {
@@ -29,22 +28,25 @@ struct RoutingOptions {
   RoutingMode mode = RoutingMode::kRoute;
 };
 
-/// Query routing table derived from the shared placement: which machines
-/// hold any vector a given source set's fold needs (the source's own-vector
-/// machine plus every machine owning hubs on the source's subgraph chain,
-/// via own_vector_machine + hubs_on_machine), and which of those owners'
-/// vectors are replicated everywhere so their fold can be absorbed onto
-/// another contributing machine instead of waking their own.
+/// Query routing over the shared Placement: which machines hold any vector
+/// a given source set's fold needs, and which of those owners' blocks are
+/// replicated everywhere so their fold can be absorbed onto another
+/// contributing machine instead of waking their own. A source u needs, for
+/// every subgraph S on its chain, each owner of S's hubs — the owners of
+/// ranks 0 .. min(|S.hubs|, n) - 1, since Eq. 7 deals ranks round-robin —
+/// and u's own-vector machine. An owner is absorbable for S when block
+/// (S, owner) is Replicated; u's own term is absorbable when u is a hub whose
+/// block (its final subgraph, its owner) is.
 ///
 /// Under RoutingMode::kBroadcast the router hands out the full plan instead.
 ///
-/// Self-contained snapshot: construction copies what it needs out of the
-/// index (the hierarchy is shared, the tables are small), so a router stays
-/// valid when the engine that built it is moved.
+/// The router holds only the placement, which is immutable and shared, so it
+/// stays valid when the engine that built it is moved.
 class QueryRouter {
  public:
-  explicit QueryRouter(const HgpaIndex& index,
-                       RoutingMode mode = RoutingMode::kRoute);
+  explicit QueryRouter(std::shared_ptr<const Placement> placement,
+                       RoutingMode mode = RoutingMode::kRoute)
+      : placement_(std::move(placement)), mode_(mode) {}
 
   /// One query's routed round. `machines` is the sorted set of physical
   /// machines to run; `owners[i]` lists, ascending, the logical owner
@@ -59,6 +61,8 @@ class QueryRouter {
     /// Number of logical contributors (Σ |owners[i]|); n - contributors
     /// machines would have shipped an empty fragment under broadcast.
     size_t contributors = 0;
+
+    bool operator==(const Plan&) const = default;
   };
 
   /// Routing plan for the nonzero-weight sources of one query. An empty
@@ -69,27 +73,11 @@ class QueryRouter {
   Plan Route(std::span<const NodeId> sources) const;
 
   RoutingMode mode() const { return mode_; }
-  size_t num_machines() const { return num_machines_; }
+  size_t num_machines() const { return placement_->num_machines(); }
 
  private:
-  /// One machine owning hubs in a subgraph; `absorbable` when every hub it
-  /// owns there is replicated on all machines (its fold for this subgraph
-  /// can run anywhere).
-  struct SubContributor {
-    uint32_t machine;
-    uint8_t absorbable;
-  };
-
-  std::shared_ptr<const Hierarchy> hierarchy_;
+  std::shared_ptr<const Placement> placement_;
   RoutingMode mode_;
-  size_t num_machines_ = 0;
-  /// Per subgraph, machine-ascending: machines owning hubs there.
-  std::vector<std::vector<SubContributor>> sub_contributors_;
-  /// Per node: the own term is readable on every machine (hubs whose
-  /// (skeleton, partial) pair is replicated; never true for leaf own
-  /// vectors, which are not replicated).
-  std::vector<uint8_t> own_term_replicated_;
-  std::vector<size_t> own_machine_;
 };
 
 }  // namespace dppr

@@ -10,18 +10,11 @@
 
 namespace dppr {
 
-SubgraphId SkeletonRowBlock(SubgraphId sub, size_t owner, size_t num_machines) {
-  DPPR_CHECK_LT(owner, num_machines);
-  const uint64_t block = uint64_t{sub} * num_machines + owner;
-  DPPR_CHECK_LT(block, uint64_t{1} << 30);
-  return static_cast<SubgraphId>(block);
-}
-
-void PutSkeletonRows(const HierarchySubgraph& sub, size_t owner,
-                     size_t num_machines,
+void PutSkeletonRows(const Placement& placement, SubgraphId sub, size_t owner,
                      std::span<const std::span<const uint8_t>> columns,
                      PpvStore& store) {
-  const SubgraphId block = SkeletonRowBlock(sub.id, owner, num_machines);
+  DPPR_CHECK_EQ(columns.size(), placement.OwnedHubs(sub, owner).size());
+  const SubgraphId block = placement.Block(sub, owner);
   // One reader per column, and each column's next entry; an exhausted
   // column's next index is kInvalidNode, which no node of sub equals.
   std::vector<ByteReader> bytes;
@@ -38,11 +31,11 @@ void PutSkeletonRows(const HierarchySubgraph& sub, size_t owner,
   };
   for (size_t rank = 0; rank < columns.size(); ++rank) advance(rank);
 
-  // Columns and sub.nodes are both sorted by node id, so one pass over the
+  // Columns and the subgraph's nodes are both sorted by node id, so one pass over the
   // nodes meets every column entry in order and finishes each row, its
   // entries in rank order, before starting the next.
   std::vector<SparseVector::Entry> row;
-  for (NodeId u : sub.nodes) {
+  for (NodeId u : placement.hierarchy().subgraph(sub).nodes) {
     for (size_t rank = 0; rank < columns.size(); ++rank) {
       if (next[rank].index != u) continue;
       row.push_back({static_cast<NodeId>(rank), next[rank].value});

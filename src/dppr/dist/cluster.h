@@ -169,21 +169,19 @@ class SimCluster {
   /// Which backend this cluster's rounds actually travel over.
   TransportBackend transport_backend() const { return transport_->backend(); }
 
-  /// Runs one round: `task(m)` for every machine m, each timed individually;
-  /// every payload travels machine → coordinator through the Transport.
-  /// The returned metrics have machine_seconds and to_coordinator filled;
+  /// Runs one round on `machines` (sorted, unique, non-empty subset of
+  /// 0..n-1): `task(m)` for every listed machine m, each timed individually,
+  /// and every payload travels machine → coordinator through the Transport.
+  /// Non-participants pay no compute, send nothing, and charge no comm. The
+  /// result keeps full-cluster indexing: payloads has num_machines() entries
+  /// (empty for non-participants) and machine_seconds stays n-wide with
+  /// zeros. CommStats covers participants only, in machine order;
   /// coordinator_seconds is left 0 for the caller's reduce phase.
-  RoundResult RunRound(const MachineTask& task) const;
-
-  /// Routed round: runs `task` only on `machines` (sorted, unique, non-empty
-  /// subset of 0..n-1) — the non-participants pay no compute, send nothing,
-  /// and charge no comm. The result keeps full-cluster indexing: payloads
-  /// has num_machines() entries (empty for non-participants) and
-  /// machine_seconds stays n-wide with zeros, so reduce code written against
-  /// RunRound works unchanged. CommStats covers participants only, in
-  /// machine order.
   RoundResult RunRoundOn(std::span<const size_t> machines,
                          const MachineTask& task) const;
+
+  /// RunRoundOn every machine.
+  RoundResult RunRound(const MachineTask& task) const;
 
   /// Multi-round convenience: runs one round, times `reduce` as the
   /// coordinator phase (stored into the round's coordinator_seconds), and

@@ -44,11 +44,7 @@ void InProcessTransport::SendToCoordinator(uint64_t round, size_t src,
   coordinator_.Push(round, src, std::move(payload));
 }
 
-std::vector<std::vector<uint8_t>> InProcessTransport::GatherRound(uint64_t round) {
-  return coordinator_.WaitAll(round);
-}
-
-std::vector<std::vector<uint8_t>> InProcessTransport::GatherRoundPartial(
+std::vector<std::vector<uint8_t>> InProcessTransport::GatherRound(
     uint64_t round, size_t expected) {
   return coordinator_.WaitCount(round, expected);
 }

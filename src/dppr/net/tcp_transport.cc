@@ -385,12 +385,8 @@ void TcpTransport::SendToCoordinator(uint64_t round, size_t src,
             kCoordinatorDst, payload);
 }
 
-std::vector<std::vector<uint8_t>> TcpTransport::GatherRound(uint64_t round) {
-  return endpoints_[coordinator_endpoint()]->inbox.WaitAll(round);
-}
-
-std::vector<std::vector<uint8_t>> TcpTransport::GatherRoundPartial(
-    uint64_t round, size_t expected) {
+std::vector<std::vector<uint8_t>> TcpTransport::GatherRound(uint64_t round,
+                                                            size_t expected) {
   return endpoints_[coordinator_endpoint()]->inbox.WaitCount(round, expected);
 }
 

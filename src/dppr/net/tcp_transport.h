@@ -45,9 +45,8 @@ class TcpTransport final : public Transport {
 
   void SendToCoordinator(uint64_t round, size_t src,
                          std::vector<uint8_t> payload) override;
-  std::vector<std::vector<uint8_t>> GatherRound(uint64_t round) override;
-  std::vector<std::vector<uint8_t>> GatherRoundPartial(
-      uint64_t round, size_t expected) override;
+  std::vector<std::vector<uint8_t>> GatherRound(uint64_t round,
+                                                size_t expected) override;
 
   void SendToMachine(uint64_t round, size_t src, size_t dst,
                      std::vector<uint8_t> payload) override;

@@ -162,15 +162,11 @@ class Transport {
   virtual void SendToCoordinator(uint64_t round, size_t src,
                                  std::vector<uint8_t> payload) = 0;
 
-  /// Coordinator side: blocks until every machine's payload for `round`
-  /// arrived; returns them indexed by machine.
-  virtual std::vector<std::vector<uint8_t>> GatherRound(uint64_t round) = 0;
-
-  /// Partial-gather variant for routed rounds: blocks until `expected`
-  /// payloads arrived (only a subset of machines sends), returns them still
-  /// indexed by machine — non-senders' entries are empty.
-  virtual std::vector<std::vector<uint8_t>> GatherRoundPartial(
-      uint64_t round, size_t expected) = 0;
+  /// Coordinator side: blocks until `expected` machines' payloads for
+  /// `round` arrived (a routed round's participants, or all of them); returns
+  /// them indexed by machine, non-senders' entries empty.
+  virtual std::vector<std::vector<uint8_t>> GatherRound(uint64_t round,
+                                                        size_t expected) = 0;
 
   /// Ships one p2p payload from machine `src` to machine `dst`.
   virtual void SendToMachine(uint64_t round, size_t src, size_t dst,

@@ -71,9 +71,12 @@ QueryServer::QueryServer(HgpaQueryEngine engine, ServeOptions options)
                    registry.GetHistogram("serve.admission_wait_us" + label_),
                    registry.GetCounter("serve.shed" + label_),
                    registry.GetHistogram("serve.routing.machines_per_query" +
-                                         label_)};
+                                         label_),
+                   {registry.GetCounter("serve.store.cache_hits" + label_),
+                    registry.GetCounter("serve.store.cache_misses" + label_),
+                    registry.GetCounter("serve.store.disk_bytes_read" +
+                                        label_)}};
   window_baseline_ = CaptureBaseline();
-  storage_baseline_ = engine_.index().StorageStatsTotal();
 }
 
 uint64_t QueryServer::CacheKey(NodeId source) const {
@@ -219,6 +222,9 @@ QueryServer::Response QueryServer::Submit(std::vector<Preference> preferences) {
   series_.rounds->Increment();
   series_.comm_bytes->Add(response.metrics.comm.bytes);
   series_.comm_messages->Add(response.metrics.comm.messages);
+  for (size_t i = 0; i < kStorageCounters.size(); ++i) {
+    series_.storage[i]->Add(response.metrics.storage.*kStorageCounters[i]);
+  }
   series_.latency_us->Record(
       static_cast<uint64_t>(response.latency_seconds * 1e6));
   series_.machines_per_query->Record(response.metrics.machines_contacted);
@@ -232,6 +238,14 @@ QueryServer::Response QueryServer::Submit(std::vector<Preference> preferences) {
   return response;
 }
 
+StorageStats QueryServer::StorageSeries() const {
+  StorageStats storage;
+  for (size_t i = 0; i < kStorageCounters.size(); ++i) {
+    storage.*kStorageCounters[i] = series_.storage[i]->Value();
+  }
+  return storage;
+}
+
 QueryServer::WindowBaseline QueryServer::CaptureBaseline() const {
   return WindowBaseline{series_.queries->Value(),
                         series_.rounds->Value(),
@@ -242,7 +256,8 @@ QueryServer::WindowBaseline QueryServer::CaptureBaseline() const {
                         series_.machines_per_query->TakeSnapshot(),
                         cache_.hits(),
                         cache_.misses(),
-                        cache_.evictions()};
+                        cache_.evictions(),
+                        StorageSeries()};
 }
 
 ServerStats QueryServer::Stats() const {
@@ -267,8 +282,8 @@ ServerStats QueryServer::Stats() const {
   stats.comm.bytes = series_.comm_bytes->Value() - window_baseline_.comm_bytes;
   stats.comm.messages =
       series_.comm_messages->Value() - window_baseline_.comm_messages;
-  StorageStats storage =
-      engine_.index().StorageStatsTotal().Since(storage_baseline_);
+  const StorageStats storage =
+      StorageSeries().Since(window_baseline_.storage);
   stats.cache_hits = storage.cache_hits;
   stats.cache_misses = storage.cache_misses;
   stats.disk_bytes_read = storage.disk_bytes_read;
@@ -290,7 +305,6 @@ ServerStats QueryServer::Stats() const {
 void QueryServer::ResetStats() {
   std::unique_lock<std::mutex> lock(mu_);
   window_baseline_ = CaptureBaseline();
-  storage_baseline_ = engine_.index().StorageStatsTotal();
   window_.Restart();
 }
 
@@ -308,7 +322,7 @@ std::string QueryServer::StatusJson() const {
   char buf[256];
   std::string out = "{";
 
-  // Placement plan summary.
+  // Placement summary.
   const std::vector<size_t> bytes_per_machine = index.BytesPerMachine();
   std::snprintf(buf, sizeof(buf),
                 "\"placement\":{\"machines\":%zu,\"routing\":\"%s\","

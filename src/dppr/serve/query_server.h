@@ -1,6 +1,7 @@
 #ifndef DPPR_SERVE_QUERY_SERVER_H_
 #define DPPR_SERVE_QUERY_SERVER_H_
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -86,10 +87,12 @@ struct ServerStats {
   double p999_latency_ms = 0.0;
   /// Coordinator ingress across all rounds (bytes shipped).
   CommStats comm;
-  /// Residency view over the window, summed across machine stores: lookups
-  /// served from RAM vs. spill-file reads (cold vs. warm serving). In-memory
-  /// backends only ever count hits; nonzero misses / disk bytes mean the
-  /// disk backend's cache budget is doing real eviction work.
+  /// Residency view over the window: the store lookups this server's rounds
+  /// made, served from RAM vs. read from spill files (cold vs. warm
+  /// serving), from each round's QueryMetrics::storage. Lookups made outside
+  /// the server's rounds (a direct engine query) are not counted. In-memory
+  /// stores only ever count hits; nonzero misses / disk bytes mean the disk
+  /// backend's cache budget is doing real eviction work.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t disk_bytes_read = 0;
@@ -213,6 +216,9 @@ class QueryServer {
     obs::Histogram* admission_wait_us;
     obs::Counter* shed;
     obs::Histogram* machines_per_query;
+    /// serve.store.{cache_hits,cache_misses,disk_bytes_read}, in
+    /// kStorageCounters order.
+    std::array<obs::Counter*, kStorageCounters.size()> storage;
   };
 
   /// Registry values at the start of the stats window; Stats() reports
@@ -228,6 +234,7 @@ class QueryServer {
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
     uint64_t cache_evictions = 0;
+    StorageStats storage;
   };
 
   /// Cache key for a single-source full-PPV query: the source mixed with
@@ -236,6 +243,8 @@ class QueryServer {
   uint64_t CacheKey(NodeId source) const;
 
   Response Submit(std::vector<Preference> preferences);
+  /// Current values of series_.storage.
+  StorageStats StorageSeries() const;
   /// Call with mu_ held.
   WindowBaseline CaptureBaseline() const;
 
@@ -264,9 +273,6 @@ class QueryServer {
   // Stats window state, guarded by mu_ (the registry series themselves are
   // atomic; the baseline and wall timer define this server's window).
   WindowBaseline window_baseline_;
-  /// Storage counters at the window start (the stores' own counters are
-  /// monotonic for their whole lifetime).
-  StorageStats storage_baseline_;
   WallTimer window_;
 };
 

@@ -307,12 +307,6 @@ void DiskSpillStorage::AppendVector(VectorKind kind, SubgraphId sub, NodeId node
   Charge(kind, serialized_bytes);
 }
 
-void DiskSpillStorage::Put(VectorKind kind, SubgraphId sub, NodeId node,
-                           const SparseVector* vec, size_t serialized_bytes) {
-  DPPR_CHECK(vec != nullptr);
-  AppendVector(kind, sub, node, /*seconds=*/0.0, *vec, serialized_bytes);
-}
-
 void DiskSpillStorage::PutOwned(VectorKind kind, SubgraphId sub, NodeId node,
                                 SparseVector vec, size_t serialized_bytes) {
   AppendVector(kind, sub, node, /*seconds=*/0.0, vec, serialized_bytes);

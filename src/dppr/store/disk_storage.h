@@ -115,8 +115,6 @@ class DiskSpillStorage final : public VectorStorage {
 
   StorageBackend backend() const override { return StorageBackend::kDisk; }
 
-  void Put(VectorKind kind, SubgraphId sub, NodeId node, const SparseVector* vec,
-           size_t serialized_bytes) override;
   void PutOwned(VectorKind kind, SubgraphId sub, NodeId node, SparseVector vec,
                 size_t serialized_bytes) override;
   double Ingest(VectorRecord record) override;
@@ -125,7 +123,6 @@ class DiskSpillStorage final : public VectorStorage {
   /// Shares the spill segments with the clone (appends interleave safely;
   /// each store only indexes its own records) and starts a fresh cache.
   std::unique_ptr<VectorStorage> Clone() const override;
-  size_t num_owned() const override { return extents_.size(); }
   size_t ResidentBytes() const override;
 
   size_t cache_budget_bytes() const { return cache_budget_; }
@@ -142,7 +139,7 @@ class DiskSpillStorage final : public VectorStorage {
   /// Serializes one record from loose parts (seconds included — a reopened
   /// store inherits the offline ledger), appends it to its kind's segment,
   /// and indexes the extent under its key. Takes the vector by reference so
-  /// referenced vectors spill without an intermediate copy.
+  /// a put or ingested vector spills without an intermediate copy.
   void AppendVector(VectorKind kind, SubgraphId sub, NodeId node, double seconds,
                     const SparseVector& vec, size_t serialized_bytes);
   void IndexExtent(uint64_t key, SpillExtent extent);

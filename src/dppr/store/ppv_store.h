@@ -15,20 +15,17 @@ struct PpvPair {
 };
 
 /// One simulated machine's vector storage: a value-type handle over a
-/// pluggable VectorStorage backend (see StorageBackend). Call sites pick a
-/// backend per construction — the centralized oracle path defaults to
-/// kMemoryRef, the distributed offline path to kMemoryOwned — and
-/// `DPPR_STORE=disk` flips any default-constructed store to the disk-backed
-/// spill backend, which is how the CI disk leg runs the whole suite
-/// out-of-core.
+/// pluggable VectorStorage backend (see StorageBackend) that owns every
+/// vector put into it. Stores default to kMemoryOwned, and `DPPR_STORE=disk`
+/// flips any default-constructed store to the disk-backed spill backend,
+/// which is how ctest's disk configurations run the whole suite out of core.
 ///
 /// Lookups return PpvRef pin handles, never raw pointers: the disk backend's
 /// residency cache may evict a vector at any moment, and the pin is what
 /// keeps it alive while a query folds it.
 class PpvStore {
  public:
-  /// Backend from the environment (in-memory referencing unless DPPR_STORE
-  /// overrides).
+  /// Backend from the environment (in memory unless DPPR_STORE overrides).
   PpvStore() : PpvStore(StorageOptions::FromEnv()) {}
   explicit PpvStore(const StorageOptions& options)
       : storage_(MakeVectorStorage(options)) {}
@@ -40,10 +37,9 @@ class PpvStore {
                             const StorageOptions& options = StorageOptions::FromEnv(
                                 StorageBackend::kDisk));
 
-  /// Copying is legal in every backend: owned vectors are deep-copied (the
-  /// lookup table re-pointed at the copies), disk clones share the immutable
-  /// spill file and start a fresh residency cache. Self-assignment is a
-  /// no-op.
+  /// Copying is legal in every backend: in-memory vectors are deep-copied,
+  /// disk clones share the immutable spill file and start a fresh residency
+  /// cache. Self-assignment is a no-op.
   PpvStore(const PpvStore& other) : storage_(other.storage_->Clone()) {}
   PpvStore& operator=(const PpvStore& other) {
     if (this != &other) storage_ = other.storage_->Clone();
@@ -52,14 +48,7 @@ class PpvStore {
   PpvStore(PpvStore&&) = default;
   PpvStore& operator=(PpvStore&&) = default;
 
-  /// Referencing put: `vec` must outlive the store under kMemoryRef; the
-  /// owning and disk backends adopt a copy instead.
-  void Put(VectorKind kind, SubgraphId sub, NodeId node, const SparseVector* vec,
-           size_t serialized_bytes) {
-    storage_->Put(kind, sub, node, vec, serialized_bytes);
-  }
-
-  /// Owning put: adopts `vec` (spills it under the disk backend).
+  /// Adopts `vec` (spills it under the disk backend).
   void PutOwned(VectorKind kind, SubgraphId sub, NodeId node, SparseVector vec,
                 size_t serialized_bytes) {
     storage_->PutOwned(kind, sub, node, std::move(vec), serialized_bytes);
@@ -90,8 +79,6 @@ class PpvStore {
 
   StorageBackend backend() const { return storage_->backend(); }
   size_t num_vectors() const { return storage_->num_vectors(); }
-  /// Vectors whose bytes the store itself holds (owned or spilled).
-  size_t num_owned() const { return storage_->num_owned(); }
 
   /// Serialized size of everything stored here (the paper's per-machine
   /// space metric; backend-invariant).

@@ -26,8 +26,8 @@ enum class VectorKind : uint8_t {
   /// Leaf-level local PPV r_u[leaf] of a non-hub node (Eq. 6 last term).
   kOwnVector = 2,
   /// Skeleton row of node u in block (S, owner): entry i holds s_u[S](h) for
-  /// the owner's i-th hub of S in Eq. 7 rank order. Keyed under
-  /// SkeletonRowBlock(S, owner, num_machines) (core/skeleton_rows.h).
+  /// the owner's i-th hub of S in Eq. 7 rank order. Keyed under the block id
+  /// Placement::Block(S, owner) (core/skeleton_rows.h).
   kSkeletonRow = 3,
 };
 inline constexpr uint8_t kNumVectorKinds = 4;
@@ -68,8 +68,8 @@ struct VectorRecord {
   void SerializeTo(ByteWriter& writer) const;
 
   /// Same wire format from loose parts, so a producer holding only a
-  /// reference to the vector (e.g. the disk backend spilling a referenced
-  /// vector) can emit a record without copying it into one.
+  /// reference to the vector (e.g. the disk backend spilling a put vector)
+  /// can emit a record without copying it into one.
   static void Serialize(ByteWriter& writer, VectorKind kind, SubgraphId sub,
                         NodeId node, double seconds, const SparseVector& vec);
 

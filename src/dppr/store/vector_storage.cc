@@ -24,8 +24,6 @@ StorageStats* StorageStatsScope::Current() { return t_storage_sink; }
 
 const char* StorageBackendName(StorageBackend backend) {
   switch (backend) {
-    case StorageBackend::kMemoryRef:
-      return "memory-ref";
     case StorageBackend::kMemoryOwned:
       return "memory-owned";
     case StorageBackend::kDisk:
@@ -66,10 +64,8 @@ double VectorStorage::IngestFrom(ByteReader& reader) {
 
 std::unique_ptr<VectorStorage> MakeVectorStorage(const StorageOptions& options) {
   switch (options.backend) {
-    case StorageBackend::kMemoryRef:
-      return std::make_unique<MemoryRefStorage>();
     case StorageBackend::kMemoryOwned:
-      return std::make_unique<MemoryOwnedStorage>();
+      return std::make_unique<MemoryStorage>();
     case StorageBackend::kDisk:
       return std::make_unique<DiskSpillStorage>(options);
   }

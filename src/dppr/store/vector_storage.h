@@ -14,9 +14,9 @@
 namespace dppr {
 
 /// Pin handle returned by vector lookups. While a PpvRef is alive the vector
-/// it refers to stays resident: for the in-memory backends that is trivially
-/// true (the store owns or references the vector for its whole lifetime); for
-/// the disk backend the ref shares ownership of the residency-cache entry, so
+/// it refers to stays resident: for the in-memory backend that is trivially
+/// true (the store owns the vector for its whole lifetime); for the disk
+/// backend the ref shares ownership of the residency-cache entry, so
 /// eviction under cache pressure can drop the entry from the cache without
 /// invalidating outstanding pins. An empty ref means "not stored here".
 ///
@@ -32,7 +32,7 @@ class PpvRef {
   explicit PpvRef(std::shared_ptr<const SparseVector> pin) : pin_(std::move(pin)) {}
 
   /// Non-owning view of a vector whose lifetime is bounded by its store, not
-  /// by cache pressure (in-memory backends). Uses the aliasing constructor
+  /// by cache pressure (in-memory backend). Uses the aliasing constructor
   /// with an empty owner, so no control block is allocated: the in-memory
   /// Find stays allocation-free.
   static PpvRef Unowned(const SparseVector* vec) {
@@ -55,18 +55,15 @@ class PpvRef {
   std::shared_ptr<const SparseVector> pin_;
 };
 
-/// The pluggable representations behind PpvStore.
+/// The pluggable representations behind PpvStore. Either way the store owns
+/// every vector put into it.
 enum class StorageBackend : uint8_t {
-  /// Vectors alias an external owner (the centralized HgpaPrecomputation);
-  /// `PutOwned`/`Ingest` still adopt copies, so mixed stores are legal.
-  kMemoryRef = 0,
-  /// Every vector lives in the store (referencing `Put` deep-copies), the
-  /// distributed offline path's mode.
-  kMemoryOwned = 1,
+  /// Every vector lives in RAM in the store (the default).
+  kMemoryOwned = 0,
   /// Vectors are appended to a per-store spill file in VectorRecord wire
   /// format and served through a byte-budgeted read-through LRU residency
   /// cache; index size is bounded by disk, not RAM.
-  kDisk = 2,
+  kDisk = 1,
 };
 
 const char* StorageBackendName(StorageBackend backend);
@@ -83,7 +80,7 @@ const char* StorageBackendName(StorageBackend backend);
 ///   DPPR_SPILL_DIR    directory for anonymous spill files (default $TMPDIR
 ///                     or /tmp).
 struct StorageOptions {
-  StorageBackend backend = StorageBackend::kMemoryRef;
+  StorageBackend backend = StorageBackend::kMemoryOwned;
   /// Disk backend: serialized bytes the residency cache may keep in RAM.
   /// A budget smaller than one vector still serves correctly — every access
   /// is a miss that reads the extent from disk.
@@ -95,13 +92,14 @@ struct StorageOptions {
   /// PpvStore::OpenSpill). Empty = anonymous temp file, deleted on close.
   std::string spill_path;
 
-  static StorageOptions FromEnv(StorageBackend fallback = StorageBackend::kMemoryRef);
+  static StorageOptions FromEnv(
+      StorageBackend fallback = StorageBackend::kMemoryOwned);
 };
 
 /// Residency-cache counters (monotonic since store construction). A "hit" is
 /// a lookup served from RAM, a "miss" one that had to read its extent from
-/// the spill file; the in-memory backends serve every present vector from
-/// RAM, so they only ever count hits. Cheap enough to keep on the query hot
+/// the spill file; the in-memory backend serves every present vector from
+/// RAM, so it only ever counts hits. Cheap enough to keep on the query hot
 /// path (relaxed atomics), and what ServerStats' cold/warm view aggregates.
 struct StorageStats {
   uint64_t cache_hits = 0;
@@ -161,7 +159,7 @@ class StorageStatsScope {
 /// *serialized* size regardless of representation, so byte metrics are
 /// bit-identical across backends.
 ///
-/// Threading contract: writes (Put/PutOwned/Ingest*) are single-threaded —
+/// Threading contract: writes (PutOwned/Ingest*) are single-threaded —
 /// they happen in the coordinator's ingest phase — while Find is safe from
 /// many threads at once after the writes are done (the serving regime). Don't
 /// interleave writes with concurrent Finds.
@@ -171,13 +169,7 @@ class VectorStorage {
 
   virtual StorageBackend backend() const = 0;
 
-  /// Referencing put: `vec` must outlive the store. Backends that cannot
-  /// alias (owning, disk) adopt a copy instead, so the lifetime requirement
-  /// is only real for kMemoryRef.
-  virtual void Put(VectorKind kind, SubgraphId sub, NodeId node,
-                   const SparseVector* vec, size_t serialized_bytes) = 0;
-
-  /// Owning put: adopts `vec`.
+  /// Adopts `vec`.
   virtual void PutOwned(VectorKind kind, SubgraphId sub, NodeId node,
                         SparseVector vec, size_t serialized_bytes) = 0;
 
@@ -198,11 +190,8 @@ class VectorStorage {
   /// Deep copy with the same ledger; residency cache and stats start fresh.
   virtual std::unique_ptr<VectorStorage> Clone() const = 0;
 
-  /// Vectors whose bytes the store itself holds (owned or spilled).
-  virtual size_t num_owned() const = 0;
-
   /// Serialized bytes currently resident in RAM: everything for the
-  /// in-memory backends, the cache's live footprint for the disk backend.
+  /// in-memory backend, the cache's live footprint for the disk backend.
   virtual size_t ResidentBytes() const { return total_bytes_; }
 
   size_t num_vectors() const { return num_vectors_; }

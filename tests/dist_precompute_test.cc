@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "dppr/core/hgpa.h"
-#include "dppr/core/skeleton_rows.h"
 #include "dppr/graph/datasets.h"
 #include "dppr/store/vector_record.h"
 #include "test_util.h"
@@ -21,9 +20,10 @@ HgpaOptions SmallOptions() {
   return options;
 }
 
-// Machine that must hold a centralized item under the shared placement plan.
-size_t MachineOf(const PlacementPlan& plan, const HgpaPrecomputation::Item& item) {
-  return plan.own_machine[item.node];
+// Machine that must hold a centralized item under the shared placement.
+size_t MachineOf(const Placement& placement,
+                 const HgpaPrecomputation::Item& item) {
+  return placement.OwnMachine(item.node);
 }
 
 // Asserts the distributed run reproduced the centralized oracle exactly:
@@ -35,17 +35,16 @@ size_t MachineOf(const PlacementPlan& plan, const HgpaPrecomputation::Item& item
 void ExpectBitIdentical(std::shared_ptr<const HgpaPrecomputation> pre,
                         const DistributedPrecompute::Result& result) {
   const size_t n = result.num_machines();
-  StorageOptions memory;
-  memory.backend = StorageBackend::kMemoryRef;
-  HgpaIndex oracle = HgpaIndex::Distribute(pre, n, memory);
+  const Placement& placement = result.placement;
+  HgpaIndex oracle = HgpaIndex::Distribute(pre, n, StorageOptions{});
   size_t expected = 0;
   for (size_t m = 0; m < n; ++m) {
     EXPECT_EQ(result.stores[m].num_vectors(), oracle.store(m).num_vectors())
         << "machine " << m;
     expected += oracle.store(m).num_vectors();
-    for (const auto& [sub, hubs] : result.plan.machine_hubs[m]) {
-      const SubgraphId block = SkeletonRowBlock(sub, m, n);
-      for (NodeId u : result.hierarchy->subgraph(sub).nodes) {
+    for (const auto& [sub, hubs] : placement.HubsOn(m)) {
+      const SubgraphId block = placement.Block(sub, m);
+      for (NodeId u : placement.hierarchy().subgraph(sub).nodes) {
         PpvRef want = oracle.store(m).Find(VectorKind::kSkeletonRow, block, u);
         PpvRef got = result.stores[m].Find(VectorKind::kSkeletonRow, block, u);
         ASSERT_EQ(static_cast<bool>(got), static_cast<bool>(want))
@@ -60,7 +59,7 @@ void ExpectBitIdentical(std::shared_ptr<const HgpaPrecomputation> pre,
 
   for (const auto& item : pre->items()) {
     if (item.kind == VectorKind::kSkeletonColumn) continue;  // stored as rows
-    size_t machine = MachineOf(result.plan, item);
+    size_t machine = MachineOf(placement, item);
     PpvRef got = result.stores[machine].Find(item.kind, item.sub, item.node);
     ASSERT_TRUE(got)
         << "kind " << static_cast<int>(item.kind) << " sub " << item.sub
@@ -147,9 +146,7 @@ TEST(DistPrecompute, QueriesFromOwnedStoresMatchLegacyEngineExactly) {
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
 
   HgpaQueryEngine legacy(HgpaIndex::Distribute(pre, 4));
-  HgpaIndex owned_index = HgpaIndex::FromDistributed(std::move(result));
-  EXPECT_TRUE(owned_index.owns_vectors());
-  HgpaQueryEngine owned(std::move(owned_index));
+  HgpaQueryEngine owned(HgpaIndex::FromDistributed(std::move(result)));
 
   for (NodeId q = 0; q < g.num_nodes(); q += 7) {
     QueryMetrics legacy_metrics;
@@ -200,7 +197,7 @@ TEST(DistPrecompute, OfflineStatsCountSuperstepsAndTraffic) {
   DistributedPrecompute::Result locality =
       DistributedPrecompute::RunHgpa(g, options, dist);
 
-  const size_t hub_levels = HubLevels(*locality.hierarchy);
+  const size_t hub_levels = HubLevels(locality.placement.hierarchy());
   ASSERT_GT(hub_levels, 0u);
 
   // The hub supersteps are one exchange round per level, the coordinator
@@ -216,7 +213,8 @@ TEST(DistPrecompute, OfflineStatsCountSuperstepsAndTraffic) {
   // every record was either gathered (leaf round) or, per level, kept at
   // home or shuffled, so the byte columns partition the wire size of the
   // whole precomputation exactly.
-  auto pre = HgpaPrecomputation::Run(g, *locality.hierarchy, options);
+  auto pre =
+      HgpaPrecomputation::Run(g, locality.placement.hierarchy(), options);
   size_t record_bytes = 0;
   for (const auto& item : pre->items()) {
     ByteWriter writer;
@@ -232,9 +230,8 @@ TEST(DistPrecompute, OfflineStatsCountSuperstepsAndTraffic) {
   EXPECT_EQ(locality.offline.comm.bytes + level_bytes, record_bytes);
   // The stores hold the precomputation's partials and own vectors byte for
   // byte and its columns as rows, exactly the rows Distribute builds.
-  StorageOptions memory;
-  memory.backend = StorageBackend::kMemoryRef;
-  HgpaIndex oracle = HgpaIndex::Distribute(pre, dist.num_machines, memory);
+  HgpaIndex oracle =
+      HgpaIndex::Distribute(pre, dist.num_machines, StorageOptions{});
   EXPECT_EQ(locality.TotalBytes(), oracle.TotalBytes());
   size_t partial_own_bytes = 0;
   for (const auto& item : pre->items()) {
@@ -292,18 +289,17 @@ TEST(DistPrecompute, HomeMachinePartitionsSubgraphsAndMatchesLeafPacking) {
   DistributedPrecompute::Result result =
       DistributedPrecompute::RunHgpa(g, options, dist);
 
-  const PlacementPlan& plan = result.plan;
-  ASSERT_EQ(plan.home_machine.size(), result.hierarchy->num_subgraphs());
-  for (size_t home : plan.home_machine) {
-    EXPECT_LT(home, dist.num_machines);
+  const Placement& placement = result.placement;
+  for (const auto& sub : placement.hierarchy().subgraphs()) {
+    EXPECT_LT(placement.Home(sub.id), dist.num_machines);
   }
   // A leaf's home is the machine its packing put it on — the machine whose
   // nodes it owns.
   for (size_t m = 0; m < dist.num_machines; ++m) {
-    for (SubgraphId leaf : plan.machine_leaves[m]) {
-      EXPECT_EQ(plan.home_machine[leaf], m) << "leaf " << leaf;
-      for (NodeId u : result.hierarchy->subgraph(leaf).nodes) {
-        EXPECT_EQ(plan.own_machine[u], m);
+    for (SubgraphId leaf : placement.LeavesOn(m)) {
+      EXPECT_EQ(placement.Home(leaf), m) << "leaf " << leaf;
+      for (NodeId u : placement.hierarchy().subgraph(leaf).nodes) {
+        EXPECT_EQ(placement.OwnMachine(u), m);
       }
     }
   }
@@ -342,7 +338,7 @@ TEST(DistPrecompute, SingleMachineClusterHoldsEverything) {
   // with a nonzero skeleton value in each subgraph (one block per subgraph).
   size_t rows = 0;
   size_t non_column_items = 0;
-  for (const auto& sub : result.hierarchy->subgraphs()) {
+  for (const auto& sub : result.placement.hierarchy().subgraphs()) {
     std::vector<bool> has_row(g.num_nodes(), false);
     for (NodeId hub : sub.hubs) {
       const auto* column = pre->FindItem(VectorKind::kSkeletonColumn, sub.id, hub);
@@ -354,7 +350,6 @@ TEST(DistPrecompute, SingleMachineClusterHoldsEverything) {
     non_column_items += item.kind != VectorKind::kSkeletonColumn;
   }
   EXPECT_EQ(result.stores[0].num_vectors(), non_column_items + rows);
-  EXPECT_EQ(result.stores[0].num_owned(), non_column_items + rows);
   EXPECT_EQ(result.TotalBytes(),
             HgpaIndex::Distribute(pre, 1).TotalBytes());
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dppr/core/skeleton_rows.h"
 #include "dppr/graph/datasets.h"
 #include "dppr/ppr/dense_solver.h"
 #include "dppr/ppr/metrics.h"
@@ -140,8 +139,8 @@ TEST(Hgpa, StorageAccountingIsDistributionInvariant) {
       placed_partial_own += store.SerializedBytesByKind(VectorKind::kHubPartial) +
                             store.SerializedBytesByKind(VectorKind::kOwnVector);
       row_bytes += store.SerializedBytesByKind(VectorKind::kSkeletonRow);
-      for (const auto& [sub, hubs] : index.hubs_on_machine(m)) {
-        const SubgraphId block = SkeletonRowBlock(sub, m, machines);
+      for (const auto& [sub, hubs] : index.placement()->HubsOn(m)) {
+        const SubgraphId block = index.placement()->Block(sub, m);
         for (NodeId u : index.hierarchy().subgraph(sub).nodes) {
           if (PpvRef row = store.Find(VectorKind::kSkeletonRow, block, u)) {
             row_entries += row->size();

@@ -12,7 +12,6 @@
 
 #include "dppr/core/dist_precompute.h"
 #include "dppr/core/hgpa.h"
-#include "dppr/core/skeleton_rows.h"
 #include "dppr/serve/query_server.h"
 #include "test_util.h"
 
@@ -47,12 +46,15 @@ DistributedPrecompute::Result RunOffline(const Graph& g, const Hierarchy& h,
 
 // Every stored vector of `b` must equal its `a` counterpart bit for bit, and
 // both must hold the same vectors and bytes per machine. The walk mirrors
-// the placement plan: hubs' partial vectors on the machine owning the hub,
-// each (subgraph, owner) block's skeleton rows on the owner, own vectors on
-// the machine owning the node.
+// the placement: hubs' partial vectors on the machine owning the hub, each
+// (subgraph, owner) block's skeleton rows on the owner, own vectors on the
+// machine owning the node.
 void ExpectStoresIdentical(const HgpaIndex& a, const HgpaIndex& b) {
   ASSERT_EQ(a.num_machines(), b.num_machines());
-  ASSERT_EQ(a.own_machine(), b.own_machine());
+  const Placement& placement = *a.placement();
+  for (NodeId u = 0; u < placement.hierarchy().num_nodes(); ++u) {
+    ASSERT_EQ(placement.OwnMachine(u), b.placement()->OwnMachine(u));
+  }
   for (size_t m = 0; m < a.num_machines(); ++m) {
     EXPECT_EQ(a.store(m).num_vectors(), b.store(m).num_vectors())
         << "machine " << m;
@@ -62,7 +64,7 @@ void ExpectStoresIdentical(const HgpaIndex& a, const HgpaIndex& b) {
   }
   const Hierarchy& h = a.hierarchy();
   auto expect_same = [&](VectorKind kind, SubgraphId sub, NodeId node) {
-    const size_t machine = a.own_vector_machine(node);
+    const size_t machine = placement.OwnMachine(node);
     PpvRef x = a.store(machine).Find(kind, sub, node);
     PpvRef y = b.store(machine).Find(kind, sub, node);
     ASSERT_TRUE(x);
@@ -77,8 +79,8 @@ void ExpectStoresIdentical(const HgpaIndex& a, const HgpaIndex& b) {
   }
   const size_t n = a.num_machines();
   for (size_t m = 0; m < n; ++m) {
-    for (const auto& [sub, hubs] : a.hubs_on_machine(m)) {
-      const SubgraphId block = SkeletonRowBlock(sub, m, n);
+    for (const auto& [sub, hubs] : placement.HubsOn(m)) {
+      const SubgraphId block = placement.Block(sub, m);
       for (NodeId u : h.subgraph(sub).nodes) {
         PpvRef x = a.store(m).Find(VectorKind::kSkeletonRow, block, u);
         PpvRef y = b.store(m).Find(VectorKind::kSkeletonRow, block, u);

@@ -146,7 +146,7 @@ TEST_P(TransportBehavior, GatherReturnsPayloadsIndexedBySource) {
   }
   for (auto& s : senders) s.join();
 
-  auto payloads = transport->GatherRound(round);
+  auto payloads = transport->GatherRound(round, 4);
   ASSERT_EQ(payloads.size(), 4u);
   for (size_t m = 0; m < 4; ++m) {
     EXPECT_EQ(payloads[m],
@@ -159,7 +159,7 @@ TEST_P(TransportBehavior, EmptyPayloadsAreDelivered) {
   uint64_t round = transport->AllocateRound(FrameKind::kGather);
   transport->SendToCoordinator(round, 0, {});
   transport->SendToCoordinator(round, 1, {42});
-  auto payloads = transport->GatherRound(round);
+  auto payloads = transport->GatherRound(round, 2);
   EXPECT_TRUE(payloads[0].empty());
   EXPECT_EQ(payloads[1], std::vector<uint8_t>{42});
 }
@@ -186,7 +186,7 @@ TEST_P(TransportBehavior, ConcurrentRoundsNeverMixFrames) {
   std::vector<uint8_t> ok(kRounds, 0);
   for (size_t r = 0; r < kRounds; ++r) {
     gatherers.emplace_back([&, r] {
-      auto payloads = transport->GatherRound(rounds[r]);
+      auto payloads = transport->GatherRound(rounds[r], 3);
       bool good = payloads.size() == 3;
       for (size_t m = 0; good && m < 3; ++m) {
         good = payloads[m] == std::vector<uint8_t>{static_cast<uint8_t>(r),

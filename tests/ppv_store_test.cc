@@ -16,13 +16,13 @@ namespace {
 
 using ::dppr::testing::RandomSparseVector;
 
-// Backend pinned explicitly where a test asserts aliasing or address
-// stability — those are kMemoryRef guarantees the disk CI leg must not
+// Backend pinned explicitly where a test asserts address stability or
+// distinct addresses — in-memory guarantees the disk configurations must not
 // reinterpret. Tests built on default-constructed stores run under whatever
 // DPPR_STORE selects.
-StorageOptions MemRef() {
+StorageOptions Memory() {
   StorageOptions options;
-  options.backend = StorageBackend::kMemoryRef;
+  options.backend = StorageBackend::kMemoryOwned;
   return options;
 }
 
@@ -64,12 +64,11 @@ TEST(PpvStore, OwnedVectorsAreFindable) {
   EXPECT_EQ(*found, vec);
   EXPECT_FALSE(store.Find(VectorKind::kHubPartial, 3, 7));
   EXPECT_EQ(store.num_vectors(), 1u);
-  EXPECT_EQ(store.num_owned(), 1u);
   EXPECT_EQ(store.TotalSerializedBytes(), bytes);
 }
 
 TEST(PpvStore, OwnedAddressesSurviveGrowthAndMove) {
-  PpvStore store(MemRef());
+  PpvStore store(Memory());
   std::vector<const SparseVector*> stored;
   for (NodeId node = 0; node < 200; ++node) {
     SparseVector vec = RandomSparseVector(node, 20);
@@ -83,7 +82,7 @@ TEST(PpvStore, OwnedAddressesSurviveGrowthAndMove) {
 }
 
 TEST(PpvStore, CopyDeepCopiesOwnedVectors) {
-  PpvStore store(MemRef());
+  PpvStore store(Memory());
   SparseVector vec = RandomSparseVector(9, 30);
   store.PutOwned(VectorKind::kSkeletonRow, 2, 5, vec, vec.SerializedBytes());
 
@@ -101,40 +100,28 @@ TEST(PpvStore, CopyDeepCopiesOwnedVectors) {
 }
 
 TEST(PpvStore, SelfAssignmentIsANoOp) {
-  // Regression: the deep-copy re-pointing path was untested for `s = s;`.
-  // Without the self-assignment guard the copy would read from the store it
-  // is simultaneously overwriting.
-  PpvStore store(MemRef());
-  SparseVector vec = RandomSparseVector(21, 25);
-  store.PutOwned(VectorKind::kOwnVector, 1, 3, vec, vec.SerializedBytes());
-  SparseVector external = RandomSparseVector(22, 10);
-  store.Put(VectorKind::kHubPartial, 1, 4, &external, external.SerializedBytes());
+  // Regression: the deep-copy path was untested for `s = s;`. Without the
+  // self-assignment guard the copy would read from the store it is
+  // simultaneously overwriting.
+  PpvStore store(Memory());
+  SparseVector own = RandomSparseVector(21, 25);
+  store.PutOwned(VectorKind::kOwnVector, 1, 3, own, own.SerializedBytes());
+  SparseVector partial = RandomSparseVector(22, 10);
+  store.PutOwned(VectorKind::kHubPartial, 1, 4, partial,
+                 partial.SerializedBytes());
+  const SparseVector* stored = &*store.Find(VectorKind::kHubPartial, 1, 4);
 
   PpvStore& alias = store;  // dodge -Wself-assign-overloaded
   store = alias;
 
   EXPECT_EQ(store.num_vectors(), 2u);
   ASSERT_TRUE(store.Find(VectorKind::kOwnVector, 1, 3));
-  EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 1, 3), vec);
-  EXPECT_EQ(&*store.Find(VectorKind::kHubPartial, 1, 4), &external);
+  EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 1, 3), own);
+  // Not even re-copied: the vector still sits where it was put.
+  EXPECT_EQ(&*store.Find(VectorKind::kHubPartial, 1, 4), stored);
+  EXPECT_EQ(*store.Find(VectorKind::kHubPartial, 1, 4), partial);
   EXPECT_EQ(store.TotalSerializedBytes(),
-            vec.SerializedBytes() + external.SerializedBytes());
-}
-
-TEST(PpvStore, MixedReferencingAndOwnedCopy) {
-  SparseVector external = RandomSparseVector(4, 10);
-  PpvStore store(MemRef());
-  store.Put(VectorKind::kHubPartial, 1, 1, &external, external.SerializedBytes());
-  SparseVector owned_vec = RandomSparseVector(5, 10);
-  store.PutOwned(VectorKind::kOwnVector, 1, 2, owned_vec,
-                 owned_vec.SerializedBytes());
-
-  PpvStore copy = store;
-  // Referencing entries still alias the external vector; owned ones don't.
-  EXPECT_EQ(&*copy.Find(VectorKind::kHubPartial, 1, 1), &external);
-  EXPECT_NE(&*copy.Find(VectorKind::kOwnVector, 1, 2),
-            &*store.Find(VectorKind::kOwnVector, 1, 2));
-  EXPECT_EQ(*copy.Find(VectorKind::kOwnVector, 1, 2), owned_vec);
+            own.SerializedBytes() + partial.SerializedBytes());
 }
 
 TEST(PpvStore, BytesLedgerSplitsByKind) {
@@ -157,8 +144,7 @@ TEST(PpvStore, SkeletonColumnPutDies) {
   // Stores hold skeletons as rows (PutSkeletonRows); a column reaching one
   // skipped the transpose, on every backend.
   for (StorageBackend backend :
-       {StorageBackend::kMemoryRef, StorageBackend::kMemoryOwned,
-        StorageBackend::kDisk}) {
+       {StorageBackend::kMemoryOwned, StorageBackend::kDisk}) {
     StorageOptions options;
     options.backend = backend;
     PpvStore store(options);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dppr/core/hgpa.h"
@@ -160,7 +162,7 @@ TEST(QueryRouting, PlanInvariants) {
   Graph graph = RandomDigraph(90, 3.0, 17);
   auto pre = Precompute(graph);
   HgpaIndex index = HgpaIndex::Distribute(pre, 5);
-  QueryRouter router(index);
+  QueryRouter router(index.placement());
   for (NodeId q = 0; q < graph.num_nodes(); ++q) {
     NodeId sources[] = {q};
     QueryRouter::Plan plan = router.Route(sources);
@@ -184,7 +186,104 @@ TEST(QueryRouting, PlanInvariants) {
     }
     EXPECT_EQ(owners_total, plan.contributors);
     // The source's own-vector machine always participates or is absorbed.
-    EXPECT_TRUE(covered[index.own_vector_machine(q)]);
+    EXPECT_TRUE(covered[index.placement()->OwnMachine(q)]);
+  }
+}
+
+// The router as it was when it kept its own snapshot of the placement: per
+// subgraph, the machines owning hubs there (from HubsOn), each absorbable
+// when its block is replicated; per node, whether its own term is readable
+// everywhere (a hub whose partial's block, found by searching HubsOn, is
+// replicated). Plans one source with the same anchor rules.
+class SnapshotRouter {
+ public:
+  explicit SnapshotRouter(const Placement& placement) : placement_(placement) {
+    const Hierarchy& h = placement.hierarchy();
+    contributors_.resize(h.num_subgraphs());
+    for (size_t m = 0; m < placement.num_machines(); ++m) {
+      for (const auto& [sub, hubs] : placement.HubsOn(m)) {
+        contributors_[sub].push_back({m, placement.Replicated(sub, m)});
+      }
+    }
+    own_replicated_.assign(h.num_nodes(), false);
+    for (NodeId u = 0; u < h.num_nodes(); ++u) {
+      if (!h.is_hub(u)) continue;
+      const SubgraphId sub = h.final_subgraph(u);
+      for (size_t m = 0; m < placement.num_machines(); ++m) {
+        auto it = placement.HubsOn(m).find(sub);
+        if (it == placement.HubsOn(m).end()) continue;
+        if (std::find(it->second.begin(), it->second.end(), u) !=
+            it->second.end()) {
+          own_replicated_[u] = placement.Replicated(sub, m);
+        }
+      }
+    }
+  }
+
+  QueryRouter::Plan Route(NodeId u) const {
+    const size_t n = placement_.num_machines();
+    std::vector<int> state(n, 0);  // 0 none, 1 absorbable, 2 must run
+    for (SubgraphId sub : placement_.hierarchy().Chain(u)) {
+      for (const auto& [machine, absorbable] : contributors_[sub]) {
+        state[machine] = std::max(state[machine], absorbable ? 1 : 2);
+      }
+    }
+    const size_t own = placement_.OwnMachine(u);
+    state[own] = std::max(state[own], own_replicated_[u] ? 1 : 2);
+
+    QueryRouter::Plan plan;
+    std::vector<size_t> absorbed;
+    for (size_t m = 0; m < n; ++m) {
+      if (state[m] == 2) plan.machines.push_back(m);
+      if (state[m] == 1) absorbed.push_back(m);
+    }
+    plan.contributors = plan.machines.size() + absorbed.size();
+    if (plan.contributors == 0) return plan;
+    size_t anchor = own;
+    if (plan.machines.empty()) {
+      plan.machines.push_back(own);
+    } else if (state[own] != 2) {
+      anchor = plan.machines.front();
+    }
+    for (size_t m : plan.machines) {
+      plan.owners.push_back({m});
+      if (m != anchor) continue;
+      for (size_t a : absorbed) {
+        if (a != anchor) plan.owners.back().push_back(a);
+      }
+      std::sort(plan.owners.back().begin(), plan.owners.back().end());
+    }
+    return plan;
+  }
+
+ private:
+  const Placement& placement_;
+  std::vector<std::vector<std::pair<size_t, bool>>> contributors_;
+  std::vector<bool> own_replicated_;
+};
+
+TEST(QueryRouting, RouteMatchesSnapshotOracle) {
+  Graph graph = RandomDigraph(90, 3.0, 23);
+  for (bool hgpa : {true, false}) {
+    auto pre = Precompute(graph, hgpa);
+    for (size_t machines : {3u, 5u}) {
+      const size_t full = HgpaIndex::Distribute(pre, machines).MaxMachineBytes();
+      // No replication, some blocks replicated, and every block replicated.
+      for (size_t budget : {size_t{0}, full, size_t{64} << 20}) {
+        ReplicationOptions replication;
+        replication.budget_bytes = budget;
+        HgpaIndex index = HgpaIndex::Distribute(
+            pre, machines, StorageOptions::FromEnv(), replication);
+        if (budget > 0) EXPECT_GT(index.num_replicated_hubs(), 0u);
+        QueryRouter router(index.placement());
+        SnapshotRouter oracle(*index.placement());
+        for (NodeId q = 0; q < graph.num_nodes(); ++q) {
+          EXPECT_EQ(router.Route({&q, 1}), oracle.Route(q))
+              << (hgpa ? "hgpa" : "gpa") << " machines " << machines
+              << " budget " << budget << " query " << q;
+        }
+      }
+    }
   }
 }
 
@@ -203,16 +302,16 @@ TEST(QueryRouting, ReplicationBookkeeping) {
   EXPECT_GT(replicated.num_replicated_hubs(), 0u);
   EXPECT_GT(replicated.replica_bytes_per_machine(), 0u);
   EXPECT_LE(replicated.replica_bytes_per_machine(), kBudget);
-  // Replicas are whole (sub, owner) groups: if one hub of a group is
-  // replicated, all of that owner's hubs in the subgraph are.
+  // Replicas are whole (sub, owner) blocks, so the replicated hubs are
+  // exactly the hubs of the replicated blocks.
+  const Placement& placement = *replicated.placement();
+  size_t hubs_in_replicated_blocks = 0;
   for (size_t m = 0; m < replicated.num_machines(); ++m) {
-    for (const auto& [sub, hubs] : replicated.hubs_on_machine(m)) {
-      size_t marked = 0;
-      for (NodeId hub : hubs) marked += replicated.hub_replicated(sub, hub);
-      EXPECT_TRUE(marked == 0 || marked == hubs.size())
-          << "partial group sub=" << sub << " machine=" << m;
+    for (const auto& [sub, hubs] : placement.HubsOn(m)) {
+      if (placement.Replicated(sub, m)) hubs_in_replicated_blocks += hubs.size();
     }
   }
+  EXPECT_EQ(hubs_in_replicated_blocks, replicated.num_replicated_hubs());
   // Replication inflates per-machine bytes by exactly the replica ledger.
   std::vector<size_t> plain_bytes = plain.BytesPerMachine();
   std::vector<size_t> repl_bytes = replicated.BytesPerMachine();

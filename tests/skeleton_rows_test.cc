@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,11 +42,12 @@ HgpaOptions SmallOptions() {
 // final count shows no machine stores anything the walk did not visit.
 void ExpectRowsMatchColumns(const HgpaPrecomputation& pre,
                             const HgpaIndex& index) {
-  const Hierarchy& h = index.hierarchy();
+  const Placement& placement = *index.placement();
+  const Hierarchy& h = placement.hierarchy();
   const size_t n = index.num_machines();
   std::vector<size_t> visited(n, 0);
   for (size_t owner = 0; owner < n; ++owner) {
-    for (const auto& [sub, hubs] : index.hubs_on_machine(owner)) {
+    for (const auto& [sub, hubs] : placement.HubsOn(owner)) {
       // The oracle: the block's columns regrouped by node.
       std::map<NodeId, std::vector<SparseVector::Entry>> expected;
       for (size_t rank = 0; rank < hubs.size(); ++rank) {
@@ -56,8 +58,8 @@ void ExpectRowsMatchColumns(const HgpaPrecomputation& pre,
           expected[e.index].push_back({static_cast<NodeId>(rank), e.value});
         }
       }
-      const bool replicated = index.hub_replicated(sub, hubs.front());
-      const SubgraphId block = SkeletonRowBlock(sub, owner, n);
+      const bool replicated = placement.Replicated(sub, owner);
+      const SubgraphId block = placement.Block(sub, owner);
       for (size_t m = 0; m < n; ++m) {
         const bool holds = m == owner || replicated;
         size_t rows = 0;
@@ -138,17 +140,7 @@ TEST(SkeletonRows, DistributedPrecomputeStoresExactlyTheColumnsNonzeros) {
   }
 }
 
-TEST(SkeletonRows, BlockIdNamesSubgraphAndOwner) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_EQ(SkeletonRowBlock(0, 0, 1), 0u);
-  EXPECT_EQ(SkeletonRowBlock(7, 2, 5), 37u);
-  EXPECT_NE(SkeletonRowBlock(7, 2, 5), SkeletonRowBlock(7, 3, 5));
-  // Past the key's 30-bit subgraph field, and an owner outside the cluster.
-  EXPECT_DEATH(SkeletonRowBlock(1u << 28, 0, 4), "DPPR_CHECK failed");
-  EXPECT_DEATH(SkeletonRowBlock(1, 4, 4), "DPPR_CHECK failed");
-}
-
-// Spill extent of a vector a store put with Put/PutOwned: its whole record.
+// Spill extent of a vector a store put with PutOwned: its whole record.
 uint64_t RecordBytes(VectorKind kind, SubgraphId sub, NodeId node,
                      const SparseVector& vec) {
   ByteWriter writer;
@@ -165,13 +157,14 @@ TEST(SkeletonRowsDisk, QueryReadsExactlyTheRecordsItsFoldNeeds) {
   auto pre = HgpaPrecomputation::RunHgpa(g, SmallOptions());
   constexpr size_t kMachines = 3;
   StorageOptions memory;
-  memory.backend = StorageBackend::kMemoryRef;
+  memory.backend = StorageBackend::kMemoryOwned;
   HgpaIndex reference = HgpaIndex::Distribute(pre, kMachines, memory);
   StorageOptions disk;
   disk.backend = StorageBackend::kDisk;
   disk.cache_bytes = 4096;
   HgpaIndex spilled = HgpaIndex::Distribute(pre, kMachines, disk);
-  const Hierarchy& h = reference.hierarchy();
+  const Placement& placement = *reference.placement();
+  const Hierarchy& h = placement.hierarchy();
 
   size_t checked = 0;
   for (NodeId q = 0; q < g.num_nodes(); q += 3) {
@@ -182,20 +175,20 @@ TEST(SkeletonRowsDisk, QueryReadsExactlyTheRecordsItsFoldNeeds) {
     for (size_t owner = 0; owner < kMachines; ++owner) {
       const PpvStore& store = reference.store(owner);
       for (SubgraphId sub : h.Chain(q)) {
-        auto it = reference.hubs_on_machine(owner).find(sub);
-        if (it == reference.hubs_on_machine(owner).end()) continue;
-        const SubgraphId block = SkeletonRowBlock(sub, owner, kMachines);
+        const std::span<const NodeId> hubs = placement.OwnedHubs(sub, owner);
+        if (hubs.empty()) continue;
+        const SubgraphId block = placement.Block(sub, owner);
         PpvRef row = store.Find(VectorKind::kSkeletonRow, block, q);
         if (!row) continue;
         expected += RecordBytes(VectorKind::kSkeletonRow, block, q, *row);
         for (const SparseVector::Entry& e : row->entries()) {
           if (e.value == 0.0) continue;
-          const NodeId hub = it->second[e.index];
+          const NodeId hub = hubs[e.index];
           expected += RecordBytes(VectorKind::kHubPartial, sub, hub,
                                   *store.Find(VectorKind::kHubPartial, sub, hub));
         }
       }
-      if (reference.own_vector_machine(q) == owner) {
+      if (placement.OwnMachine(q) == owner) {
         const SubgraphId leaf = h.final_subgraph(q);
         expected += RecordBytes(VectorKind::kOwnVector, leaf, q,
                                 *store.Find(VectorKind::kOwnVector, leaf, q));
@@ -247,7 +240,7 @@ TEST(SkeletonRowsDeath, TamperedRowRankDiesInTheFold) {
     if (tampered == kInvalidNode) {
       // One machine: the block id is the subgraph id.
       const NodeId hubs = static_cast<NodeId>(
-          result.hierarchy->subgraph(record.sub).hubs.size());
+          result.placement.hierarchy().subgraph(record.sub).hubs.size());
       std::vector<SparseVector::Entry> entries(record.vec.entries().begin(),
                                                record.vec.entries().end());
       entries.push_back({hubs, 1.0});

@@ -227,7 +227,7 @@ TEST(EngineEquivalence, DiskAndMemoryBitIdenticalOnBothTransports) {
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   StorageOptions memory;
-  memory.backend = StorageBackend::kMemoryRef;
+  memory.backend = StorageBackend::kMemoryOwned;
 
   for (TransportBackend backend :
        {TransportBackend::kInProcess, TransportBackend::kTcp}) {

@@ -96,19 +96,19 @@ TEST(StoreEquivalence, GpaDiskMatchesMemoryOwned) {
   EXPECT_GT(disk.index().StorageStatsTotal().cache_misses, 0u);
 }
 
-TEST(StoreEquivalence, CentralizedDistributeOnDiskMatchesReferencing) {
-  // The referencing oracle path itself can spill: Distribute with the disk
+TEST(StoreEquivalence, CentralizedDistributeOnDiskMatchesMemory) {
+  // The centralized oracle path itself can spill: Distribute with the disk
   // backend serializes every placed vector, and queries still agree bit for
-  // bit with the aliasing in-memory distribution of the same precomputation.
+  // bit with the in-memory distribution of the same precomputation.
   Graph g = RandomDigraph(100, 3.0, 41);
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
-  HgpaQueryEngine ref(
-      HgpaIndex::Distribute(pre, 4, Backend(StorageBackend::kMemoryRef)));
+  HgpaQueryEngine memory(
+      HgpaIndex::Distribute(pre, 4, Backend(StorageBackend::kMemoryOwned)));
   HgpaQueryEngine disk(
       HgpaIndex::Distribute(pre, 4, Backend(StorageBackend::kDisk, 1)));
-  ExpectQuerySurfaceIdentical(g, ref, disk);
+  ExpectQuerySurfaceIdentical(g, memory, disk);
 }
 
 TEST(StoreEquivalence, TopKThroughServerMatchesAndReportsColdServing) {
@@ -116,8 +116,8 @@ TEST(StoreEquivalence, TopKThroughServerMatchesAndReportsColdServing) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
-  QueryServer memory_server(
-      HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kMemoryRef))));
+  QueryServer memory_server(HgpaQueryEngine(
+      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kMemoryOwned))));
   QueryServer disk_server(
       HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kDisk, 1))));
 
@@ -149,15 +149,16 @@ TEST(StoreEquivalence, WarmCacheIsAlsoBitIdentical) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
-  HgpaQueryEngine ref(
-      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kMemoryRef)));
+  HgpaQueryEngine memory(
+      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kMemoryOwned)));
   HgpaQueryEngine disk(
       HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kDisk)));
 
   // Two passes: pass one loads (misses), pass two hits; both bit-identical.
   for (int pass = 0; pass < 2; ++pass) {
     for (NodeId q = 0; q < g.num_nodes(); q += 7) {
-      EXPECT_EQ(ref.Query(q), disk.Query(q)) << "pass " << pass << " query " << q;
+      EXPECT_EQ(memory.Query(q), disk.Query(q))
+          << "pass " << pass << " query " << q;
     }
   }
   StorageStats stats = disk.index().StorageStatsTotal();

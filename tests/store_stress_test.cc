@@ -115,7 +115,7 @@ TEST(StoreStress, ConcurrentQueriesThroughTinyCacheStayBitIdentical) {
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   StorageOptions memory;
-  memory.backend = StorageBackend::kMemoryRef;
+  memory.backend = StorageBackend::kMemoryOwned;
   HgpaQueryEngine oracle(HgpaIndex::Distribute(pre, 3, memory));
   std::vector<SparseVector> want;
   for (NodeId q = 0; q < g.num_nodes(); ++q) want.push_back(oracle.Query(q));

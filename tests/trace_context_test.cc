@@ -287,7 +287,8 @@ TEST(QueryProfileReconciliation, TotalsMatchCounterDeltas) {
     ReplicationOptions replication;
     replication.budget_bytes = 64 << 20;
     QueryRouter router(HgpaIndex::Distribute(pre, 4, StorageOptions::FromEnv(),
-                                             replication));
+                                             replication)
+                           .placement());
     size_t absorbed = 0;
     for (NodeId q = 0; q < 60; ++q) {
       QueryRouter::Plan plan = router.Route({&q, 1});
@@ -345,6 +346,34 @@ TEST(QueryProfileReconciliation, StorageIsExactUnderOverlappingRounds) {
   EXPECT_EQ(total.cache_hits, stats.cache_hits);
   EXPECT_EQ(total.cache_misses, stats.cache_misses);
   EXPECT_EQ(total.disk_bytes_read, stats.disk_bytes_read);
+}
+
+TEST(QueryProfileReconciliation, StorageCountsOnlyTheServersRounds) {
+  // The residency view is fed from the server's own rounds: store lookups
+  // made outside them (a direct engine query on the same stores) stay out
+  // of the window, even though they miss and read spill extents too.
+  Graph graph = RandomDigraph(80, 3.0, 43);
+  auto pre = HgpaPrecomputation::RunHgpa(graph, SmallOptions());
+  StorageOptions storage;
+  storage.backend = StorageBackend::kDisk;
+  storage.cache_bytes = 4096;
+  QueryServer server(HgpaQueryEngine(HgpaIndex::Distribute(pre, 4, storage)),
+                     ServeOptions{});
+  server.ResetStats();
+
+  QueryMetrics direct;
+  (void)server.engine().Query(5, &direct);
+  ASSERT_GT(direct.storage.disk_bytes_read, 0u);
+  ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.cache_misses, 0u);
+  EXPECT_EQ(stats.disk_bytes_read, 0u);
+
+  const QueryServer::Response served = server.Query(40);
+  stats = server.Stats();
+  EXPECT_GT(stats.cache_misses, 0u);
+  EXPECT_GT(stats.disk_bytes_read, 0u);
+  EXPECT_EQ(stats.cache_misses, served.metrics.storage.cache_misses);
+  EXPECT_EQ(stats.disk_bytes_read, served.metrics.storage.disk_bytes_read);
 }
 
 // ---------------------------------------------------------------------------
