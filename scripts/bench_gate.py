@@ -6,15 +6,16 @@ Runs `fig_serving_throughput --json`, `fig_serving_scale --json` and
 `fig_query_fold --json` at each snapshot's recorded scale
 (DPPR_BENCH_SCALE), then compares every metric the snapshot carries:
 
-  * deterministic metrics (byte/round/read counts) must match within a tight
-    tolerance -- drift here is a logic change, not noise;
-  * timing metrics (qps, latency, ns/entry) get a loose tolerance -- CI
-    machines are noisy, and the gate's job is catching collapses, not
-    single-digit regressions.
+  * deterministic metrics (byte/round/read counts) gate: each must match its
+    snapshot within a tight tolerance -- drift here is a logic change, not
+    noise;
+  * timing metrics (qps, latency, ns/entry) are printed with their deltas
+    for the log and never fail the gate: shared machines move them by more
+    than any bound that could still catch a regression. Timing is measured
+    by the pinned benchmark (perfbench/) on paired runs instead.
 
-Exit code 1 when any metric lands outside its tolerance. The CI leg runs
-this with continue-on-error: the deltas are printed for the reviewer, the
-build is never blocked on shared-runner timing noise.
+Exit code 1 when a deterministic metric lands outside its tolerance or a
+snapshot row or metric is missing from the fresh run.
 """
 
 import argparse
@@ -38,6 +39,19 @@ DETERMINISTIC = {
     "rounds",
 }
 
+# Row/metric labels that are timing-dependent although their metric is
+# deterministic in every other row. At load=2.0 the open-loop bench offers
+# twice its capacity, admission control sheds a timing-dependent subset of
+# the requests, and comm per served query follows which sources were served:
+# five runs of one tree (4-vCPU VM) read route 71.24-73.40 KB (max - min =
+# 3.0% of the mean) and broadcast 70.07-72.90 KB (3.9%). A gated metric may
+# move at most 1% between runs of one tree; every other deterministic label
+# moved 0.0%.
+TIMING_DEPENDENT = {
+    "serving_scale/web/route/load=2.0/comm_kb_per_query",
+    "serving_scale/web/broadcast/load=2.0/comm_kb_per_query",
+}
+
 BENCHES = ["fig_serving_throughput", "fig_serving_scale", "fig_query_fold"]
 
 
@@ -57,8 +71,7 @@ def rows_by_name(doc: dict) -> dict:
     return {row["name"]: row["metrics"] for row in doc["rows"]}
 
 
-def check(bench: str, snapshot: dict, fresh: dict, det_tol: float,
-          timing_tol: float) -> list:
+def check(bench: str, snapshot: dict, fresh: dict, tol: float) -> list:
     failures = []
     fresh_rows = rows_by_name(fresh)
     print(f"\n== {bench} ==")
@@ -76,7 +89,7 @@ def check(bench: str, snapshot: dict, fresh: dict, det_tol: float,
                 failures.append(f"{bench}: {label} missing from fresh run")
                 print(f"{label:<52} {'(missing)':>12}")
                 continue
-            tol = det_tol if metric in DETERMINISTIC else timing_tol
+            gated = metric in DETERMINISTIC and label not in TIMING_DEPENDENT
             if want == 0:
                 ok = got == 0
                 delta = "n/a" if ok else "inf"
@@ -84,9 +97,12 @@ def check(bench: str, snapshot: dict, fresh: dict, det_tol: float,
                 rel = (got - want) / want
                 ok = abs(rel) <= tol
                 delta = f"{rel:+.1%}"
-            flag = "" if ok else "  <-- outside ±" + f"{tol:.0%}"
+            if not gated:
+                flag = "  (timing, not gated)"
+            else:
+                flag = "" if ok else "  <-- outside ±" + f"{tol:.0%}"
             print(f"{label:<52} {want:>12.4g} {got:>12.4g} {delta:>9}{flag}")
-            if not ok:
+            if gated and not ok:
                 failures.append(
                     f"{bench}: {label} = {got:.4g}, snapshot {want:.4g} "
                     f"({delta}, tolerance ±{tol:.0%})")
@@ -100,10 +116,6 @@ def main() -> int:
                         type=pathlib.Path)
     parser.add_argument("--deterministic-tolerance", default=0.05, type=float,
                         help="relative tolerance for byte/round counts")
-    parser.add_argument("--timing-tolerance", default=1.50, type=float,
-                        help="relative tolerance for qps/latency metrics "
-                             "(wide on purpose: the gate catches collapses, "
-                             "not machine-to-machine variance)")
     args = parser.parse_args()
 
     failures = []
@@ -112,15 +124,15 @@ def main() -> int:
         snapshot = json.loads(snapshot_path.read_text())
         scale = snapshot.get("params", {}).get("scale", 1.0)
         fresh = run_bench(args.build_dir, bench, scale)
-        failures += check(bench, snapshot, fresh,
-                          args.deterministic_tolerance, args.timing_tolerance)
+        failures += check(bench, snapshot, fresh, args.deterministic_tolerance)
 
     if failures:
-        print(f"\nBENCH GATE: {len(failures)} metric(s) outside tolerance:")
+        print(f"\nBENCH GATE: {len(failures)} deterministic metric(s) "
+              "outside tolerance:")
         for f in failures:
             print(f"  - {f}")
         return 1
-    print("\nBENCH GATE: all metrics within tolerance")
+    print("\nBENCH GATE: every deterministic metric within tolerance")
     return 0
 
 

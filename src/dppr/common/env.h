@@ -6,15 +6,15 @@
 namespace dppr {
 
 /// Reads a double-valued environment variable, returning `fallback` when the
-/// variable is unset or unparsable. Benchmarks use DPPR_SCALE to grow/shrink
-/// the synthetic datasets.
+/// variable is unset or unparsable. The benches use DPPR_BENCH_SCALE to
+/// grow/shrink the synthetic datasets.
 double GetEnvDouble(const std::string& name, double fallback);
 
 /// Reads an integer environment variable with fallback.
 int64_t GetEnvInt(const std::string& name, int64_t fallback);
 
 /// Reads a string environment variable, returning `fallback` when unset.
-/// The storage layer uses DPPR_STORE / DPPR_SPILL_DIR.
+/// The storage layer uses DPPR_STORE.
 std::string GetEnvString(const std::string& name, const std::string& fallback);
 
 }  // namespace dppr

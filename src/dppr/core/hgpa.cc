@@ -4,21 +4,12 @@
 #include <cstdint>
 #include <utility>
 
-#include "dppr/common/env.h"
 #include "dppr/common/serialize.h"
 #include "dppr/common/timer.h"
 #include "dppr/core/skeleton_rows.h"
 #include "dppr/ppr/sparse_vector.h"
 
 namespace dppr {
-
-ReplicationOptions ReplicationOptions::FromEnv() {
-  ReplicationOptions options;
-  int64_t budget = GetEnvInt("DPPR_REPLICATE_BYTES", 0);
-  DPPR_CHECK_GE(budget, 0);
-  options.budget_bytes = static_cast<size_t>(budget);
-  return options;
-}
 
 HgpaIndex HgpaIndex::Distribute(
     std::shared_ptr<const HgpaPrecomputation> precomputation,

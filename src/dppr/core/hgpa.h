@@ -30,9 +30,6 @@ struct ReplicationOptions {
   /// default, so byte-ledger equivalence across backends is unaffected
   /// unless explicitly asked for.
   size_t budget_bytes = 0;
-
-  /// DPPR_REPLICATE_BYTES (bytes; unset or 0 keeps replication off).
-  static ReplicationOptions FromEnv();
 };
 
 /// A precomputation distributed onto n simulated machines under one shared
@@ -58,14 +55,14 @@ class HgpaIndex {
       std::shared_ptr<const HgpaPrecomputation> precomputation,
       size_t num_machines,
       const StorageOptions& storage = StorageOptions::FromEnv(),
-      const ReplicationOptions& replication = ReplicationOptions::FromEnv());
+      const ReplicationOptions& replication = {});
 
   /// Adopts the stores and the placement a DistributedPrecompute run
   /// produced. The offline ledger carries the run's per-machine compute
   /// charges.
   static HgpaIndex FromDistributed(
       DistributedPrecompute::Result result,
-      const ReplicationOptions& replication = ReplicationOptions::FromEnv());
+      const ReplicationOptions& replication = {});
 
   const Graph& graph() const { return *graph_; }
   const Hierarchy& hierarchy() const { return placement_->hierarchy(); }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "dppr/common/env.h"
 #include "dppr/common/macros.h"
 #include "dppr/graph/generators.h"
 #include "dppr/graph/graph_builder.h"
@@ -10,11 +9,7 @@
 namespace dppr {
 namespace {
 
-double EffectiveScale(double scale) {
-  if (scale > 0) return scale;
-  double env = GetEnvDouble("DPPR_SCALE", 1.0);
-  return env > 0 ? env : 1.0;
-}
+double EffectiveScale(double scale) { return scale > 0 ? scale : 1.0; }
 
 GraphBuildOptions DatasetOptions() {
   GraphBuildOptions options;

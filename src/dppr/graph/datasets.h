@@ -10,9 +10,9 @@ namespace dppr {
 
 /// Synthetic stand-ins for the paper's five evaluation datasets (§6.1),
 /// scaled roughly 1/100 so the full experiment suite runs in minutes.
-/// `scale` multiplies node/edge counts; it defaults to the DPPR_SCALE
-/// environment variable (1.0 when unset). All datasets are deterministic, use
-/// the self-loop dangling policy, and build in-edges.
+/// `scale` multiplies node/edge counts; a non-positive scale means 1.0. All
+/// datasets are deterministic, use the self-loop dangling policy, and build
+/// in-edges.
 ///
 /// Paper originals:
 ///   Email   265,214 nodes /    420,045 edges (EU research institution email)
@@ -22,16 +22,16 @@ namespace dppr {
 ///   Meetup  M1..M5, 0.99M..1.8M nodes, 83M..194M edges (event co-attendance)
 ///   PLD_full 101M nodes / 1.94B edges (Appendix B)
 
-Graph EmailLike(double scale = -1.0);
-Graph WebLike(double scale = -1.0);
-Graph YoutubeLike(double scale = -1.0);
-Graph PldLike(double scale = -1.0);
+Graph EmailLike(double scale);
+Graph WebLike(double scale);
+Graph YoutubeLike(double scale);
+Graph PldLike(double scale);
 
 /// Meetup scalability series, index in [1, 5] (Table 6: M1..M5).
-Graph MeetupLike(int index, double scale = -1.0);
+Graph MeetupLike(int index, double scale);
 
 /// Appendix-B large-graph stand-in (used with coarse tolerance 1e-2).
-Graph PldFullLike(double scale = -1.0);
+Graph PldFullLike(double scale);
 
 /// The 6-node toy graph of paper Figure 3 (hub node u2 separates it).
 /// Node ids: u1=0 .. u6=5.
@@ -43,7 +43,7 @@ Graph PaperFigure2Graph();
 
 /// Resolves a dataset by name ("email", "web", "youtube", "pld", "meetup1"..
 /// "meetup5", "pld_full"). DPPR_CHECK-fails on unknown names.
-Graph DatasetByName(const std::string& name, double scale = -1.0);
+Graph DatasetByName(const std::string& name, double scale);
 
 /// Names accepted by DatasetByName.
 std::vector<std::string> DatasetNames();

@@ -73,9 +73,10 @@ class ProfileLog {
   struct Options {
     /// Latency threshold in microseconds; a request at or over it is logged.
     /// < 0 disables slow-query logging entirely (profiles still enter the
-    /// recent ring); 0 logs every request. DPPR_SLOW_QUERY_US.
+    /// recent ring); 0 logs every request. ServeOptions::slow_query_us.
     int64_t slow_threshold_us = -1;
-    /// JSONL sink path (appended); empty logs to stderr. DPPR_SLOW_QUERY_LOG.
+    /// JSONL sink path (appended); empty logs to stderr.
+    /// ServeOptions::slow_query_log_path.
     std::string path;
     size_t recent_capacity = 64;
     size_t slow_capacity = 32;

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "dppr/common/env.h"
 #include "dppr/common/macros.h"
 #include "dppr/common/thread_pool.h"
 #include "dppr/obs/trace.h"
@@ -26,31 +25,6 @@ std::string ServerLabel() {
 }
 
 }  // namespace
-
-ServeOptions ServeOptions::FromEnv() {
-  ServeOptions options;
-  int64_t max_pending = GetEnvInt("DPPR_MAX_PENDING", 0);
-  DPPR_CHECK_GE(max_pending, 0);
-  options.max_pending = static_cast<size_t>(max_pending);
-  std::string admission = GetEnvString("DPPR_ADMISSION", "");
-  if (admission == "shed") {
-    options.shed_on_overload = true;
-  } else if (admission == "block") {
-    options.shed_on_overload = false;
-  } else if (!admission.empty()) {
-    // Same policy as the other knobs: a typo must not silently pick a
-    // different overload behavior than the operator asked for.
-    std::fprintf(stderr, "unknown DPPR_ADMISSION value: %s\n",
-                 admission.c_str());
-    DPPR_CHECK(admission == "shed" || admission == "block");
-  }
-  int64_t cache_bytes = GetEnvInt("DPPR_RESULT_CACHE_BYTES", 0);
-  DPPR_CHECK_GE(cache_bytes, 0);
-  options.result_cache_bytes = static_cast<size_t>(cache_bytes);
-  options.slow_query_us = GetEnvInt("DPPR_SLOW_QUERY_US", -1);
-  options.slow_query_log_path = GetEnvString("DPPR_SLOW_QUERY_LOG", "");
-  return options;
-}
 
 QueryServer::QueryServer(HgpaQueryEngine engine, ServeOptions options)
     : engine_(std::move(engine)),

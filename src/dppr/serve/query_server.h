@@ -47,13 +47,6 @@ struct ServeOptions {
   int64_t slow_query_us = -1;
   /// Slow-query JSONL sink (appended); empty logs to stderr.
   std::string slow_query_log_path;
-
-  /// Env-tunable serving knobs: DPPR_MAX_PENDING (count; 0 unbounded),
-  /// DPPR_ADMISSION ("shed" | "block"; a typo dies),
-  /// DPPR_RESULT_CACHE_BYTES (bytes; 0 off), DPPR_SLOW_QUERY_US (µs; unset
-  /// off, 0 logs everything), and DPPR_SLOW_QUERY_LOG (path; empty stderr).
-  /// thread_cpu_timer keeps its default — it is a call-site decision.
-  static ServeOptions FromEnv();
 };
 
 /// Aggregate serving statistics since construction or the last ResetStats().
@@ -134,11 +127,10 @@ class QueryServer {
   using Preference = HgpaQueryEngine::Preference;
 
   /// Takes the engine by value (an engine is a cheap handle over the shared
-  /// precomputation) and owns it for the server's lifetime. The default
-  /// options pick up the serving env knobs (DPPR_MAX_PENDING,
-  /// DPPR_ADMISSION, DPPR_RESULT_CACHE_BYTES).
-  explicit QueryServer(HgpaQueryEngine engine,
-                       ServeOptions options = ServeOptions::FromEnv());
+  /// precomputation) and owns it for the server's lifetime. Admission, the
+  /// result cache and the slow-query log are set through `options` in code;
+  /// the defaults leave all three off.
+  explicit QueryServer(HgpaQueryEngine engine, ServeOptions options = {});
 
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;

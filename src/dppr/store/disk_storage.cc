@@ -7,8 +7,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,7 +26,6 @@ struct DiskMetrics {
   obs::Counter* misses;
   obs::Counter* bytes_read;
   obs::Histogram* miss_extent_read_us;
-  obs::Histogram* singleflight_wait_us;
 
   static const DiskMetrics& Get() {
     static const DiskMetrics metrics = [] {
@@ -36,60 +33,11 @@ struct DiskMetrics {
       return DiskMetrics{r.GetCounter("store.disk.hits"),
                          r.GetCounter("store.disk.misses"),
                          r.GetCounter("store.disk.bytes_read"),
-                         r.GetHistogram("store.disk.miss_extent_read_us"),
-                         r.GetHistogram("store.disk.singleflight_wait_us")};
+                         r.GetHistogram("store.disk.miss_extent_read_us")};
     }();
     return metrics;
   }
 };
-
-/// First line of a segment-manifest spill. A named spill path holds this
-/// small text manifest; the records live in per-kind segment files next to
-/// it. v2 stores skeleton rows; a v1 spill (skeleton columns) dies at open.
-constexpr std::string_view kManifestMagic = "DPPR-SPILL-MANIFEST v2";
-
-constexpr size_t kNumSegments = DiskSpillStorage::kNumSegments;
-
-/// Manifest line prefixes and named-segment filename suffixes, in segment
-/// order.
-constexpr const char* kSegmentName[kNumSegments] = {
-    "hub_partial", "skeleton_row", "own_vector"};
-
-/// The segment index of a stored kind. Skeleton columns have none: stores
-/// hold skeletons as rows.
-size_t SegmentOf(VectorKind kind) {
-  switch (kind) {
-    case VectorKind::kHubPartial:
-      return 0;
-    case VectorKind::kSkeletonRow:
-      return 1;
-    case VectorKind::kOwnVector:
-      return 2;
-    case VectorKind::kSkeletonColumn:
-      break;
-  }
-  DPPR_CHECK(kind != VectorKind::kSkeletonColumn);
-  return 0;
-}
-
-std::string DirOf(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
-
-std::string BaseOf(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  DPPR_CHECK(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  DPPR_CHECK(!in.bad());
-  return text;
-}
 
 }  // namespace
 
@@ -187,135 +135,49 @@ void SpillFile::Scan(
 // DiskSpillStorage
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Fresh segment set: three anonymous temp files, or — for a named spill —
-/// three `<path>.<kind>` segment files plus the manifest written at `path`.
-/// Segments are created eagerly (not on first append of their kind) so a
-/// clone taken at any time shares every file the original will ever write.
-std::array<std::shared_ptr<SpillFile>, kNumSegments> CreateSegments(
-    const StorageOptions& options) {
-  std::array<std::shared_ptr<SpillFile>, kNumSegments> files;
-  if (options.spill_path.empty()) {
-    for (auto& file : files) file = SpillFile::CreateTemp(options.spill_dir);
-    return files;
-  }
-  std::string dir = DirOf(options.spill_path);
-  std::string base = BaseOf(options.spill_path);
-  std::string manifest(kManifestMagic);
-  manifest += '\n';
-  for (size_t k = 0; k < kNumSegments; ++k) {
-    std::string segment_base = base + "." + kSegmentName[k];
-    files[k] = SpillFile::CreateAt(dir + "/" + segment_base);
-    manifest += std::string(kSegmentName[k]) + " " + segment_base + "\n";
-  }
-  manifest += "end\n";
-  std::ofstream out(options.spill_path,
-                    std::ios::binary | std::ios::trunc);
-  out << manifest;
-  out.flush();
-  DPPR_CHECK(out.good());
-  return files;
-}
-
-std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) {
-      lines.push_back(text.substr(start));
-      break;
-    }
-    lines.push_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return lines;
-}
-
-}  // namespace
-
 DiskSpillStorage::DiskSpillStorage(const StorageOptions& options)
-    : DiskSpillStorage(CreateSegments(options), options.cache_bytes) {}
+    : DiskSpillStorage(options.spill_path.empty()
+                           ? SpillFile::CreateTemp(options.spill_dir)
+                           : SpillFile::CreateAt(options.spill_path),
+                       options.cache_bytes) {}
 
 std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
     const std::string& path, const StorageOptions& options) {
-  // Segment manifest: magic line, one "<kind> <basename>" line per segment
-  // in segment order, then the "end" trailer — a truncated manifest loses
-  // the trailer, and a file without the magic line is no manifest; both die
-  // here.
-  std::vector<std::string> lines = SplitLines(ReadWholeFile(path));
-  DPPR_CHECK_GE(lines.size(), kNumSegments + 2);
-  DPPR_CHECK(lines[0] == kManifestMagic);
-  DPPR_CHECK(lines[1 + kNumSegments] == "end");
-  std::string dir = DirOf(path);
-  SegmentArray files;
-  for (size_t k = 0; k < kNumSegments; ++k) {
-    const std::string& line = lines[1 + k];
-    std::string prefix = std::string(kSegmentName[k]) + " ";
-    DPPR_CHECK(line.rfind(prefix, 0) == 0);
-    std::string basename = line.substr(prefix.size());
-    DPPR_CHECK(!basename.empty());
-    // Segments live next to the manifest; a path component would let a
-    // hostile manifest read arbitrary files.
-    DPPR_CHECK(basename.find('/') == std::string::npos);
-    files[k] = SpillFile::Open(dir + "/" + basename);
-  }
   std::unique_ptr<DiskSpillStorage> store(
-      new DiskSpillStorage(std::move(files), options.cache_bytes));
-  // Rebuild the index by walking each segment's record stream. Every record
-  // is fully re-validated (VectorRecord::Deserialize DPPR_CHECKs kinds, id
-  // ranges and blob framing), so truncation or corruption dies here — at
-  // open — rather than serving garbage at query time.
-  for (size_t k = 0; k < kNumSegments; ++k) {
-    store->files_[k]->Scan([&](std::span<const uint8_t> bytes) {
-      ByteReader reader(bytes.data(), bytes.size());
-      while (!reader.AtEnd()) {
-        size_t start = reader.position();
-        VectorRecord record = VectorRecord::Deserialize(reader);
-        // Every record must carry its segment's kind: a record smuggled into
-        // the wrong file would later be read back from the wrong segment.
-        DPPR_CHECK_EQ(SegmentOf(record.kind), k);
-        store->IndexExtent(MakeVectorKey(record.kind, record.sub, record.node),
-                           {start, reader.position() - start});
-        store->Charge(record.kind, record.vec.SerializedBytes());
-      }
-    });
-  }
+      new DiskSpillStorage(SpillFile::Open(path), options.cache_bytes));
+  // Rebuild the index by walking the record stream once. Every record is
+  // fully re-validated (VectorRecord::Deserialize DPPR_CHECKs kinds, id
+  // ranges and blob framing, and the ledger charge refuses columns), so a
+  // truncated, corrupted or foreign file dies here — at open — rather than
+  // serving garbage at query time.
+  store->file_->Scan([&](std::span<const uint8_t> bytes) {
+    ByteReader reader(bytes.data(), bytes.size());
+    while (!reader.AtEnd()) {
+      size_t start = reader.position();
+      VectorRecord record = VectorRecord::Deserialize(reader);
+      store->IndexRecord(record.kind, record.sub, record.node,
+                         {start, reader.position() - start},
+                         record.vec.SerializedBytes());
+    }
+  });
   return store;
 }
 
-SpillFile& DiskSpillStorage::SegmentFor(VectorKind kind) const {
-  return *files_[SegmentOf(kind)];
-}
-
-void DiskSpillStorage::IndexExtent(uint64_t key, SpillExtent extent) {
-  bool inserted = extents_.emplace(key, extent).second;
+void DiskSpillStorage::IndexRecord(VectorKind kind, SubgraphId sub, NodeId node,
+                                   SpillExtent extent, size_t serialized_bytes) {
+  bool inserted = extents_.emplace(MakeVectorKey(kind, sub, node), extent).second;
   DPPR_CHECK(inserted);
-}
-
-void DiskSpillStorage::AppendVector(VectorKind kind, SubgraphId sub, NodeId node,
-                                    double seconds, const SparseVector& vec,
-                                    size_t serialized_bytes) {
-  ByteWriter writer;
-  VectorRecord::Serialize(writer, kind, sub, node, seconds, vec);
-  SpillExtent extent = SegmentFor(kind).Append(writer.bytes());
-  IndexExtent(MakeVectorKey(kind, sub, node), extent);
   // The ledger charges the vector's serialized size, same as the in-memory
-  // backends, so the paper's space metrics are backend-invariant; the record
+  // backend, so the paper's space metrics are backend-invariant; the record
   // header overhead is visible via SpillFile::size() instead.
   Charge(kind, serialized_bytes);
 }
 
 void DiskSpillStorage::PutOwned(VectorKind kind, SubgraphId sub, NodeId node,
                                 SparseVector vec, size_t serialized_bytes) {
-  AppendVector(kind, sub, node, /*seconds=*/0.0, vec, serialized_bytes);
-}
-
-double DiskSpillStorage::Ingest(VectorRecord record) {
-  AppendVector(record.kind, record.sub, record.node, record.seconds, record.vec,
-               record.vec.SerializedBytes());
-  return record.seconds;
+  ByteWriter writer;
+  VectorRecord::Serialize(writer, kind, sub, node, /*seconds=*/0.0, vec);
+  IndexRecord(kind, sub, node, file_->Append(writer.bytes()), serialized_bytes);
 }
 
 double DiskSpillStorage::IngestFrom(ByteReader& reader) {
@@ -324,97 +186,41 @@ double DiskSpillStorage::IngestFrom(ByteReader& reader) {
   // dropped right after — ingest streams the raw record bytes to the spill
   // file, so coordinator RAM stays bounded by one record, not the index.
   VectorRecord record = VectorRecord::Deserialize(reader);
-  SpillExtent extent =
-      SegmentFor(record.kind).Append(reader.Slice(start, reader.position()));
-  IndexExtent(MakeVectorKey(record.kind, record.sub, record.node), extent);
-  Charge(record.kind, record.vec.SerializedBytes());
+  IndexRecord(record.kind, record.sub, record.node,
+              file_->Append(reader.Slice(start, reader.position())),
+              record.vec.SerializedBytes());
   return record.seconds;
-}
-
-PpvRef DiskSpillStorage::CachedLocked(uint64_t key) const {
-  auto cit = cache_.find(key);
-  if (cit == cache_.end()) return {};
-  Count(&StorageStats::cache_hits, 1);
-  DiskMetrics::Get().hits->Increment();
-  lru_.splice(lru_.begin(), lru_, cit->second.lru_it);
-  return PpvRef(cit->second.vec);
 }
 
 PpvRef DiskSpillStorage::Find(VectorKind kind, SubgraphId sub, NodeId node) const {
   uint64_t key = MakeVectorKey(kind, sub, node);
   auto eit = extents_.find(key);
   if (eit == extents_.end()) return {};
-  for (;;) {
-    std::shared_ptr<InFlightLoad> load;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (PpvRef cached = CachedLocked(key)) return cached;
-      // Singleflight: if another thread is already reading this extent, wait
-      // for its result instead of issuing a duplicate pread. A follower still
-      // counts as a miss (the lookup was not served from RAM) but adds no
-      // disk bytes — the leader's read is billed exactly once.
-      auto fit = inflight_.find(key);
-      if (fit != inflight_.end()) {
-        std::shared_ptr<InFlightLoad> lead = fit->second;
-        Count(&StorageStats::cache_misses, 1);
-        DiskMetrics::Get().misses->Increment();
-        {
-          obs::TraceSpan wait_span(obs::kCoordinatorLane,
-                                   "store.singleflight_wait");
-          WallTimer wait;
-          lead->done_cv.wait(lock, [&] { return lead->done; });
-          DiskMetrics::Get().singleflight_wait_us->Record(
-              static_cast<uint64_t>(wait.ElapsedSeconds() * 1e6));
-        }
-        if (!lead->failed) return PpvRef(lead->vec);
-        // The leader unwound without a result; start the lookup over (this
-        // thread may become the next leader and surface the error itself).
-        continue;
-      }
-      // Leader: the load is fully constructed before it enters the table, so
-      // an allocation failure here leaves the table untouched rather than
-      // holding a null entry every later lookup would wait on forever.
-      load = std::make_shared<InFlightLoad>();
-      inflight_.emplace(key, load);
+  const DiskMetrics& disk_metrics = DiskMetrics::Get();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto cit = cache_.find(key);
+    if (cit != cache_.end()) {
+      Count(&StorageStats::cache_hits, 1);
+      disk_metrics.hits->Increment();
+      lru_.splice(lru_.begin(), lru_, cit->second.lru_it);
+      return PpvRef(cit->second.vec);
     }
-    return Load(key, kind, sub, node, eit->second, std::move(load));
   }
-}
 
-PpvRef DiskSpillStorage::Load(uint64_t key, VectorKind kind, SubgraphId sub,
-                              NodeId node, SpillExtent extent,
-                              std::shared_ptr<InFlightLoad> load) const {
-  // If anything below unwinds (the reads and parses allocate, so bad_alloc
-  // is possible), retire the singleflight entry and wake the followers as
-  // failed — otherwise they, and every future lookup of this key, would wait
-  // forever on a result that can no longer arrive.
-  struct AbandonOnUnwind {
-    const DiskSpillStorage* store;
-    uint64_t key;
-    const std::shared_ptr<InFlightLoad>& load;
-    bool armed = true;
-    ~AbandonOnUnwind() {
-      if (!armed) return;
-      std::lock_guard<std::mutex> lock(store->mu_);
-      load->failed = true;
-      load->done = true;
-      store->inflight_.erase(key);
-      load->done_cv.notify_all();
-    }
-  } abandon{this, key, load};
-
-  // Disk I/O and deserialization happen outside the cache lock so concurrent
-  // misses on different vectors overlap their reads.
+  // Miss: disk I/O and deserialization happen outside the cache lock so
+  // concurrent misses overlap their reads.
+  const SpillExtent extent = eit->second;
   std::vector<uint8_t> buf(extent.length);
   VectorRecord record = [&] {
     obs::TraceSpan read_span(obs::kCoordinatorLane, "store.extent_read");
     read_span.Arg("bytes", extent.length);
     WallTimer read_timer;
-    SegmentFor(kind).Read(extent, buf);
+    file_->Read(extent, buf);
     ByteReader reader(buf.data(), buf.size());
     VectorRecord parsed = VectorRecord::Deserialize(reader);
     DPPR_CHECK(reader.AtEnd());
-    DiskMetrics::Get().miss_extent_read_us->Record(
+    disk_metrics.miss_extent_read_us->Record(
         static_cast<uint64_t>(read_timer.ElapsedSeconds() * 1e6));
     return parsed;
   }();
@@ -428,25 +234,18 @@ PpvRef DiskSpillStorage::Load(uint64_t key, VectorKind kind, SubgraphId sub,
   std::lock_guard<std::mutex> lock(mu_);
   Count(&StorageStats::cache_misses, 1);
   Count(&StorageStats::disk_bytes_read, extent.length);
-  const DiskMetrics& disk_metrics = DiskMetrics::Get();
   disk_metrics.misses->Increment();
   disk_metrics.bytes_read->Add(extent.length);
-  // Publish to followers parked on this load, then retire the singleflight
-  // entry — later lookups either hit the cache or start a fresh load.
-  load->vec = vec;
-  load->done = true;
-  inflight_.erase(key);
-  abandon.armed = false;
-  load->done_cv.notify_all();
-  InsertIntoCacheLocked(key, vec, static_cast<size_t>(extent.length));
+  // A concurrent miss of the same key may have inserted it while this read
+  // ran; its entry stays the only one, and this read's copy is just pinned.
+  if (!cache_.contains(key)) {
+    InsertIntoCacheLocked(key, vec, static_cast<size_t>(extent.length));
+  }
   return PpvRef(std::move(vec));
 }
 
 void DiskSpillStorage::InsertIntoCacheLocked(
     uint64_t key, std::shared_ptr<const SparseVector> vec, size_t bytes) const {
-  // The singleflight table guarantees no concurrent load of this key, so the
-  // cache cannot already hold it (insertion only ever happens right here).
-  DPPR_DCHECK(cache_.find(key) == cache_.end());
   lru_.push_front(key);
   cache_.emplace(key, CacheEntry{std::move(vec), bytes, lru_.begin()});
   resident_bytes_ += bytes;
@@ -463,7 +262,7 @@ void DiskSpillStorage::InsertIntoCacheLocked(
 
 std::unique_ptr<VectorStorage> DiskSpillStorage::Clone() const {
   std::unique_ptr<DiskSpillStorage> clone(
-      new DiskSpillStorage(files_, cache_budget_));
+      new DiskSpillStorage(file_, cache_budget_));
   clone->extents_ = extents_;
   clone->CopyLedgerFrom(*this);
   return clone;

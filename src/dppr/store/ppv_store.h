@@ -30,9 +30,10 @@ class PpvStore {
   explicit PpvStore(const StorageOptions& options)
       : storage_(MakeVectorStorage(options)) {}
 
-  /// Reopens a disk store from a named spill file written via
-  /// StorageOptions::spill_path. Scanning re-validates every record:
-  /// truncated or corrupted spill files DPPR_CHECK-fail here, at open.
+  /// Reopens a disk store from the named spill file a store built with
+  /// StorageOptions::spill_path wrote: one scan of its back-to-back records
+  /// re-validates each one, so a truncated, corrupted or foreign file
+  /// DPPR_CHECK-fails here, at open. The reopened store is read-only.
   static PpvStore OpenSpill(const std::string& path,
                             const StorageOptions& options = StorageOptions::FromEnv(
                                 StorageBackend::kDisk));
@@ -54,14 +55,11 @@ class PpvStore {
     storage_->PutOwned(kind, sub, node, std::move(vec), serialized_bytes);
   }
 
-  /// Adopts one wire record; the byte ledger is charged the vector's
-  /// serialized size. Returns the record's compute seconds so the caller can
-  /// charge its offline ledger.
-  double Ingest(VectorRecord record) { return storage_->Ingest(std::move(record)); }
-
-  /// Consumes exactly one record from `reader` and stores it — the disk
+  /// Consumes exactly one wire record from `reader` and stores it — the disk
   /// backend streams the raw wire bytes straight to its spill file. Hostile
-  /// bytes DPPR_CHECK-fail before anything is stored.
+  /// bytes DPPR_CHECK-fail before anything is stored. The byte ledger is
+  /// charged the vector's serialized size; returns the record's compute
+  /// seconds so the caller can charge its offline ledger.
   double IngestFrom(ByteReader& reader) { return storage_->IngestFrom(reader); }
 
   /// Empty ref when this machine does not hold the vector. Thread-safe once

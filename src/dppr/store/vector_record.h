@@ -42,14 +42,6 @@ inline uint64_t MakeVectorKey(VectorKind kind, SubgraphId sub, NodeId node) {
          node;
 }
 
-/// Kind bits of a packed key — the disk backend's per-kind spill segments
-/// route on this without unpacking the rest.
-inline VectorKind VectorKindOfKey(uint64_t key) {
-  uint64_t kind = key >> 60;
-  DPPR_DCHECK(kind < kNumVectorKinds);
-  return static_cast<VectorKind>(kind);
-}
-
 /// Wire format for shipping one precomputed vector between machines: header
 /// (kind, subgraph, owner node, compute seconds) followed by the serialized
 /// SparseVector as a length-prefixed blob, so a receiver can bounds-check the

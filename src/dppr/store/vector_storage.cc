@@ -48,18 +48,14 @@ StorageOptions StorageOptions::FromEnv(StorageBackend fallback) {
   int64_t cache = GetEnvInt("DPPR_CACHE_BYTES", static_cast<int64_t>(options.cache_bytes));
   DPPR_CHECK_GE(cache, 0);
   options.cache_bytes = static_cast<size_t>(cache);
-  options.spill_dir = GetEnvString("DPPR_SPILL_DIR", "");
   return options;
 }
 
-double VectorStorage::Ingest(VectorRecord record) {
+double VectorStorage::IngestFrom(ByteReader& reader) {
+  VectorRecord record = VectorRecord::Deserialize(reader);
   size_t bytes = record.vec.SerializedBytes();
   PutOwned(record.kind, record.sub, record.node, std::move(record.vec), bytes);
   return record.seconds;
-}
-
-double VectorStorage::IngestFrom(ByteReader& reader) {
-  return Ingest(VectorRecord::Deserialize(reader));
 }
 
 std::unique_ptr<VectorStorage> MakeVectorStorage(const StorageOptions& options) {

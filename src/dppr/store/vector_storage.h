@@ -69,16 +69,16 @@ enum class StorageBackend : uint8_t {
 const char* StorageBackendName(StorageBackend backend);
 
 /// Backend selection + disk-backend knobs. `FromEnv` lets one env switch
-/// flip every store in the process (the CI disk leg runs the whole test
-/// suite under `DPPR_STORE=disk DPPR_CACHE_BYTES=<small>`):
+/// flip every store in the process (ctest's disk configurations run the
+/// whole suite under `DPPR_STORE=disk DPPR_CACHE_BYTES=4096`):
 ///
 ///   DPPR_STORE        "disk" forces the spill backend, "memory" keeps the
 ///                     call site's in-memory default; unset keeps the default;
 ///                     anything else DPPR_CHECK-fails (a typo must not
 ///                     silently serve from RAM).
 ///   DPPR_CACHE_BYTES  residency-cache budget in bytes (default 64 MiB).
-///   DPPR_SPILL_DIR    directory for anonymous spill files (default $TMPDIR
-///                     or /tmp).
+///
+/// The spill location is set in code: `spill_dir` and `spill_path` below.
 struct StorageOptions {
   StorageBackend backend = StorageBackend::kMemoryOwned;
   /// Disk backend: serialized bytes the residency cache may keep in RAM.
@@ -86,10 +86,11 @@ struct StorageOptions {
   /// is a miss that reads the extent from disk.
   size_t cache_bytes = size_t{64} << 20;
   /// Disk backend: directory for the anonymous (unlinked) spill file when
-  /// `spill_path` is empty.
+  /// `spill_path` is empty. Empty = $TMPDIR, or /tmp when that is unset.
   std::string spill_dir;
-  /// Disk backend: named spill file to create (kept on disk, reopenable via
-  /// PpvStore::OpenSpill). Empty = anonymous temp file, deleted on close.
+  /// Disk backend: named spill file to create — the store's one record
+  /// file, kept on disk and reopenable via PpvStore::OpenSpill. Empty =
+  /// anonymous temp file, deleted on close.
   std::string spill_path;
 
   static StorageOptions FromEnv(
@@ -159,7 +160,7 @@ class StorageStatsScope {
 /// *serialized* size regardless of representation, so byte metrics are
 /// bit-identical across backends.
 ///
-/// Threading contract: writes (PutOwned/Ingest*) are single-threaded —
+/// Threading contract: writes (PutOwned/IngestFrom) are single-threaded —
 /// they happen in the coordinator's ingest phase — while Find is safe from
 /// many threads at once after the writes are done (the serving regime). Don't
 /// interleave writes with concurrent Finds.
@@ -173,15 +174,13 @@ class VectorStorage {
   virtual void PutOwned(VectorKind kind, SubgraphId sub, NodeId node,
                         SparseVector vec, size_t serialized_bytes) = 0;
 
-  /// Adopts one wire record; the byte ledger is charged the vector's
-  /// serialized size. Returns the record's compute seconds so the caller can
-  /// charge its offline ledger.
-  virtual double Ingest(VectorRecord record);
-
-  /// Consumes exactly one record from `reader` (validating it — hostile
-  /// bytes DPPR_CHECK-fail) and stores it. The disk backend overrides this
-  /// to append the raw record bytes straight to its spill file instead of
-  /// materializing the vector in RAM beyond the transient validation parse.
+  /// Consumes exactly one wire record from `reader` (validating it — hostile
+  /// bytes DPPR_CHECK-fail) and adopts its vector through PutOwned; the byte
+  /// ledger is charged the vector's serialized size. Returns the record's
+  /// compute seconds so the caller can charge its offline ledger. The disk
+  /// backend overrides this to append the raw record bytes straight to its
+  /// spill file instead of materializing the vector in RAM beyond the
+  /// transient validation parse.
   virtual double IngestFrom(ByteReader& reader);
 
   /// Empty ref when this machine does not hold the vector.

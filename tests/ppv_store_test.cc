@@ -210,45 +210,42 @@ TEST(VectorRecord, ConcatenatedRecordsRoundTrip) {
   EXPECT_TRUE(reader.AtEnd());
 }
 
-TEST(VectorRecord, IngestChargesStoreAndReturnsSeconds) {
-  VectorRecord record;
-  record.kind = VectorKind::kSkeletonRow;
-  record.sub = 4;
-  record.node = 9;
-  record.seconds = 2.5;
-  record.vec = RandomSparseVector(8, 60);
-  size_t bytes = record.vec.SerializedBytes();
-  SparseVector expected = record.vec;
-
-  PpvStore store;
-  EXPECT_DOUBLE_EQ(store.Ingest(std::move(record)), 2.5);
-  PpvRef found = store.Find(VectorKind::kSkeletonRow, 4, 9);
-  ASSERT_TRUE(found);
-  EXPECT_EQ(*found, expected);
-  EXPECT_EQ(store.TotalSerializedBytes(), bytes);
-}
-
 TEST(VectorRecord, IngestFromConsumesExactlyOneRecord) {
+  // Each call returns its record's compute seconds and charges the ledger
+  // the vector's serialized size, under the record's kind.
   ByteWriter writer;
   VectorRecord a;
-  a.kind = VectorKind::kOwnVector;
+  a.kind = VectorKind::kSkeletonRow;
   a.sub = 1;
   a.node = 2;
   a.seconds = 1.5;
   a.vec = RandomSparseVector(31, 40);
   a.SerializeTo(writer);
-  VectorRecord b = a;
+  VectorRecord b;
+  b.kind = VectorKind::kOwnVector;
+  b.sub = 1;
   b.node = 3;
+  b.seconds = 2.5;
+  b.vec = RandomSparseVector(8, 60);
   b.SerializeTo(writer);
 
   PpvStore store;
   ByteReader reader(writer.bytes());
   EXPECT_DOUBLE_EQ(store.IngestFrom(reader), 1.5);
   EXPECT_EQ(store.num_vectors(), 1u);
-  EXPECT_DOUBLE_EQ(store.IngestFrom(reader), 1.5);
+  EXPECT_EQ(store.TotalSerializedBytes(), a.vec.SerializedBytes());
+  EXPECT_DOUBLE_EQ(store.IngestFrom(reader), 2.5);
   EXPECT_TRUE(reader.AtEnd());
-  EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 1, 2), a.vec);
-  EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 1, 3), b.vec);
+  EXPECT_EQ(store.TotalSerializedBytes(),
+            a.vec.SerializedBytes() + b.vec.SerializedBytes());
+  EXPECT_EQ(store.SerializedBytesByKind(VectorKind::kOwnVector),
+            b.vec.SerializedBytes());
+  PpvRef found_a = store.Find(VectorKind::kSkeletonRow, 1, 2);
+  PpvRef found_b = store.Find(VectorKind::kOwnVector, 1, 3);
+  ASSERT_TRUE(found_a);
+  ASSERT_TRUE(found_b);
+  EXPECT_EQ(*found_a, a.vec);
+  EXPECT_EQ(*found_b, b.vec);
 }
 
 TEST(VectorRecordDeserialize, UnknownKindDies) {
@@ -343,7 +340,8 @@ TEST(VectorRecordDeserialize, TrailingGarbageInsideBlobDies) {
 // at open, and out-of-range extents at read — never serve garbage.
 // ---------------------------------------------------------------------------
 
-// Writes a well-formed spill file at `path` and returns its bytes.
+// Writes a well-formed spill file at `path` and returns its bytes: the four
+// records, back to back, so the hostile tests below edit a stored record.
 std::vector<uint8_t> WriteValidSpill(const std::string& path) {
   StorageOptions options;
   options.backend = StorageBackend::kDisk;
@@ -354,8 +352,17 @@ std::vector<uint8_t> WriteValidSpill(const std::string& path) {
     store.PutOwned(VectorKind::kOwnVector, 2, node, vec, vec.SerializedBytes());
   }
   std::ifstream in(path, std::ios::binary);
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
+  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  ByteReader reader(bytes);
+  for (NodeId node = 0; node < 4; ++node) {
+    VectorRecord record = VectorRecord::Deserialize(reader);
+    EXPECT_EQ(record.kind, VectorKind::kOwnVector);
+    EXPECT_EQ(record.node, node);
+    EXPECT_EQ(record.vec, RandomSparseVector(50 + node, 30));
+  }
+  EXPECT_TRUE(reader.AtEnd());
+  return bytes;
 }
 
 void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {

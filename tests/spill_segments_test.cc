@@ -1,5 +1,5 @@
-// Coverage for the disk store's layout: per-kind spill segments with their
-// manifest (and the hostile manifests that must die at open), and
+// Coverage for the disk store's layout: one spill file of back-to-back
+// records per store (and the hostile files that must die at open), and
 // bit-identity of the full query surface across storage backends and
 // transports.
 
@@ -37,34 +37,22 @@ std::string TempPath(const std::string& name) {
   return dir + "/dppr_spill_segments_test_" + name + ".spill";
 }
 
-std::string ReadText(const std::string& path) {
+std::vector<uint8_t> ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
 }
 
-void WriteText(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
-}
-
-// The kinds a store holds, in segment order.
+// The kinds a store holds.
 constexpr std::array<VectorKind, 3> kStoredKinds{
     VectorKind::kHubPartial, VectorKind::kSkeletonRow, VectorKind::kOwnVector};
 
-void RemoveSpill(const std::string& path) {
-  std::remove(path.c_str());
-  for (const char* suffix : {"hub_partial", "skeleton_row", "own_vector"}) {
-    std::remove((path + "." + suffix).c_str());
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Per-kind segments: manifest round trip and hostile input
+// One spill file: round trip and hostile input
 // ---------------------------------------------------------------------------
 
-TEST(SpillSegments, NamedSpillWritesManifestAndSegments) {
-  std::string path = TempPath("manifest");
+TEST(SpillFileLayout, NamedSpillIsOneRecordFile) {
+  std::string path = TempPath("onefile");
   StorageOptions options = Disk();
   options.spill_path = path;
   std::vector<SparseVector> expected;
@@ -76,9 +64,18 @@ TEST(SpillSegments, NamedSpillWritesManifestAndSegments) {
                      expected.back().SerializedBytes());
     }
   }
-  EXPECT_EQ(ReadText(path).rfind("DPPR-SPILL-MANIFEST v2", 0), 0u);
+  // The file at the path is the records themselves, back to back to its
+  // end, in put order; nothing else is written next to it.
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  ByteReader reader(bytes);
+  for (size_t k = 0; k < kStoredKinds.size(); ++k) {
+    VectorRecord record = VectorRecord::Deserialize(reader);
+    EXPECT_EQ(record.kind, kStoredKinds[k]);
+    EXPECT_EQ(record.vec, expected[k]);
+  }
+  EXPECT_TRUE(reader.AtEnd());
   for (const char* suffix : {"hub_partial", "skeleton_row", "own_vector"}) {
-    EXPECT_TRUE(std::ifstream(path + "." + suffix).good()) << suffix;
+    EXPECT_FALSE(std::ifstream(path + "." + suffix).good()) << suffix;
   }
 
   PpvStore reopened = PpvStore::OpenSpill(path);
@@ -88,10 +85,10 @@ TEST(SpillSegments, NamedSpillWritesManifestAndSegments) {
     ASSERT_TRUE(found);
     EXPECT_EQ(*found, expected[k]);
   }
-  RemoveSpill(path);
+  std::remove(path.c_str());
 }
 
-std::string WriteValidSegmentSpill(const std::string& path) {
+void WriteValidSpill(const std::string& path) {
   StorageOptions options = Disk();
   options.spill_path = path;
   PpvStore store(options);
@@ -99,23 +96,18 @@ std::string WriteValidSegmentSpill(const std::string& path) {
     SparseVector vec = RandomSparseVector(900 + k, 20);
     store.PutOwned(kStoredKinds[k], 0, k, vec, vec.SerializedBytes());
   }
-  return ReadText(path);
 }
 
-TEST(SpillManifestHostile, RawRecordStreamDies) {
-  // A spill path holding a bare record stream (every kind interleaved, no
-  // manifest) is not a spill this store reads: it must die at open like any
-  // other malformed manifest.
-  std::string path = TempPath("rawstream");
+TEST(SpillFileHostile, SkeletonColumnRecordDies) {
+  // Stores hold skeletons as rows; a spill carrying a column record is
+  // refused at open.
+  std::string path = TempPath("column");
+  WriteValidSpill(path);
   ByteWriter writer;
-  for (NodeId i = 0; i < 4; ++i) {
-    for (size_t k = 0; k < kStoredKinds.size(); ++k) {
-      VectorRecord::Serialize(writer, kStoredKinds[k], 1, i, /*seconds=*/0.0,
-                              RandomSparseVector(800 + 10 * i + k, 15));
-    }
-  }
+  VectorRecord::Serialize(writer, VectorKind::kSkeletonColumn, 0, 42, 0.0,
+                          RandomSparseVector(43, 5));
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(path, std::ios::binary | std::ios::app);
     out.write(reinterpret_cast<const char*>(writer.bytes().data()),
               static_cast<std::streamsize>(writer.bytes().size()));
   }
@@ -123,81 +115,20 @@ TEST(SpillManifestHostile, RawRecordStreamDies) {
   std::remove(path.c_str());
 }
 
-TEST(SpillManifestHostile, MissingEndTrailerDies) {
-  std::string path = TempPath("noend");
-  std::string manifest = WriteValidSegmentSpill(path);
-  size_t end = manifest.rfind("end\n");
-  ASSERT_NE(end, std::string::npos);
-  WriteText(path, manifest.substr(0, end));
+TEST(SpillFileHostile, ManifestFormatFileDies) {
+  // The text manifest an earlier layout wrote at the spill path is not a
+  // record stream, and no reader for it is kept: it dies at open.
+  std::string path = TempPath("manifest");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "DPPR-SPILL-MANIFEST v2\n"
+           "hub_partial x.spill.hub_partial\n"
+           "skeleton_row x.spill.skeleton_row\n"
+           "own_vector x.spill.own_vector\n"
+           "end\n";
+  }
   EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
-  RemoveSpill(path);
-}
-
-TEST(SpillManifestHostile, WrongKindLineDies) {
-  std::string path = TempPath("wrongkind");
-  std::string manifest = WriteValidSegmentSpill(path);
-  size_t pos = manifest.find("skeleton_row ");
-  ASSERT_NE(pos, std::string::npos);
-  manifest.replace(pos, 13, "skeleton_rou ");
-  WriteText(path, manifest);
-  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
-  RemoveSpill(path);
-}
-
-TEST(SpillManifestHostile, PathTraversalBasenameDies) {
-  // A hostile manifest must not be able to point a segment outside the
-  // manifest's own directory.
-  std::string path = TempPath("traversal");
-  std::string manifest = WriteValidSegmentSpill(path);
-  size_t line = manifest.find("own_vector ");
-  ASSERT_NE(line, std::string::npos);
-  size_t eol = manifest.find('\n', line);
-  manifest.replace(line, eol - line, "own_vector ../../etc/passwd");
-  WriteText(path, manifest);
-  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
-  RemoveSpill(path);
-}
-
-TEST(SpillManifestHostile, MissingSegmentFileDies) {
-  std::string path = TempPath("missingseg");
-  WriteValidSegmentSpill(path);
-  std::remove((path + ".hub_partial").c_str());
-  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
-  RemoveSpill(path);
-}
-
-TEST(SpillManifestHostile, RecordInWrongSegmentDies) {
-  // A record whose kind contradicts its segment would be read back from the
-  // wrong file; the open-time scan must refuse it.
-  std::string path = TempPath("wrongseg");
-  WriteValidSegmentSpill(path);
-  ByteWriter writer;
-  VectorRecord::Serialize(writer, VectorKind::kOwnVector, 0, 42, 0.0,
-                          RandomSparseVector(42, 5));
-  std::string skeleton_segment = path + ".skeleton_row";
-  std::ofstream out(skeleton_segment,
-                    std::ios::binary | std::ios::app);
-  out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-            static_cast<std::streamsize>(writer.bytes().size()));
-  out.close();
-  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
-  RemoveSpill(path);
-}
-
-TEST(SpillManifestHostile, SkeletonColumnRecordDies) {
-  // Stores hold skeletons as rows; a column record has no segment to live
-  // in, so a spill carrying one is refused at open.
-  std::string path = TempPath("column");
-  WriteValidSegmentSpill(path);
-  ByteWriter writer;
-  VectorRecord::Serialize(writer, VectorKind::kSkeletonColumn, 0, 42, 0.0,
-                          RandomSparseVector(43, 5));
-  std::ofstream out(path + ".skeleton_row", std::ios::binary | std::ios::app);
-  out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-            static_cast<std::streamsize>(writer.bytes().size()));
-  out.close();
-  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
-  RemoveSpill(path);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
