@@ -184,11 +184,12 @@ Counters MeasureColdQueries() {
   for (size_t round = 0; round < kColdRounds; ++round) {
     HgpaQueryEngine engine(base);
     for (size_t i = 0; i < kQueriesPerRound; ++i) {
+      QueryMetrics metrics;
       WallTimer timer;
-      (void)engine.Query(queries[round * kQueriesPerRound + i]);
+      (void)engine.Query(queries[round * kQueriesPerRound + i], &metrics);
       latency_ms.push_back(timer.ElapsedMillis());
+      totals += metrics.storage;
     }
-    totals += engine.index().StorageStatsTotal();
   }
 
   std::sort(latency_ms.begin(), latency_ms.end());

@@ -87,6 +87,9 @@ int main(int argc, char** argv) {
   constexpr size_t kQueriesPerClient = 50;
   std::printf("%-9s %10s %10s %10s %8s\n", "clients", "qps", "p50(ms)",
               "p95(ms)", "rounds");
+  // Each row resets the stats window, so the whole run's residency is the
+  // rows' windows summed.
+  StorageStats lookups;
   for (size_t clients : {1, 2, 4, 8}) {
     std::vector<NodeId> nodes;
     for (size_t i = 0; i < clients * kQueriesPerClient; ++i) {
@@ -106,19 +109,17 @@ int main(int argc, char** argv) {
     std::printf("%-9zu %10.0f %10.2f %10.2f %8llu\n", clients, stats.qps,
                 stats.p50_latency_ms, stats.p95_latency_ms,
                 static_cast<unsigned long long>(stats.rounds));
+    lookups += {stats.cache_hits, stats.cache_misses, stats.disk_bytes_read};
   }
 
   if (disk) {
-    // Whole-run residency picture (stats windows were reset per row above,
-    // so re-read the monotonic store counters directly).
-    StorageStats storage_stats = server.engine().index().StorageStatsTotal();
-    double lookups = static_cast<double>(storage_stats.cache_hits +
-                                         storage_stats.cache_misses);
+    const double total =
+        static_cast<double>(lookups.cache_hits + lookups.cache_misses);
     std::printf("\ndisk store: %.1f%% cache hit rate, %.2f MB read from "
                 "spill files, %.2f MB resident (budget %.2f MB/machine)\n",
-                lookups > 0 ? 100.0 * static_cast<double>(storage_stats.cache_hits) / lookups
-                            : 0.0,
-                static_cast<double>(storage_stats.disk_bytes_read) / (1 << 20),
+                total > 0 ? 100.0 * static_cast<double>(lookups.cache_hits) / total
+                          : 0.0,
+                static_cast<double>(lookups.disk_bytes_read) / (1 << 20),
                 static_cast<double>(server.engine().index().ResidentBytesTotal()) /
                     (1 << 20),
                 static_cast<double>(storage.cache_bytes) / (1 << 20));

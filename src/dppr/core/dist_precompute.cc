@@ -7,37 +7,10 @@
 #include "dppr/common/timer.h"
 #include "dppr/core/skeleton_rows.h"
 #include "dppr/graph/local_graph.h"
-#include "dppr/obs/metrics.h"
 #include "dppr/obs/trace.h"
 
 namespace dppr {
 namespace {
-
-/// Registry handles for the offline phase, resolved once (same pattern as
-/// cluster.cc's ClusterMetrics). The shuffle counters mirror the
-/// cluster.exchange.* transport-side counters but count *records*, the unit
-/// the placement actually routes.
-struct ShuffleMetrics {
-  obs::Counter* rounds;
-  obs::Counter* bytes;
-  obs::Counter* messages;
-  obs::Counter* records;
-  obs::Counter* local_records;
-  obs::Counter* induces;
-
-  static const ShuffleMetrics& Get() {
-    static const ShuffleMetrics metrics = [] {
-      auto& r = obs::MetricsRegistry::Global();
-      return ShuffleMetrics{r.GetCounter("precompute.shuffle.rounds"),
-                            r.GetCounter("precompute.shuffle.bytes"),
-                            r.GetCounter("precompute.shuffle.messages"),
-                            r.GetCounter("precompute.shuffle.records"),
-                            r.GetCounter("precompute.shuffle.local_records"),
-                            r.GetCounter("precompute.induce.total")};
-    }();
-    return metrics;
-  }
-};
 
 /// Serializes one record and returns its wire size (what the byte ledgers
 /// and LevelStats charge for it).
@@ -129,15 +102,13 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
   result.placement = Placement(
       std::make_shared<const Hierarchy>(std::move(hierarchy)), num_machines);
   result.options = options;
-  result.stores.reserve(num_machines);
-  for (size_t m = 0; m < num_machines; ++m) result.stores.emplace_back(dist.storage);
+  result.stores = MakeMachineStores(dist.storage, num_machines);
   result.ledger = MachineTimeLedger(num_machines);
 
   const Placement& placement = result.placement;
   const Hierarchy& h = placement.hierarchy();
   SimCluster cluster(num_machines, dist.network, dist.sequential,
                      dist.transport);
-  const ShuffleMetrics& shuffle_metrics = ShuffleMetrics::Get();
 
   // Superstep 1: leaf local PPVs. The leaf packing makes every leaf's home
   // also the owner of all its nodes, so there is nothing to shuffle: machine
@@ -177,7 +148,6 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
     for (size_t m = 0; m < num_machines; ++m) {
       result.induces += placement.LeavesOn(m).size();
     }
-    shuffle_metrics.induces->Add(result.induces);
   }
 
   // Per hierarchy level, deepest first. Levels whose subgraphs have no hubs
@@ -194,7 +164,9 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
   for (uint32_t level : hub_levels) {
     // Per-machine tallies written only from each machine's own slot, so the
     // parallel scheduler never races them; folded into LevelStats after the
-    // round's barrier.
+    // round's barrier. LevelStats, `induces` and the offline MultiRoundStats
+    // are the run's one record of what it induced and shuffled; no registry
+    // series copies them.
     std::vector<size_t> induces_m(num_machines, 0);
     std::vector<size_t> local_records_m(num_machines, 0);
     std::vector<size_t> local_bytes_m(num_machines, 0);
@@ -211,7 +183,7 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
     // into its row block as part of the ingest (coordinator time).
     obs::TraceSpan span(obs::kCoordinatorLane, "precompute.shuffle_superstep");
     span.Arg("level", level);
-    SimCluster::ExchangeResult round = cluster.RunExchange(
+    cluster.RunExchange(
         [&](size_t machine) {
           std::vector<ByteWriter> outbox(num_machines);
           for (const auto& sub : h.subgraphs()) {
@@ -268,9 +240,6 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
           }
         },
         &result.offline);
-    shuffle_metrics.rounds->Increment();
-    shuffle_metrics.bytes->Add(round.metrics.shuffled.bytes);
-    shuffle_metrics.messages->Add(round.metrics.shuffled.messages);
 
     Result::LevelStats level_stats;
     level_stats.level = level;
@@ -280,9 +249,6 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
     level_stats.shuffled_records = Sum(shuffled_records_m);
     level_stats.shuffled_bytes = Sum(shuffled_bytes_m);
     result.induces += level_stats.induces;
-    shuffle_metrics.induces->Add(level_stats.induces);
-    shuffle_metrics.records->Add(level_stats.shuffled_records);
-    shuffle_metrics.local_records->Add(level_stats.local_records);
     result.levels.push_back(level_stats);
   }
 

@@ -24,8 +24,7 @@ HgpaIndex HgpaIndex::Distribute(
   Placement placement(std::make_shared<const Hierarchy>(pre.hierarchy()),
                       num_machines);
   const Hierarchy& hierarchy = placement.hierarchy();
-  index.stores_.reserve(num_machines);
-  for (size_t m = 0; m < num_machines; ++m) index.stores_.emplace_back(storage);
+  index.stores_ = MakeMachineStores(storage, num_machines);
   index.offline_ = MachineTimeLedger(num_machines);
 
   auto find = [&](VectorKind kind, SubgraphId sub,
@@ -184,12 +183,6 @@ std::vector<size_t> HgpaIndex::BytesPerMachine() const {
   bytes.reserve(stores_.size());
   for (const auto& store : stores_) bytes.push_back(store.TotalSerializedBytes());
   return bytes;
-}
-
-StorageStats HgpaIndex::StorageStatsTotal() const {
-  StorageStats total;
-  for (const auto& store : stores_) total += store.storage_stats();
-  return total;
 }
 
 size_t HgpaIndex::ResidentBytesTotal() const {

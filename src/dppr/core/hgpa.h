@@ -104,12 +104,8 @@ class HgpaIndex {
   size_t TotalBytes() const;
   std::vector<size_t> BytesPerMachine() const;
 
-  /// Residency counters summed over machine stores' lifetimes (cache
-  /// hits/misses and spill bytes read; all hits for in-memory stores),
-  /// whoever's lookups caused them. Safe to call while queries are in
-  /// flight. A served round's own share is QueryMetrics::storage.
-  StorageStats StorageStatsTotal() const;
   /// Serialized bytes currently resident in RAM across machine stores.
+  /// Lookups are counted per round only, in QueryMetrics::storage.
   size_t ResidentBytesTotal() const;
 
  private:
@@ -157,6 +153,8 @@ struct QueryMetrics {
   /// Store counters the round's machine tasks charged, summed over machines.
   /// Counted per task through StorageStatsScope, so rounds running at the
   /// same time on the same stores never see each other's hits and reads.
+  /// The only count of a query's lookups: stores keep no totals, so a query
+  /// run without a metrics pointer is counted nowhere.
   StorageStats storage;
 
   /// Compute-only runtime (machines overlap their sends in a real cluster,

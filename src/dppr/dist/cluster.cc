@@ -14,16 +14,10 @@ namespace dppr {
 namespace {
 
 /// Registry handles resolved once; afterwards every round touches only
-/// atomics. CommStats in RoundMetrics and these counters are charged from
-/// the same gathered payload sizes, so the registry rollup and the per-round
-/// struct can never disagree.
+/// atomics. Bytes and messages are not here: RoundMetrics::to_coordinator
+/// and ExchangeMetrics::exchanged are their one ledger.
 struct ClusterMetrics {
   obs::Counter* gather_rounds;
-  obs::Counter* gather_bytes;
-  obs::Counter* gather_messages;
-  obs::Counter* exchange_rounds;
-  obs::Counter* exchange_bytes;
-  obs::Counter* exchange_messages;
   obs::Histogram* machine_task_us;
   obs::Histogram* reduce_us;
 
@@ -31,11 +25,6 @@ struct ClusterMetrics {
     static const ClusterMetrics metrics = [] {
       auto& r = obs::MetricsRegistry::Global();
       return ClusterMetrics{r.GetCounter("cluster.gather.rounds"),
-                            r.GetCounter("cluster.gather.bytes"),
-                            r.GetCounter("cluster.gather.messages"),
-                            r.GetCounter("cluster.exchange.rounds"),
-                            r.GetCounter("cluster.exchange.bytes"),
-                            r.GetCounter("cluster.exchange.messages"),
                             r.GetHistogram("cluster.machine_task_us"),
                             r.GetHistogram("cluster.reduce_us")};
     }();
@@ -139,8 +128,9 @@ SimCluster::RoundResult SimCluster::RunRoundOn(std::span<const size_t> machines,
   result.metrics.machine_seconds.assign(num_machines_, 0.0);
 
   // Machine tasks run on pool threads; re-establish the caller's (query's)
-  // trace context there so machine/store/net spans and outgoing frame
-  // headers stay attributed to the query that triggered the round.
+  // trace context there so machine/store/net spans stay attributed to the
+  // query that triggered the round. The context rides the thread, not the
+  // frames.
   const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
   auto run_machine = [&](size_t index) {
     obs::TraceContextScope ctx_scope(trace_ctx);
@@ -177,8 +167,6 @@ SimCluster::RoundResult SimCluster::RunRoundOn(std::span<const size_t> machines,
   }
   const ClusterMetrics& metrics = ClusterMetrics::Get();
   metrics.gather_rounds->Increment();
-  metrics.gather_bytes->Add(result.metrics.to_coordinator.bytes);
-  metrics.gather_messages->Add(result.metrics.to_coordinator.messages);
   for (size_t machine : machines) {
     metrics.machine_task_us->Record(static_cast<uint64_t>(
         result.metrics.machine_seconds[machine] * 1e6));
@@ -251,9 +239,6 @@ SimCluster::ExchangeResult SimCluster::RunExchange(const ExchangeTask& task) con
     result.metrics.shuffled += result.metrics.ingress[dst];
   }
   const ClusterMetrics& metrics = ClusterMetrics::Get();
-  metrics.exchange_rounds->Increment();
-  metrics.exchange_bytes->Add(result.metrics.exchanged.bytes);
-  metrics.exchange_messages->Add(result.metrics.exchanged.messages);
   for (double s : result.metrics.machine_seconds) {
     metrics.machine_task_us->Record(static_cast<uint64_t>(s * 1e6));
   }

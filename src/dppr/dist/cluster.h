@@ -19,7 +19,9 @@ namespace dppr {
 struct RoundMetrics {
   /// Measured compute time of each simulated machine's task.
   std::vector<double> machine_seconds;
-  /// Coordinator-bound traffic (the paper's communication-cost metric).
+  /// Coordinator-bound traffic (the paper's communication-cost metric). The
+  /// one ledger of gather bytes and messages: QueryMetrics::comm and
+  /// MultiRoundStats::comm read it, and no registry series copies it.
   CommStats to_coordinator;
   /// Measured coordinator reduce time (filled in by the caller).
   double coordinator_seconds = 0.0;
@@ -40,7 +42,8 @@ struct ExchangeMetrics {
   /// Measured compute time of each machine's task (outbox construction).
   std::vector<double> machine_seconds;
   /// All n² p2p payloads, recorded in (dst, src) order. Every payload counts
-  /// as one message even when empty, mirroring the gather path.
+  /// as one message even when empty, mirroring the gather path. Like
+  /// to_coordinator, the one ledger of its traffic.
   CommStats exchanged;
   /// Off-machine traffic only (src != dst): a machine's self-addressed
   /// payload never crosses the network, so shuffle ledgers price exactly the

@@ -5,7 +5,6 @@
 
 #include "dppr/common/macros.h"
 #include "dppr/common/serialize.h"
-#include "dppr/obs/trace.h"
 
 namespace dppr {
 
@@ -104,8 +103,6 @@ void EncodeFrameHeader(const FrameHeader& header, std::span<uint8_t> out) {
   writer.PutU32(header.src);
   writer.PutU32(header.dst);
   writer.PutU64(header.round);
-  writer.PutU64(header.trace_id);
-  writer.PutU64(header.span_id);
   writer.PutU64(header.payload_bytes);
   writer.PutU64(header.checksum);
   DPPR_CHECK_EQ(writer.size(), kFrameHeaderBytes);
@@ -125,8 +122,6 @@ FrameHeader DecodeFrameHeader(std::span<const uint8_t> bytes) {
   header.src = reader.GetU32();
   header.dst = reader.GetU32();
   header.round = reader.GetU64();
-  header.trace_id = reader.GetU64();
-  header.span_id = reader.GetU64();
   header.payload_bytes = reader.GetU64();
   header.checksum = reader.GetU64();
   // Also rejects lengths that would wrap `header + payload` arithmetic.
@@ -144,12 +139,6 @@ FrameHeader MakeFrameHeader(FrameKind kind, uint64_t round, uint32_t src,
   header.src = src;
   header.dst = dst;
   header.round = round;
-  // Being the ONE header assembly point means query attribution crosses the
-  // wire for free: both BuildFrame and the TCP scatter/gather sender stamp
-  // the sending thread's context here.
-  const obs::TraceContext ctx = obs::CurrentTraceContext();
-  header.trace_id = ctx.trace_id;
-  header.span_id = ctx.span_id;
   header.payload_bytes = payload.size();
   header.checksum = FrameChecksum(payload);
   return header;

@@ -9,13 +9,12 @@
 namespace dppr {
 
 /// \file
-/// Wire framing for Transport messages. Every payload a machine ships —
-/// whether through the in-process queues or a real socket — is logically one
-/// frame: a fixed-size header naming the message class, the sending machine,
-/// the destination, and the round it belongs to, followed by `payload_bytes`
-/// of opaque payload guarded by a checksum. A TCP byte stream is just a
-/// concatenation of frames, so a receiver can demultiplex many concurrent
-/// rounds off one connection.
+/// Wire framing for TCP Transport messages (the in-process transport hands
+/// payloads over without a header). A frame is a fixed-size header naming
+/// the message class, the sending machine, the destination, and the round it
+/// belongs to, followed by `payload_bytes` of opaque payload guarded by a
+/// checksum. A TCP byte stream is just a concatenation of frames, so a
+/// receiver can demultiplex many concurrent rounds off one connection.
 ///
 /// Decoding is hostile-input-hardened in the same spirit as the existing
 /// deserializers (ByteReader, VectorRecord): a truncated header, an unknown
@@ -45,9 +44,11 @@ inline constexpr uint64_t kMaxFramePayloadBytes = uint64_t{1} << 30;
 /// "DPRF" in little-endian byte order.
 inline constexpr uint32_t kFrameMagic = 0x46525044u;
 
-/// magic u32 | kind u8 | src u32 | dst u32 | round u64 | trace u64 |
-/// span u64 | length u64 | checksum u64.
-inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8;
+/// magic u32 | kind u8 | src u32 | dst u32 | round u64 | length u64 |
+/// checksum u64: 37 bytes. Frames carry no trace context; attribution rides
+/// the thread that runs each machine task (SimCluster re-establishes the
+/// caller's obs::TraceContext there).
+inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4 + 4 + 8 + 8 + 8;
 
 struct FrameHeader {
   FrameKind kind = FrameKind::kGather;
@@ -57,12 +58,6 @@ struct FrameHeader {
   uint32_t dst = kCoordinatorDst;
   /// Transport round the payload belongs to (Transport::AllocateRound).
   uint64_t round = 0;
-  /// Originating query's trace context (obs::TraceContext; 0 = untraced).
-  /// Stamped from the sending thread's context by MakeFrameHeader, so every
-  /// byte on the wire is attributable to the query that caused it even once
-  /// machines live in separate processes.
-  uint64_t trace_id = 0;
-  uint64_t span_id = 0;
   uint64_t payload_bytes = 0;
   /// FrameChecksum over the payload bytes.
   uint64_t checksum = 0;

@@ -8,22 +8,14 @@
 namespace dppr {
 namespace {
 
-/// In-process "wire" accounting: payload bytes only (no frame headers exist
-/// here), so net.inproc.bytes_sent matches the CommStats ledger while
-/// net.tcp.bytes_sent shows what the same workload costs on real sockets.
-struct InprocMetrics {
-  obs::Counter* bytes_sent;
-  obs::Counter* frames_sent;
-
-  static const InprocMetrics& Get() {
-    static const InprocMetrics metrics = [] {
-      auto& r = obs::MetricsRegistry::Global();
-      return InprocMetrics{r.GetCounter("net.inproc.bytes_sent"),
-                           r.GetCounter("net.inproc.frames_sent")};
-    }();
-    return metrics;
-  }
-};
+/// Payloads handed over in memory. No frame header is built here, and the
+/// bytes are the payload sizes the CommStats ledgers already count, so the
+/// frame count is the only in-process wire series.
+obs::Counter* FramesSent() {
+  static obs::Counter* const frames_sent =
+      obs::MetricsRegistry::Global().GetCounter("net.inproc.frames_sent");
+  return frames_sent;
+}
 
 }  // namespace
 
@@ -38,9 +30,7 @@ InProcessTransport::InProcessTransport(size_t num_machines)
 void InProcessTransport::SendToCoordinator(uint64_t round, size_t src,
                                            std::vector<uint8_t> payload) {
   DPPR_CHECK_LT(src, num_machines());
-  const InprocMetrics& metrics = InprocMetrics::Get();
-  metrics.frames_sent->Increment();
-  metrics.bytes_sent->Add(payload.size());
+  FramesSent()->Increment();
   coordinator_.Push(round, src, std::move(payload));
 }
 
@@ -53,9 +43,7 @@ void InProcessTransport::SendToMachine(uint64_t round, size_t src, size_t dst,
                                        std::vector<uint8_t> payload) {
   DPPR_CHECK_LT(src, num_machines());
   DPPR_CHECK_LT(dst, num_machines());
-  const InprocMetrics& metrics = InprocMetrics::Get();
-  metrics.frames_sent->Increment();
-  metrics.bytes_sent->Add(payload.size());
+  FramesSent()->Increment();
   machines_[dst]->Push(round, src, std::move(payload));
 }
 

@@ -22,16 +22,15 @@
 namespace dppr {
 namespace {
 
-/// Process-wide TCP wire accounting. bytes_sent counts payload + frame
-/// header (actual socket traffic, unlike CommStats which stays
-/// payload-only and backend-invariant); partial_write_retries counts
-/// sendmsg calls beyond the first per frame — nonzero means the kernel
-/// buffer filled and frames are backpressured.
+/// Process-wide TCP wire accounting, on the sending side only: sender and
+/// receiver are one TcpTransport, so every frame sent is received. bytes_sent
+/// counts payload + frame header (actual socket traffic, unlike CommStats
+/// which stays payload-only and backend-invariant); partial_write_retries
+/// counts sendmsg calls beyond the first per frame — nonzero means the
+/// kernel buffer filled and frames are backpressured.
 struct TcpMetrics {
   obs::Counter* bytes_sent;
   obs::Counter* frames_sent;
-  obs::Counter* bytes_received;
-  obs::Counter* frames_received;
   obs::Counter* connects;
   obs::Counter* partial_write_retries;
   obs::Histogram* frame_flush_us;
@@ -41,8 +40,6 @@ struct TcpMetrics {
       auto& r = obs::MetricsRegistry::Global();
       return TcpMetrics{r.GetCounter("net.tcp.bytes_sent"),
                         r.GetCounter("net.tcp.frames_sent"),
-                        r.GetCounter("net.tcp.bytes_received"),
-                        r.GetCounter("net.tcp.frames_received"),
                         r.GetCounter("net.tcp.connects"),
                         r.GetCounter("net.tcp.partial_write_retries"),
                         r.GetHistogram("net.tcp.frame_flush_us")};
@@ -276,9 +273,6 @@ void TcpTransport::Deliver(Endpoint& ep, const FrameHeader& header,
     DPPR_CHECK(header.kind == FrameKind::kExchange);
     DPPR_CHECK_EQ(header.dst, static_cast<uint32_t>(ep.index));
   }
-  const TcpMetrics& metrics = TcpMetrics::Get();
-  metrics.frames_received->Increment();
-  metrics.bytes_received->Add(kFrameHeaderBytes + payload.size());
   ep.inbox.Push(header.round, header.src, std::move(payload));
 }
 

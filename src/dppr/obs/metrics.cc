@@ -70,13 +70,6 @@ uint64_t Histogram::Snapshot::Quantile(double q) const {
   return BucketUpperBound(counts.size() - 1);
 }
 
-uint64_t Histogram::Snapshot::Max() const {
-  for (size_t i = counts.size(); i-- > 0;) {
-    if (counts[i] > 0) return BucketUpperBound(i);
-  }
-  return 0;
-}
-
 Histogram::Snapshot Histogram::Snapshot::Since(const Snapshot& baseline) const {
   Snapshot delta;
   delta.counts.resize(kNumBuckets);
@@ -203,30 +196,8 @@ std::string PromLabels(const std::string& labels, const std::string& extra) {
   return "{" + joined + "}";
 }
 
-void AppendJsonString(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 constexpr double kQuantiles[] = {0.5, 0.95, 0.99, 0.999};
 constexpr const char* kQuantileLabels[] = {"0.5", "0.95", "0.99", "0.999"};
-constexpr const char* kQuantileJsonKeys[] = {"p50", "p95", "p99", "p999"};
 
 }  // namespace
 
@@ -283,63 +254,6 @@ std::string MetricsRegistry::RenderText() const {
   return out;
 }
 
-std::string MetricsRegistry::RenderJson() const {
-  const auto entries = SortedEntries();
-  std::string out = "{\n";
-  char buf[64];
-  for (int pass = 0; pass < 3; ++pass) {
-    const Kind want = pass == 0 ? Kind::kCounter
-                     : pass == 1 ? Kind::kGauge
-                                 : Kind::kHistogram;
-    out += pass == 0   ? "  \"counters\": {"
-           : pass == 1 ? "  \"gauges\": {"
-                       : "  \"histograms\": {";
-    bool first = true;
-    for (const auto& [name, entry] : entries) {
-      if (entry->kind != want) continue;
-      out += first ? "\n    " : ",\n    ";
-      first = false;
-      AppendJsonString(out, name);
-      switch (entry->kind) {
-        case Kind::kCounter:
-          std::snprintf(buf, sizeof(buf), ": %llu",
-                        static_cast<unsigned long long>(entry->counter->Value()));
-          out += buf;
-          break;
-        case Kind::kGauge:
-          std::snprintf(buf, sizeof(buf), ": %lld",
-                        static_cast<long long>(entry->gauge->Value()));
-          out += buf;
-          break;
-        case Kind::kHistogram: {
-          const Histogram::Snapshot snap = entry->histogram->TakeSnapshot();
-          std::snprintf(buf, sizeof(buf), ": {\"count\": %llu, \"sum\": %llu",
-                        static_cast<unsigned long long>(snap.total),
-                        static_cast<unsigned long long>(snap.sum));
-          out += buf;
-          std::snprintf(buf, sizeof(buf), ", \"mean\": %.3f", snap.Mean());
-          out += buf;
-          for (size_t i = 0; i < 4; ++i) {
-            std::snprintf(buf, sizeof(buf), ", \"%s\": %llu",
-                          kQuantileJsonKeys[i],
-                          static_cast<unsigned long long>(
-                              snap.Quantile(kQuantiles[i])));
-            out += buf;
-          }
-          std::snprintf(buf, sizeof(buf), ", \"max\": %llu}",
-                        static_cast<unsigned long long>(snap.Max()));
-          out += buf;
-          break;
-        }
-      }
-    }
-    out += first ? "}" : "\n  }";
-    out += pass < 2 ? ",\n" : "\n";
-  }
-  out += "}\n";
-  return out;
-}
-
 void MetricsRegistry::WriteFile(const std::string& path) const {
   if (path.empty()) return;
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -348,9 +262,7 @@ void MetricsRegistry::WriteFile(const std::string& path) const {
                  path.c_str());
     return;
   }
-  const bool json = path.size() >= 5 &&
-                    path.compare(path.size() - 5, 5, ".json") == 0;
-  const std::string body = json ? RenderJson() : RenderText();
+  const std::string body = RenderText();
   std::fwrite(body.data(), 1, body.size(), f);
   std::fclose(f);
 }

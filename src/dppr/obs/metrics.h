@@ -93,8 +93,6 @@ class Histogram {
     /// Value at rank ceil(q * total) (1-based), reported as its bucket's
     /// upper bound; 0 when the snapshot is empty. q outside (0,1] clamps.
     uint64_t Quantile(double q) const;
-    /// Largest recorded value, at bucket resolution.
-    uint64_t Max() const;
     double Mean() const {
       return total > 0 ? static_cast<double>(sum) / static_cast<double>(total)
                        : 0.0;
@@ -127,10 +125,14 @@ class Histogram {
 /// Asking for an existing name with a different type DPPR_CHECK-fails: one
 /// name, one metric.
 ///
+/// A series exists only where something reads it (ServerStats, perfbench,
+/// an admin or CI check) or where it is the only record of what it measures;
+/// counts a struct ledger already keeps (CommStats, StorageStats,
+/// MultiRoundStats) are not copied here.
+///
 /// Env knob (read once, at the first Global() call):
-///   DPPR_METRICS_DUMP=<path>  write a snapshot of the global registry at
-///                             process exit — JSON when <path> ends in
-///                             ".json", Prometheus text otherwise.
+///   DPPR_METRICS_DUMP=<path>  write a snapshot of the global registry, as
+///                             Prometheus text, at process exit.
 class MetricsRegistry {
  public:
   /// The process-wide registry (library instrumentation records here).
@@ -144,17 +146,14 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  /// Prometheus exposition text: dots sanitized to underscores, a `dppr_`
+  /// Prometheus exposition text, the registry's one rendering (/metrics and
+  /// the DPPR_METRICS_DUMP file): dots sanitized to underscores, a `dppr_`
   /// prefix, label suffixes preserved, histograms rendered as summaries with
   /// p50/p95/p99/p999 quantile rows plus _sum/_count.
   std::string RenderText() const;
 
-  /// JSON snapshot: {"counters":{...},"gauges":{...},"histograms":{name:
-  /// {"count","sum","mean","p50","p95","p99","p999","max"}}}.
-  std::string RenderJson() const;
-
-  /// Renders to `path` (JSON iff the name ends in ".json"); best-effort — a
-  /// failed open is reported on stderr, never fatal.
+  /// RenderText to `path`; best-effort — a failed open is reported on
+  /// stderr, never fatal.
   void WriteFile(const std::string& path) const;
 
  private:

@@ -22,7 +22,7 @@ uint32_t CurrentTraceTid() {
   return tid;
 }
 
-/// The calling thread's current query context; {0,0} outside any scope.
+/// The calling thread's current query context; {0} outside any scope.
 thread_local TraceContext g_trace_context;
 
 }  // namespace

@@ -21,23 +21,22 @@ inline uint32_t MachineLane(size_t machine) {
   return static_cast<uint32_t>(machine) + 1;
 }
 
-/// Query-scoped trace identity, propagated thread-locally (and stamped into
-/// every frame header on the wire). The serving front-end mints one per
-/// request; SimCluster re-establishes the caller's context inside each
-/// machine task, so cluster/store/net spans on every contributing machine
-/// carry the originating query's trace id. trace_id == 0 means "no context"
-/// (offline runs, untraced work).
+/// Query-scoped trace identity: one id, propagated thread-locally, never on
+/// the wire. The serving front-end mints one per request; SimCluster
+/// re-establishes the caller's context inside each machine task, so
+/// cluster/store/net spans on every contributing machine carry the
+/// originating query's trace id. trace_id == 0 means "no context" (offline
+/// runs, untraced work).
 struct TraceContext {
   uint64_t trace_id = 0;
-  uint64_t span_id = 0;
   explicit operator bool() const { return trace_id != 0; }
 };
 
-/// The calling thread's current context ({0,0} when none is in scope).
+/// The calling thread's current context ({0} when none is in scope).
 TraceContext CurrentTraceContext();
 
 /// Process-unique nonzero id (mixed so ids don't collide visually with
-/// request counters). Used for both trace and span ids.
+/// request counters).
 uint64_t NewTraceId();
 
 /// RAII: installs `ctx` as the calling thread's context, restoring the

@@ -102,8 +102,8 @@ QueryServer::Response QueryServer::Submit(std::vector<Preference> preferences) {
   // Every request gets a fresh trace identity at the front door; the scope
   // makes it the calling thread's context, so the serve.request span — and,
   // via SimCluster's context re-establishment, every machine/store/net span
-  // and frame header this request causes — carries its trace id.
-  const obs::TraceContext trace{obs::NewTraceId(), obs::NewTraceId()};
+  // this request causes — carries its trace id.
+  const obs::TraceContext trace{obs::NewTraceId()};
   obs::TraceContextScope trace_scope(trace);
   Response response;
   response.trace_id = trace.trace_id;

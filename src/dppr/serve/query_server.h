@@ -147,8 +147,8 @@ class QueryServer {
     /// Served from the front-door result cache: no round ran, metrics.comm
     /// is zero.
     bool cache_hit = false;
-    /// Trace id minted for this request — the id its spans, frame headers,
-    /// and QueryProfile carry (0 only for default-constructed responses).
+    /// Trace id minted for this request — the id its spans and QueryProfile
+    /// carry (0 only for default-constructed responses).
     uint64_t trace_id = 0;
   };
 

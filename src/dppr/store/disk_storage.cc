@@ -17,22 +17,17 @@
 namespace dppr {
 namespace {
 
-/// Process-wide rollup of every DiskSpillStorage's miss path. Charged at the
-/// same code sites as the per-store VectorStorage::Count counters
-/// (the per-store stats() remain the source for per-index views), so the
-/// registry dump and summed StorageStats can never disagree.
+/// Process-wide view of every DiskSpillStorage's miss path: how many misses
+/// and how long their extent reads took. Hits and bytes read are counted
+/// only in the caller's StorageStatsScope sink.
 struct DiskMetrics {
-  obs::Counter* hits;
   obs::Counter* misses;
-  obs::Counter* bytes_read;
   obs::Histogram* miss_extent_read_us;
 
   static const DiskMetrics& Get() {
     static const DiskMetrics metrics = [] {
       auto& r = obs::MetricsRegistry::Global();
-      return DiskMetrics{r.GetCounter("store.disk.hits"),
-                         r.GetCounter("store.disk.misses"),
-                         r.GetCounter("store.disk.bytes_read"),
+      return DiskMetrics{r.GetCounter("store.disk.misses"),
                          r.GetHistogram("store.disk.miss_extent_read_us")};
     }();
     return metrics;
@@ -61,13 +56,13 @@ std::shared_ptr<SpillFile> SpillFile::CreateTemp(const std::string& dir) {
   // reclaims it the moment the last fd closes — spill cleanup is automatic
   // even on abort.
   DPPR_CHECK_EQ(::unlink(path.data()), 0);
-  return std::shared_ptr<SpillFile>(new SpillFile(fd, 0, /*writable=*/true));
+  return std::shared_ptr<SpillFile>(new SpillFile(fd, 0));
 }
 
 std::shared_ptr<SpillFile> SpillFile::CreateAt(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   DPPR_CHECK_GE(fd, 0);
-  return std::shared_ptr<SpillFile>(new SpillFile(fd, 0, /*writable=*/true));
+  return std::shared_ptr<SpillFile>(new SpillFile(fd, 0));
 }
 
 std::shared_ptr<SpillFile> SpillFile::Open(const std::string& path) {
@@ -76,13 +71,12 @@ std::shared_ptr<SpillFile> SpillFile::Open(const std::string& path) {
   struct stat st{};
   DPPR_CHECK_EQ(::fstat(fd, &st), 0);
   return std::shared_ptr<SpillFile>(
-      new SpillFile(fd, static_cast<uint64_t>(st.st_size), /*writable=*/false));
+      new SpillFile(fd, static_cast<uint64_t>(st.st_size)));
 }
 
 SpillFile::~SpillFile() { ::close(fd_); }
 
 SpillExtent SpillFile::Append(std::span<const uint8_t> bytes) {
-  DPPR_CHECK(writable_);
   std::lock_guard<std::mutex> lock(append_mu_);
   uint64_t offset = size_.load(std::memory_order_relaxed);
   size_t written = 0;
@@ -139,12 +133,12 @@ DiskSpillStorage::DiskSpillStorage(const StorageOptions& options)
     : DiskSpillStorage(options.spill_path.empty()
                            ? SpillFile::CreateTemp(options.spill_dir)
                            : SpillFile::CreateAt(options.spill_path),
-                       options.cache_bytes) {}
+                       options.cache_bytes, /*writable=*/true) {}
 
 std::unique_ptr<DiskSpillStorage> DiskSpillStorage::OpenExisting(
     const std::string& path, const StorageOptions& options) {
-  std::unique_ptr<DiskSpillStorage> store(
-      new DiskSpillStorage(SpillFile::Open(path), options.cache_bytes));
+  std::unique_ptr<DiskSpillStorage> store(new DiskSpillStorage(
+      SpillFile::Open(path), options.cache_bytes, /*writable=*/false));
   // Rebuild the index by walking the record stream once. Every record is
   // fully re-validated (VectorRecord::Deserialize DPPR_CHECKs kinds, id
   // ranges and blob framing, and the ledger charge refuses columns), so a
@@ -175,12 +169,14 @@ void DiskSpillStorage::IndexRecord(VectorKind kind, SubgraphId sub, NodeId node,
 
 void DiskSpillStorage::PutOwned(VectorKind kind, SubgraphId sub, NodeId node,
                                 SparseVector vec, size_t serialized_bytes) {
+  DPPR_CHECK(writable_);
   ByteWriter writer;
   VectorRecord::Serialize(writer, kind, sub, node, /*seconds=*/0.0, vec);
   IndexRecord(kind, sub, node, file_->Append(writer.bytes()), serialized_bytes);
 }
 
 double DiskSpillStorage::IngestFrom(ByteReader& reader) {
+  DPPR_CHECK(writable_);
   size_t start = reader.position();
   // Validation parse: hostile wire bytes die here, and the parsed vector is
   // dropped right after — ingest streams the raw record bytes to the spill
@@ -196,13 +192,11 @@ PpvRef DiskSpillStorage::Find(VectorKind kind, SubgraphId sub, NodeId node) cons
   uint64_t key = MakeVectorKey(kind, sub, node);
   auto eit = extents_.find(key);
   if (eit == extents_.end()) return {};
-  const DiskMetrics& disk_metrics = DiskMetrics::Get();
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto cit = cache_.find(key);
     if (cit != cache_.end()) {
       Count(&StorageStats::cache_hits, 1);
-      disk_metrics.hits->Increment();
       lru_.splice(lru_.begin(), lru_, cit->second.lru_it);
       return PpvRef(cit->second.vec);
     }
@@ -220,7 +214,7 @@ PpvRef DiskSpillStorage::Find(VectorKind kind, SubgraphId sub, NodeId node) cons
     ByteReader reader(buf.data(), buf.size());
     VectorRecord parsed = VectorRecord::Deserialize(reader);
     DPPR_CHECK(reader.AtEnd());
-    disk_metrics.miss_extent_read_us->Record(
+    DiskMetrics::Get().miss_extent_read_us->Record(
         static_cast<uint64_t>(read_timer.ElapsedSeconds() * 1e6));
     return parsed;
   }();
@@ -234,8 +228,7 @@ PpvRef DiskSpillStorage::Find(VectorKind kind, SubgraphId sub, NodeId node) cons
   std::lock_guard<std::mutex> lock(mu_);
   Count(&StorageStats::cache_misses, 1);
   Count(&StorageStats::disk_bytes_read, extent.length);
-  disk_metrics.misses->Increment();
-  disk_metrics.bytes_read->Add(extent.length);
+  DiskMetrics::Get().misses->Increment();
   // A concurrent miss of the same key may have inserted it while this read
   // ran; its entry stays the only one, and this read's copy is just pinned.
   if (!cache_.contains(key)) {
@@ -262,7 +255,7 @@ void DiskSpillStorage::InsertIntoCacheLocked(
 
 std::unique_ptr<VectorStorage> DiskSpillStorage::Clone() const {
   std::unique_ptr<DiskSpillStorage> clone(
-      new DiskSpillStorage(file_, cache_budget_));
+      new DiskSpillStorage(file_, cache_budget_, /*writable=*/false));
   clone->extents_ = extents_;
   clone->CopyLedgerFrom(*this);
   return clone;

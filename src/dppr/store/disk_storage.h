@@ -21,11 +21,13 @@ struct SpillExtent {
   uint64_t length = 0;
 };
 
-/// Append-only record file shared by a disk store and its clones. Appends are
-/// serialized under a mutex and return the written extent; reads are
-/// positional (`pread`), so concurrent readers never share a file offset.
-/// Extents are bounds-checked against the bytes actually written — an
-/// out-of-range extent DPPR_CHECK-fails instead of reading garbage.
+/// Append-only record file shared by a disk store and its clones. Only the
+/// store that created the file appends to it (DiskSpillStorage enforces
+/// this). Appends are serialized under a mutex and return the written
+/// extent; reads are positional (`pread`), so concurrent readers never share
+/// a file offset. Extents are bounds-checked against the bytes actually
+/// written — an out-of-range extent DPPR_CHECK-fails instead of reading
+/// garbage.
 class SpillFile {
  public:
   /// Anonymous spill: mkstemp in `dir` (or $TMPDIR / /tmp when empty), then
@@ -36,7 +38,7 @@ class SpillFile {
   /// Truncates any existing file at `path`.
   static std::shared_ptr<SpillFile> CreateAt(const std::string& path);
 
-  /// Opens an existing spill file read-only; Append on it dies.
+  /// Opens an existing spill file read-only (O_RDONLY).
   static std::shared_ptr<SpillFile> Open(const std::string& path);
 
   ~SpillFile();
@@ -55,14 +57,11 @@ class SpillFile {
   void Scan(const std::function<void(std::span<const uint8_t>)>& scan) const;
 
   uint64_t size() const { return size_.load(std::memory_order_acquire); }
-  bool writable() const { return writable_; }
 
  private:
-  SpillFile(int fd, uint64_t size, bool writable)
-      : fd_(fd), writable_(writable), size_(size) {}
+  SpillFile(int fd, uint64_t size) : fd_(fd), size_(size) {}
 
   int fd_;
-  bool writable_;
   std::mutex append_mu_;
   std::atomic<uint64_t> size_;
 };
@@ -79,18 +78,21 @@ class SpillFile {
 /// on the vector key. A cache miss preads the record's extent outside the
 /// cache lock and re-validates it (the header must match the key — a
 /// corrupted or aliased extent dies rather than serving garbage); then,
-/// under the lock, it charges the miss and its bytes and inserts the vector,
-/// unless another reader inserted that key in the meantime. Each read is
-/// billed, but a key has at most one cache entry. Eviction drops
-/// least-recently-used entries, of any kind, until the budget holds, and
-/// outstanding PpvRef pins keep their vectors alive regardless. Plain LRU
-/// suits the fold's reads: a query reads one row per chain block, once,
-/// while the partials those rows name are read by every query, so they stay
-/// recent.
+/// under the lock, it charges the miss and its bytes to the caller's
+/// StorageStatsScope sink and inserts the vector, unless another reader
+/// inserted that key in the meantime. Each read is billed, but a key has at
+/// most one cache entry. A hit takes the same lock, splices the LRU list and
+/// adds one to the sink. Eviction drops least-recently-used entries, of any
+/// kind, until the budget holds, and outstanding PpvRef pins keep their
+/// vectors alive regardless. Plain LRU suits the fold's reads: a query reads
+/// one row per chain block, once, while the partials those rows name are
+/// read by every query, so they stay recent.
 ///
 /// A named store (options.spill_path) writes its records to that path and
 /// keeps the file; PpvStore::OpenSpill rescans it, and a file that is not
-/// back-to-back records dies at open.
+/// back-to-back records dies at open. The file has one writer: the store
+/// that created it. A reopened store and every copy are read-only, and a
+/// put into one dies.
 ///
 /// Find is thread-safe (cache state under a mutex, disk reads outside it);
 /// writes follow the single-threaded-ingest contract.
@@ -102,7 +104,7 @@ class DiskSpillStorage final : public VectorStorage {
 
   /// Rebuilds a store from an existing named spill by scanning its records.
   /// Truncated, corrupted or column records DPPR_CHECK-fail here, at open.
-  /// The store is read-only: further puts die in SpillFile::Append.
+  /// The store is read-only: further puts die.
   static std::unique_ptr<DiskSpillStorage> OpenExisting(
       const std::string& path, const StorageOptions& options);
 
@@ -113,16 +115,19 @@ class DiskSpillStorage final : public VectorStorage {
                 size_t serialized_bytes) override;
   double IngestFrom(ByteReader& reader) override;
   PpvRef Find(VectorKind kind, SubgraphId sub, NodeId node) const override;
-  /// Shares the spill file with the clone (appends interleave safely; each
-  /// store only indexes its own records) and starts a fresh cache.
+  /// Shares the spill file with the clone and starts a fresh cache. The
+  /// clone is read-only: its puts die, so a named file never holds two
+  /// stores' records.
   std::unique_ptr<VectorStorage> Clone() const override;
   size_t ResidentBytes() const override;
 
   size_t cache_budget_bytes() const { return cache_budget_; }
 
  private:
-  DiskSpillStorage(std::shared_ptr<SpillFile> file, size_t cache_budget)
-      : file_(std::move(file)), cache_budget_(cache_budget) {}
+  DiskSpillStorage(std::shared_ptr<SpillFile> file, size_t cache_budget,
+                   bool writable)
+      : file_(std::move(file)), cache_budget_(cache_budget),
+        writable_(writable) {}
 
   /// Indexes a record's extent under its key and charges the ledger the
   /// vector's serialized size.
@@ -138,6 +143,8 @@ class DiskSpillStorage final : public VectorStorage {
 
   std::shared_ptr<SpillFile> file_;
   size_t cache_budget_;
+  /// True only for the store that created file_; every put checks it.
+  bool writable_;
   /// key -> record extent in file_. Written during ingest, read-only while
   /// serving.
   std::unordered_map<uint64_t, SpillExtent> extents_;

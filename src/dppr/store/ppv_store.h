@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "dppr/store/vector_record.h"
 #include "dppr/store/vector_storage.h"
@@ -39,8 +40,9 @@ class PpvStore {
                                 StorageBackend::kDisk));
 
   /// Copying is legal in every backend: in-memory vectors are deep-copied,
-  /// disk clones share the immutable spill file and start a fresh residency
-  /// cache. Self-assignment is a no-op.
+  /// disk clones share the immutable spill file, start a fresh residency
+  /// cache and are read-only (a put into one dies, so the file keeps one
+  /// writer). Self-assignment is a no-op.
   PpvStore(const PpvStore& other) : storage_(other.storage_->Clone()) {}
   PpvStore& operator=(const PpvStore& other) {
     if (this != &other) storage_ = other.storage_->Clone();
@@ -88,10 +90,8 @@ class PpvStore {
   }
 
   /// Serialized bytes currently resident in RAM (≤ cache budget for disk).
+  /// Lookups are counted only in the caller's StorageStatsScope.
   size_t ResidentBytes() const { return storage_->ResidentBytes(); }
-
-  /// Residency counters: hits/misses and bytes read from the spill file.
-  StorageStats storage_stats() const { return storage_->stats(); }
 
  private:
   explicit PpvStore(std::unique_ptr<VectorStorage> storage)
@@ -99,6 +99,13 @@ class PpvStore {
 
   std::unique_ptr<VectorStorage> storage_;
 };
+
+/// One store per machine, each built from `options`. A named spill file has
+/// one writer, so `options.spill_path` with more than one machine dies here:
+/// every store would truncate the same file and write over the others'
+/// records.
+std::vector<PpvStore> MakeMachineStores(const StorageOptions& options,
+                                        size_t num_machines);
 
 }  // namespace dppr
 

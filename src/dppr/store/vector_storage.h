@@ -2,7 +2,6 @@
 #define DPPR_STORE_VECTOR_STORAGE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -97,11 +96,13 @@ struct StorageOptions {
       StorageBackend fallback = StorageBackend::kMemoryOwned);
 };
 
-/// Residency-cache counters (monotonic since store construction). A "hit" is
-/// a lookup served from RAM, a "miss" one that had to read its extent from
-/// the spill file; the in-memory backend serves every present vector from
-/// RAM, so it only ever counts hits. Cheap enough to keep on the query hot
-/// path (relaxed atomics), and what ServerStats' cold/warm view aggregates.
+/// Residency-cache counts of a set of lookups. A "hit" is a lookup served
+/// from RAM, a "miss" one that had to read its extent from the spill file;
+/// the in-memory backend serves every present vector from RAM, so it only
+/// ever counts hits. Stores keep no lifetime totals: every count lands in the
+/// calling thread's StorageStatsScope sink (a query round's
+/// QueryMetrics::storage), and lookups made outside a scope are counted
+/// nowhere.
 struct StorageStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
@@ -133,12 +134,11 @@ inline StorageStats StorageStats::Since(const StorageStats& baseline) const {
   return delta;
 }
 
-/// Per-caller attribution of the store counters. While a scope is alive on a
-/// thread, every count a store charges on that thread is also added to the
-/// scope's sink, so a query round learns exactly what its own machine tasks
-/// cost even while other rounds hit the same stores (a delta of the stores'
-/// lifetime counters would include theirs). Scopes nest: the innermost sink
-/// wins and the previous one is restored on destruction. The sink is written
+/// The one ledger of store lookups. While a scope is alive on a thread, every
+/// count a store charges on that thread is added to the scope's sink, so a
+/// query round learns exactly what its own machine tasks cost even while
+/// other rounds hit the same stores. Scopes nest: the innermost sink wins and
+/// the previous one is restored on destruction. The sink is written
 /// unsynchronized, so give each concurrently running task its own.
 class StorageStatsScope {
  public:
@@ -186,7 +186,8 @@ class VectorStorage {
   /// Empty ref when this machine does not hold the vector.
   virtual PpvRef Find(VectorKind kind, SubgraphId sub, NodeId node) const = 0;
 
-  /// Deep copy with the same ledger; residency cache and stats start fresh.
+  /// Deep copy with the same ledger; a disk copy starts a fresh residency
+  /// cache and is read-only.
   virtual std::unique_ptr<VectorStorage> Clone() const = 0;
 
   /// Serialized bytes currently resident in RAM: everything for the
@@ -199,22 +200,10 @@ class VectorStorage {
     return bytes_by_kind_[static_cast<uint8_t>(kind)];
   }
 
-  StorageStats stats() const {
-    StorageStats out;
-    for (uint64_t StorageStats::*counter : kStorageCounters) {
-      out.*counter = std::atomic_ref<uint64_t>(counters_.*counter)
-                         .load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-
  protected:
-  /// The one counting site every backend charges through: adds `n` to this
-  /// store's lifetime counter and to the calling thread's StorageStatsScope
-  /// sink, if one is installed. Relaxed, so cheap on the query hot path.
-  void Count(uint64_t StorageStats::*counter, uint64_t n) const {
-    std::atomic_ref<uint64_t>(counters_.*counter)
-        .fetch_add(n, std::memory_order_relaxed);
+  /// The one counting site every backend charges through: adds `n` to the
+  /// calling thread's StorageStatsScope sink, if one is installed.
+  static void Count(uint64_t StorageStats::*counter, uint64_t n) {
     if (StorageStats* sink = StorageStatsScope::Current()) sink->*counter += n;
   }
 
@@ -233,11 +222,6 @@ class VectorStorage {
   }
 
  private:
-  static_assert(alignof(uint64_t) >=
-                std::atomic_ref<uint64_t>::required_alignment);
-  /// Lifetime counters, only ever accessed through std::atomic_ref.
-  mutable StorageStats counters_;
-
   size_t total_bytes_ = 0;
   std::array<size_t, kNumVectorKinds> bytes_by_kind_{};
   size_t num_vectors_ = 0;

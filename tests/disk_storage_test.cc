@@ -60,15 +60,17 @@ TEST(DiskSpillStorage, WarmLookupsHitColdLookupsMiss) {
   SparseVector vec = RandomSparseVector(7, 50);
   store.PutOwned(VectorKind::kOwnVector, 0, 1, vec, vec.SerializedBytes());
 
-  EXPECT_EQ(store.storage_stats().cache_misses, 0u);
+  StorageStats counted;
+  StorageStatsScope scope(&counted);
+  EXPECT_EQ(counted.cache_misses, 0u);
   ASSERT_TRUE(store.Find(VectorKind::kOwnVector, 0, 1));  // cold: disk read
-  StorageStats cold = store.storage_stats();
+  StorageStats cold = counted;
   EXPECT_EQ(cold.cache_misses, 1u);
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_GT(cold.disk_bytes_read, vec.SerializedBytes());  // record > vector
 
   ASSERT_TRUE(store.Find(VectorKind::kOwnVector, 0, 1));  // warm: cached
-  StorageStats warm = store.storage_stats();
+  StorageStats warm = counted;
   EXPECT_EQ(warm.cache_misses, 1u);
   EXPECT_EQ(warm.cache_hits, 1u);
   EXPECT_EQ(warm.disk_bytes_read, cold.disk_bytes_read);
@@ -82,12 +84,13 @@ TEST(DiskSpillStorage, BudgetSmallerThanOneVectorStillServes) {
   SparseVector vec = RandomSparseVector(9, 60);
   store.PutOwned(VectorKind::kHubPartial, 2, 4, vec, vec.SerializedBytes());
 
+  StorageStats stats;
+  StorageStatsScope scope(&stats);
   for (int i = 0; i < 3; ++i) {
     PpvRef found = store.Find(VectorKind::kHubPartial, 2, 4);
     ASSERT_TRUE(found);
     EXPECT_EQ(*found, vec);
   }
-  StorageStats stats = store.storage_stats();
   EXPECT_EQ(stats.cache_misses, 3u);
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(store.ResidentBytes(), 0u);  // nothing ever stays resident
@@ -107,11 +110,12 @@ TEST(DiskSpillStorage, LruEvictsColdestUnderPressure) {
   store.PutOwned(VectorKind::kOwnVector, 0, 1, a, a.SerializedBytes());
   store.PutOwned(VectorKind::kOwnVector, 0, 2, b, b.SerializedBytes());
 
+  StorageStats stats;
+  StorageStatsScope scope(&stats);
   EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 0, 1), a);  // miss, A resident
   EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 0, 1), a);  // hit
   EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 0, 2), b);  // miss, evicts A
   EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 0, 1), a);  // miss again
-  StorageStats stats = store.storage_stats();
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_misses, 3u);
   EXPECT_LE(store.ResidentBytes(), probe.size() + 8);
@@ -165,13 +169,14 @@ TEST(DiskSpillStorage, PlainLruKeepsThePartialsEveryQueryReads) {
     }
   };
   query(0);  // warms the partials
-  const uint64_t warm = store.storage_stats().disk_bytes_read;
+  StorageStats counted;
+  StorageStatsScope scope(&counted);
   uint64_t row_bytes = 0;
   for (NodeId u = 1; u < kRows; ++u) {
     query(u);
     row_bytes += RecordBytes(VectorKind::kSkeletonRow, 1, u, rows[u]);
   }
-  EXPECT_EQ(store.storage_stats().disk_bytes_read - warm, row_bytes);
+  EXPECT_EQ(counted.disk_bytes_read, row_bytes);
   EXPECT_LT(store.ResidentBytes(), partial_bytes + kRows * largest_row);
 }
 
@@ -219,20 +224,53 @@ TEST(DiskSpillStorage, CopySharesSpillFileWithIndependentCaches) {
   PpvStore copy = store;
   EXPECT_EQ(copy.num_vectors(), 1u);
   EXPECT_EQ(copy.TotalSerializedBytes(), store.TotalSerializedBytes());
-  EXPECT_EQ(*copy.Find(VectorKind::kOwnVector, 1, 1), vec);
-  // The copy's cold read is its own: the source's stats are untouched.
-  EXPECT_EQ(copy.storage_stats().cache_misses, 1u);
-  EXPECT_EQ(store.storage_stats().cache_misses, 0u);
-
-  // Writes after the copy are private to each store.
-  SparseVector extra = RandomSparseVector(14, 10);
-  copy.PutOwned(VectorKind::kOwnVector, 1, 2, extra, extra.SerializedBytes());
-  EXPECT_EQ(*copy.Find(VectorKind::kOwnVector, 1, 2), extra);
-  EXPECT_FALSE(store.Find(VectorKind::kOwnVector, 1, 2));
+  // The copy's cold read is its own: it warms the copy's cache, not the
+  // source's, so the source still misses.
+  StorageStats copy_reads;
+  {
+    StorageStatsScope scope(&copy_reads);
+    EXPECT_EQ(*copy.Find(VectorKind::kOwnVector, 1, 1), vec);
+    EXPECT_EQ(*copy.Find(VectorKind::kOwnVector, 1, 1), vec);
+  }
+  EXPECT_EQ(copy_reads.cache_misses, 1u);
+  EXPECT_EQ(copy_reads.cache_hits, 1u);
+  EXPECT_EQ(store.ResidentBytes(), 0u);
+  StorageStats store_reads;
+  {
+    StorageStatsScope scope(&store_reads);
+    EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 1, 1), vec);
+  }
+  EXPECT_EQ(store_reads.cache_misses, 1u);
 
   // And the spill file outlives the original store.
   { PpvStore doomed = std::move(store); }
   EXPECT_EQ(*copy.Find(VectorKind::kOwnVector, 1, 1), vec);
+}
+
+TEST(DiskSpillStorage, PutIntoCopyDies) {
+  // A copy shares its source's spill file, which has one writer: the store
+  // that created it. A put into the copy (by PutOwned or IngestFrom) would
+  // append to that file, and a named file would then hold two stores'
+  // records.
+  PpvStore store(DiskOptions(1 << 20));
+  SparseVector vec = RandomSparseVector(14, 10);
+  store.PutOwned(VectorKind::kOwnVector, 1, 1, vec, vec.SerializedBytes());
+  PpvStore copy = store;
+  EXPECT_DEATH(
+      copy.PutOwned(VectorKind::kOwnVector, 1, 2, vec, vec.SerializedBytes()),
+      "DPPR_CHECK failed");
+  VectorRecord record;
+  record.kind = VectorKind::kOwnVector;
+  record.sub = 1;
+  record.node = 3;
+  record.vec = vec;
+  ByteWriter writer;
+  record.SerializeTo(writer);
+  ByteReader reader(writer.bytes());
+  EXPECT_DEATH(copy.IngestFrom(reader), "DPPR_CHECK failed");
+  // The source still writes.
+  store.PutOwned(VectorKind::kOwnVector, 1, 2, vec, vec.SerializedBytes());
+  EXPECT_EQ(*store.Find(VectorKind::kOwnVector, 1, 2), vec);
 }
 
 TEST(DiskSpillStorage, DuplicateKeyDies) {

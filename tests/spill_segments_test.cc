@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "dppr/core/dist_precompute.h"
 #include "dppr/core/hgpa.h"
 #include "dppr/net/transport.h"
 #include "dppr/store/disk_storage.h"
@@ -131,10 +132,6 @@ TEST(SpillFileHostile, ManifestFormatFileDies) {
   std::remove(path.c_str());
 }
 
-// ---------------------------------------------------------------------------
-// Engine-level equivalence: disk cache size x transport x backend
-// ---------------------------------------------------------------------------
-
 HgpaOptions SmallOptions() {
   HgpaOptions options;
   options.ppr.tolerance = 1e-8;
@@ -143,13 +140,46 @@ HgpaOptions SmallOptions() {
   return options;
 }
 
-void ExpectEnginesAgree(const Graph& g, HgpaQueryEngine& a, HgpaQueryEngine& b) {
+TEST(SpillFileLayout, NamedSpillForMoreThanOneMachineDies) {
+  // A named spill file has one writer. Stores built for several machines
+  // from one set of options would each truncate the same file and write
+  // over the others' records, so both build paths die where they make the
+  // stores.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = TempPath("machines");
+  Graph g = RandomDigraph(60, 3.0, 5);
+  HgpaOptions options = SmallOptions();
+  StorageOptions named = Disk();
+  named.spill_path = path;
+  auto pre = HgpaPrecomputation::RunHgpa(g, options);
+  EXPECT_DEATH(HgpaIndex::Distribute(pre, 3, named), "DPPR_CHECK failed");
+  DistPrecomputeOptions dist;
+  dist.num_machines = 3;
+  dist.storage = named;
+  EXPECT_DEATH(DistributedPrecompute::RunHgpa(g, options, dist),
+               "DPPR_CHECK failed");
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Engine-level equivalence: disk cache size x transport x backend
+// ---------------------------------------------------------------------------
+
+// Returns the store lookups b's queries charged (Σ QueryMetrics::storage).
+StorageStats ExpectEnginesAgree(const Graph& g, HgpaQueryEngine& a,
+                                HgpaQueryEngine& b) {
+  StorageStats lookups;
   for (NodeId q = 0; q < g.num_nodes(); q += 4) {
-    EXPECT_EQ(a.Query(q), b.Query(q)) << "query " << q;
+    QueryMetrics metrics;
+    EXPECT_EQ(a.Query(q), b.Query(q, &metrics)) << "query " << q;
+    lookups += metrics.storage;
   }
   std::vector<HgpaQueryEngine::Preference> prefs{
       {1, 0.6}, {static_cast<NodeId>(g.num_nodes() / 2), 0.4}};
-  EXPECT_EQ(a.QueryPreferenceSet(prefs), b.QueryPreferenceSet(prefs));
+  QueryMetrics metrics;
+  EXPECT_EQ(a.QueryPreferenceSet(prefs), b.QueryPreferenceSet(prefs, &metrics));
+  lookups += metrics.storage;
+  return lookups;
 }
 
 TEST(EngineEquivalence, DiskAndMemoryBitIdenticalOnBothTransports) {
@@ -171,8 +201,7 @@ TEST(EngineEquivalence, DiskAndMemoryBitIdenticalOnBothTransports) {
     for (size_t cache_bytes : {size_t{1} << 20, size_t{4096}}) {
       HgpaQueryEngine disk(HgpaIndex::Distribute(pre, 3, Disk(cache_bytes)),
                            NetworkModel{}, transport);
-      ExpectEnginesAgree(g, reference, disk);
-      EXPECT_GT(disk.index().StorageStatsTotal().disk_bytes_read, 0u)
+      EXPECT_GT(ExpectEnginesAgree(g, reference, disk).disk_bytes_read, 0u)
           << "cache " << cache_bytes;
     }
   }

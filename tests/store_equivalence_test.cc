@@ -44,16 +44,34 @@ DistributedPrecompute::Result RunOffline(const Graph& g, const Hierarchy& h,
   return DistributedPrecompute::Run(g, h, options, dist);
 }
 
+// Store lookups each engine's queries charged, summed over their
+// QueryMetrics::storage.
+struct Lookups {
+  StorageStats memory;
+  StorageStats disk;
+};
+
 // Bit-equality of the full query surface between an owning in-memory index
 // and a disk index over the same offline run.
-void ExpectQuerySurfaceIdentical(const Graph& g, HgpaQueryEngine& memory,
-                                 HgpaQueryEngine& disk) {
+Lookups ExpectQuerySurfaceIdentical(const Graph& g, HgpaQueryEngine& memory,
+                                    HgpaQueryEngine& disk) {
+  Lookups lookups;
+  auto count = [&](const QueryMetrics& m, const QueryMetrics& d) {
+    lookups.memory += m.storage;
+    lookups.disk += d.storage;
+  };
   for (NodeId q = 0; q < g.num_nodes(); q += 5) {
-    EXPECT_EQ(memory.Query(q), disk.Query(q)) << "query " << q;
+    QueryMetrics m, d;
+    EXPECT_EQ(memory.Query(q, &m), disk.Query(q, &d)) << "query " << q;
+    count(m, d);
   }
   std::vector<HgpaQueryEngine::Preference> prefs{
       {0, 0.5}, {static_cast<NodeId>(g.num_nodes() / 2), 0.3}, {7, 0.2}};
-  EXPECT_EQ(memory.QueryPreferenceSet(prefs), disk.QueryPreferenceSet(prefs));
+  QueryMetrics m, d;
+  EXPECT_EQ(memory.QueryPreferenceSet(prefs, &m),
+            disk.QueryPreferenceSet(prefs, &d));
+  count(m, d);
+  return lookups;
 }
 
 TEST(StoreEquivalence, HgpaDiskMatchesMemoryOwned) {
@@ -71,13 +89,13 @@ TEST(StoreEquivalence, HgpaDiskMatchesMemoryOwned) {
 
   HgpaQueryEngine memory(HgpaIndex::FromDistributed(std::move(mem_result)));
   HgpaQueryEngine disk(HgpaIndex::FromDistributed(std::move(disk_result)));
-  ExpectQuerySurfaceIdentical(g, memory, disk);
+  const Lookups lookups = ExpectQuerySurfaceIdentical(g, memory, disk);
 
-  StorageStats stats = disk.index().StorageStatsTotal();
+  const StorageStats& stats = lookups.disk;
   EXPECT_GT(stats.cache_misses, 0u);
   EXPECT_GT(stats.disk_bytes_read, 0u);
   EXPECT_EQ(stats.cache_hits, 0u);  // budget 1 can never keep anything
-  EXPECT_EQ(memory.index().StorageStatsTotal().cache_misses, 0u);
+  EXPECT_EQ(lookups.memory.cache_misses, 0u);
 }
 
 TEST(StoreEquivalence, GpaDiskMatchesMemoryOwned) {
@@ -92,8 +110,7 @@ TEST(StoreEquivalence, GpaDiskMatchesMemoryOwned) {
 
   HgpaQueryEngine memory(HgpaIndex::FromDistributed(std::move(mem_result)));
   HgpaQueryEngine disk(HgpaIndex::FromDistributed(std::move(disk_result)));
-  ExpectQuerySurfaceIdentical(g, memory, disk);
-  EXPECT_GT(disk.index().StorageStatsTotal().cache_misses, 0u);
+  EXPECT_GT(ExpectQuerySurfaceIdentical(g, memory, disk).disk.cache_misses, 0u);
 }
 
 TEST(StoreEquivalence, CentralizedDistributeOnDiskMatchesMemory) {
@@ -155,13 +172,15 @@ TEST(StoreEquivalence, WarmCacheIsAlsoBitIdentical) {
       HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kDisk)));
 
   // Two passes: pass one loads (misses), pass two hits; both bit-identical.
+  StorageStats stats;
   for (int pass = 0; pass < 2; ++pass) {
     for (NodeId q = 0; q < g.num_nodes(); q += 7) {
-      EXPECT_EQ(memory.Query(q), disk.Query(q))
+      QueryMetrics metrics;
+      EXPECT_EQ(memory.Query(q), disk.Query(q, &metrics))
           << "pass " << pass << " query " << q;
+      stats += metrics.storage;
     }
   }
-  StorageStats stats = disk.index().StorageStatsTotal();
   EXPECT_GT(stats.cache_hits, 0u);
   EXPECT_GT(stats.cache_misses, 0u);
   EXPECT_GT(disk.index().ResidentBytesTotal(), 0u);

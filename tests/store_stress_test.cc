@@ -42,8 +42,11 @@ TEST(StoreStress, ConcurrentPinEvictThroughOneVectorBudget) {
 
   std::vector<std::thread> threads;
   std::vector<uint8_t> ok(kThreads, 0);
+  // One sink per thread: a scope's sink is written unsynchronized.
+  std::vector<StorageStats> sinks(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      StorageStatsScope scope(&sinks[t]);
       Rng rng(1000 + t);
       bool all_good = true;
       for (size_t i = 0; i < kIters; ++i) {
@@ -59,7 +62,8 @@ TEST(StoreStress, ConcurrentPinEvictThroughOneVectorBudget) {
   for (auto& thread : threads) thread.join();
   for (size_t t = 0; t < kThreads; ++t) EXPECT_TRUE(ok[t]) << "thread " << t;
 
-  StorageStats stats = store.storage_stats();
+  StorageStats stats;
+  for (const StorageStats& sink : sinks) stats += sink;
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, kThreads * kIters);
   EXPECT_GT(stats.cache_misses, 0u);
 }
@@ -79,9 +83,13 @@ TEST(StoreStress, ConcurrentColdMissesOfOneKeyKeepOneCacheEntry) {
                  expected.SerializedBytes());
 
   // Learn the record's on-disk extent length from a solo cold read.
-  PpvStore probe = store;  // clone: shares the spill file, fresh cache+stats
-  (void)probe.Find(VectorKind::kOwnVector, 0, 7);
-  const uint64_t extent_bytes = probe.storage_stats().disk_bytes_read;
+  PpvStore probe = store;  // clone: shares the spill file, fresh cache
+  StorageStats solo;
+  {
+    StorageStatsScope scope(&solo);
+    (void)probe.Find(VectorKind::kOwnVector, 0, 7);
+  }
+  const uint64_t extent_bytes = solo.disk_bytes_read;
   ASSERT_GT(extent_bytes, 0u);
 
   constexpr size_t kThreads = 8;
@@ -89,8 +97,10 @@ TEST(StoreStress, ConcurrentColdMissesOfOneKeyKeepOneCacheEntry) {
   std::latch start(kThreads);
   std::vector<std::thread> threads;
   std::vector<uint8_t> ok(kThreads, 0);
+  std::vector<StorageStats> sinks(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      StorageStatsScope scope(&sinks[t]);
       start.arrive_and_wait();
       PpvRef ref = cold.Find(VectorKind::kOwnVector, 0, 7);
       ok[t] = (ref && *ref == expected) ? 1 : 0;
@@ -99,7 +109,8 @@ TEST(StoreStress, ConcurrentColdMissesOfOneKeyKeepOneCacheEntry) {
   for (auto& thread : threads) thread.join();
   for (size_t t = 0; t < kThreads; ++t) EXPECT_TRUE(ok[t]) << "thread " << t;
 
-  StorageStats stats = cold.storage_stats();
+  StorageStats stats;
+  for (const StorageStats& sink : sinks) stats += sink;
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, kThreads);
   EXPECT_GE(stats.cache_misses, 1u);
   EXPECT_EQ(stats.disk_bytes_read, stats.cache_misses * extent_bytes);
