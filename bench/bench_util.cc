@@ -36,17 +36,13 @@ void AppendJsonString(std::string& out, const std::string& s) {
   out += '"';
 }
 
-/// The committed snapshot schema: which binary produced it, under which
-/// environment knobs, and every row's counter map.
+/// The committed snapshot schema: which binary produced it, at which dataset
+/// scale, and every row's counter map.
 std::string RenderJson(const std::string& bench_name) {
   std::string out = "{\n  \"bench\": ";
   AppendJsonString(out, bench_name);
   out += ",\n  \"params\": {";
   out += "\"scale\": " + std::to_string(GetEnvDouble("DPPR_BENCH_SCALE", 1.0));
-  out += ", \"transport\": ";
-  AppendJsonString(out, GetEnvString("DPPR_TRANSPORT", "inproc"));
-  out += ", \"store\": ";
-  AppendJsonString(out, GetEnvString("DPPR_STORE", "memory"));
   out += "},\n  \"rows\": [";
   std::lock_guard<std::mutex> lock(g_rows_mu);
   for (size_t i = 0; i < g_rows.size(); ++i) {

@@ -95,10 +95,8 @@ std::unique_ptr<QueryServer> MakeServer(const ServingConfig& config) {
   ReplicationOptions replication;
   replication.budget_bytes = config.replicate_bytes;
   HgpaQueryEngine engine(
-      HgpaIndex::Distribute(pre, kMachines, StorageOptions::FromEnv(),
-                            replication),
-      NetworkModel{}, TransportOptions::FromEnv(),
-      RoutingOptions{config.mode});
+      HgpaIndex::Distribute(pre, kMachines, StorageOptions{}, replication),
+      NetworkModel{}, TransportOptions{}, RoutingOptions{config.mode});
   ServeOptions options;
   options.max_pending = kMaxPending;
   options.shed_on_overload = true;

@@ -84,7 +84,7 @@ void RegisterRows() {
   // Budget as a fraction of the (max) per-machine ledger: 100% keeps a warm
   // working set, 1% forces nearly every lookup back to the spill file. The
   // ledger is placement-determined, so probe it once with an in-memory
-  // distribution regardless of the DPPR_STORE environment.
+  // distribution.
   for (size_t percent : {100, 25, 5, 1}) {
     AddRow("residency/web/disk/budget=" + std::to_string(percent) + "pct",
            [percent] {

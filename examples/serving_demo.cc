@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   using namespace dppr;
   bool disk = false;
   long linger_seconds = 0;
-  TransportOptions transport = TransportOptions::FromEnv();
+  TransportOptions transport;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--disk") == 0) {
       disk = true;
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   auto pre = HgpaPrecomputation::RunHgpa(g, HgpaOptions{});
 
-  StorageOptions storage = StorageOptions::FromEnv();
+  StorageOptions storage;
   if (disk) {
     // Probe the per-machine ledger with an in-memory (no-spill) placement,
     // then budget the real disk store's cache to it.

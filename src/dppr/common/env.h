@@ -14,7 +14,7 @@ double GetEnvDouble(const std::string& name, double fallback);
 int64_t GetEnvInt(const std::string& name, int64_t fallback);
 
 /// Reads a string environment variable, returning `fallback` when unset.
-/// The storage layer uses DPPR_STORE.
+/// The observability layer reads DPPR_TRACE and DPPR_METRICS_DUMP.
 std::string GetEnvString(const std::string& name, const std::string& fallback);
 
 }  // namespace dppr

@@ -36,12 +36,6 @@ class Rng {
   /// Bernoulli draw with probability p.
   bool NextBool(double p) { return NextDouble() < p; }
 
-  /// Derives an independent child stream (for per-task determinism under
-  /// parallel execution).
-  Rng Fork(uint64_t stream) {
-    return Rng(state_ ^ (0xA0761D6478BD642FULL * (stream + 1)));
-  }
-
  private:
   uint64_t state_;
 };

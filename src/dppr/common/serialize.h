@@ -20,7 +20,6 @@ class ByteWriter {
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
-  void PutFloat(float v) { PutRaw(&v, sizeof(v)); }
 
   /// LEB128 variable-length unsigned integer (compact node ids / counts).
   void PutVarU64(uint64_t v) {
@@ -73,7 +72,6 @@ class ByteReader {
   uint32_t GetU32() { return GetRaw<uint32_t>(); }
   uint64_t GetU64() { return GetRaw<uint64_t>(); }
   double GetDouble() { return GetRaw<double>(); }
-  float GetFloat() { return GetRaw<float>(); }
 
   uint64_t GetVarU64() {
     uint64_t v = 0;

@@ -22,7 +22,7 @@ ThreadPool::~ThreadPool() {
   }
   task_cv_.notify_all();
   // Workers drain the queue before exiting, so every group's outstanding
-  // count reaches zero and pool_group_'s destructor returns immediately.
+  // count reaches zero.
   for (auto& t : threads_) t.join();
 }
 
@@ -55,12 +55,6 @@ void ThreadPool::TaskGroup::Wait() {
     done_cv_.wait(lock);
   }
 }
-
-void ThreadPool::Submit(std::function<void()> task) {
-  pool_group_.Submit(std::move(task));
-}
-
-void ThreadPool::Wait() { pool_group_.Wait(); }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;

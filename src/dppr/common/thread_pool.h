@@ -15,13 +15,13 @@ namespace dppr {
 /// over it; the cluster simulator runs simulated machines on it; the serving
 /// layer runs many cluster rounds on it at once.
 ///
-/// Completion is tracked per TaskGroup, not per pool: every ParallelFor (and
-/// every explicit TaskGroup) waits only on its own tasks. An earlier design
-/// kept one global in-flight counter, which made two concurrent ParallelFor
-/// calls wait on each other's tasks and made a ParallelFor nested inside a
-/// pool task deadlock (the worker blocked on a counter its own pending tasks
-/// kept nonzero). Task groups remove both failure modes: concurrent and
-/// nested ParallelFor are legal from any thread.
+/// Completion is tracked per ParallelFor call, not per pool: every call
+/// waits only on its own tasks. An earlier design kept one global in-flight
+/// counter, which made two concurrent ParallelFor calls wait on each other's
+/// tasks and made a ParallelFor nested inside a pool task deadlock (the
+/// worker blocked on a counter its own pending tasks kept nonzero). Per-call
+/// task groups remove both failure modes: concurrent and nested ParallelFor
+/// are legal from any thread.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (>= 1).
@@ -31,10 +31,21 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// A set of tasks whose completion can be awaited independently of any
-  /// other tasks on the pool. Must not outlive the pool. Any thread may
-  /// Submit or Wait; the group must stay alive until every Wait returned
-  /// (the destructor waits for stragglers).
+  size_t num_threads() const { return threads_.size(); }
+
+  /// Runs fn(i) for i in [0, n) and returns when all calls completed. The
+  /// calling thread participates, so this is legal from pool workers (nested
+  /// parallelism) and from many client threads at once; `fn` must be safe to
+  /// call concurrently from multiple threads.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+
+  /// Default pool sized to the hardware concurrency (singleton).
+  static ThreadPool& Default();
+
+ private:
+  /// The tasks of one ParallelFor call, awaited independently of any other
+  /// tasks on the pool. It must stay alive until Wait returned (the
+  /// destructor waits for stragglers).
   class TaskGroup {
    public:
     explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
@@ -59,26 +70,6 @@ class ThreadPool {
     std::condition_variable done_cv_;
   };
 
-  /// Enqueues a task on the pool's own implicit group (see Wait()).
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted via ThreadPool::Submit has finished.
-  /// Tasks spawned by ParallelFor or explicit TaskGroups are NOT covered —
-  /// those wait on their own groups.
-  void Wait();
-
-  size_t num_threads() const { return threads_.size(); }
-
-  /// Runs fn(i) for i in [0, n) and returns when all calls completed. The
-  /// calling thread participates, so this is legal from pool workers (nested
-  /// parallelism) and from many client threads at once; `fn` must be safe to
-  /// call concurrently from multiple threads.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Default pool sized to the hardware concurrency (singleton).
-  static ThreadPool& Default();
-
- private:
   struct Item {
     TaskGroup* group;
     std::function<void()> fn;
@@ -91,8 +82,6 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable task_cv_;
   bool stop_ = false;
-  // Declared last: destroyed first, while mu_ is still alive.
-  TaskGroup pool_group_{*this};
 };
 
 }  // namespace dppr

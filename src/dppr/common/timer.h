@@ -4,9 +4,7 @@
 #include <chrono>
 #include <cstdint>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <time.h>
-#endif
 
 namespace dppr {
 
@@ -33,8 +31,7 @@ class WallTimer {
 /// Per-thread CPU-time timer (CLOCK_THREAD_CPUTIME_ID). Unlike WallTimer it
 /// does not charge time the thread spent descheduled, so simulated machines
 /// contending for physical cores — e.g. many concurrent query rounds — don't
-/// inflate each other's measured compute. Falls back to wall time on
-/// platforms without a per-thread CPU clock (see Available()).
+/// inflate each other's measured compute.
 class ThreadCpuTimer {
  public:
   ThreadCpuTimer() { Restart(); }
@@ -44,45 +41,14 @@ class ThreadCpuTimer {
   /// CPU seconds this thread consumed since construction or last Restart().
   double ElapsedSeconds() const { return Now() - start_; }
 
-  /// True when the platform exposes a per-thread CPU clock.
-  static bool Available() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-    return true;
-#else
-    return false;
-#endif
-  }
-
  private:
   static double Now() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
     timespec ts;
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
     return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-#else
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-#endif
   }
 
   double start_;
-};
-
-/// Accumulates elapsed time across multiple start/stop intervals; used to
-/// attribute busy time to simulated machines that share physical cores.
-class StopWatch {
- public:
-  void Start() { timer_.Restart(); }
-  void Stop() { total_seconds_ += timer_.ElapsedSeconds(); }
-  void Add(double seconds) { total_seconds_ += seconds; }
-  void Reset() { total_seconds_ = 0.0; }
-  double TotalSeconds() const { return total_seconds_; }
-  double TotalMillis() const { return total_seconds_ * 1e3; }
-
- private:
-  WallTimer timer_;
-  double total_seconds_ = 0.0;
 };
 
 }  // namespace dppr

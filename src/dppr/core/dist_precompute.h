@@ -28,15 +28,15 @@ struct DistPrecomputeOptions {
   /// Run each round's machine tasks in machine order on the calling thread
   /// (fully deterministic scheduling) instead of on the process ThreadPool.
   bool sequential = false;
-  /// Backend of each machine's store. Defaults to in memory; DPPR_STORE=disk
-  /// spills every ingested record to per-machine spill files instead, so
+  /// Backend of each machine's store. Defaults to in memory; kDisk spills
+  /// every ingested record to per-machine spill files instead, so
   /// coordinator RAM stays bounded by one record per ingest.
-  StorageOptions storage = StorageOptions::FromEnv();
+  StorageOptions storage;
   /// Message layer every superstep's payloads travel over. Defaults to the
-  /// in-process hand-off; DPPR_TRANSPORT=tcp moves them through real
-  /// localhost sockets. Produced vectors and byte ledgers are bit-identical
-  /// either way (net_equivalence_test enforces this).
-  TransportOptions transport = TransportOptions::FromEnv();
+  /// in-process hand-off; kTcp moves them through real localhost sockets.
+  /// Produced vectors and byte ledgers are bit-identical either way
+  /// (net_equivalence_test enforces this).
+  TransportOptions transport;
   /// Compute-site policy; its one value selects nothing (see
   /// OfflinePlacement).
   OfflinePlacement locality = OfflinePlacement::kLocality;

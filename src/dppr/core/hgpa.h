@@ -49,12 +49,11 @@ class HgpaIndex {
   /// redistribution pays one pass over the skeleton nonzeros. The index
   /// keeps a copy of the hierarchy, not the precomputation. Retained as the
   /// bit-equality oracle for the distributed offline path. `storage` picks
-  /// each machine store's backend (DPPR_STORE=disk spills every placed
-  /// vector to per-machine spill files).
+  /// each machine store's backend (kDisk spills every placed vector to
+  /// per-machine spill files).
   static HgpaIndex Distribute(
       std::shared_ptr<const HgpaPrecomputation> precomputation,
-      size_t num_machines,
-      const StorageOptions& storage = StorageOptions::FromEnv(),
+      size_t num_machines, const StorageOptions& storage = {},
       const ReplicationOptions& replication = {});
 
   /// Adopts the stores and the placement a DistributedPrecompute run
@@ -182,14 +181,13 @@ class HgpaQueryEngine {
   /// copy deep-copies every vector of an in-memory store. A disk store's
   /// copy shares its spill files and starts with a cold cache; the
   /// placement is shared either way. `transport` picks the message layer the
-  /// per-query fragment rounds travel over (DPPR_TRANSPORT=tcp → real
-  /// localhost sockets); answers and fragment byte accounting are
-  /// bit-identical across backends.
+  /// per-query fragment rounds travel over (kTcp → real localhost sockets);
+  /// answers and fragment byte accounting are bit-identical across backends.
   /// `routing` picks the plan each round runs (default route — only
   /// contributing shards run; broadcast is the full plan tests compare
   /// against).
   explicit HgpaQueryEngine(HgpaIndex index, NetworkModel network = {},
-                           TransportOptions transport = TransportOptions::FromEnv(),
+                           TransportOptions transport = {},
                            RoutingOptions routing = RoutingOptions{});
 
   RoutingMode routing_mode() const { return router_->mode(); }

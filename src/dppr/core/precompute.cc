@@ -163,11 +163,7 @@ std::shared_ptr<const HgpaPrecomputation> HgpaPrecomputation::Run(
         skeleton.node = hub_global;
         skeleton.bytes = skeleton.vec.SerializedBytes();
       };
-      if (options.parallel) {
-        pool.ParallelFor(sub.hubs.size(), hub_task);
-      } else {
-        for (size_t i = 0; i < sub.hubs.size(); ++i) hub_task(i);
-      }
+      pool.ParallelFor(sub.hubs.size(), hub_task);
     }
 
     if (is_leaf) {
@@ -184,11 +180,7 @@ std::shared_ptr<const HgpaPrecomputation> HgpaPrecomputation::Run(
         own.node = node_global;
         own.bytes = own.vec.SerializedBytes();
       };
-      if (options.parallel) {
-        pool.ParallelFor(sub.nodes.size(), leaf_task);
-      } else {
-        for (size_t i = 0; i < sub.nodes.size(); ++i) leaf_task(i);
-      }
+      pool.ParallelFor(sub.nodes.size(), leaf_task);
     }
   }
   DPPR_CHECK_EQ(next_slot, items.size());

@@ -31,8 +31,6 @@ struct HgpaOptions {
   /// Stored entries with |value| <= storage_prune are dropped (HGPA_ad uses
   /// 1e-4, §6.2.9). 0 keeps every non-zero entry.
   double storage_prune = 0.0;
-  /// Run precomputation tasks on the process thread pool.
-  bool parallel = true;
 };
 
 /// Whether LocalGraph::Induce must materialize in-adjacency for the

@@ -97,8 +97,7 @@ struct MultiRoundStats {
 ///
 /// The Transport is where the bytes physically move: InProcessTransport
 /// hands buffers over in memory (the historical behavior), TcpTransport
-/// pushes every payload through real localhost sockets. `DPPR_TRANSPORT=tcp`
-/// flips the default for every cluster in the process; payloads, CommStats,
+/// pushes every payload through real localhost sockets. Payloads, CommStats,
 /// and results are bit-identical across backends (byte ledgers are computed
 /// from payload sizes, never wire overhead).
 ///
@@ -106,13 +105,11 @@ struct MultiRoundStats {
 /// threads at once on one SimCluster, and from inside another round's
 /// machine task. All per-round state (payloads, metrics, timers) is local to
 /// the call; concurrent rounds on the shared Transport never mix frames
-/// (each round gets a unique id). The shared ThreadPool scopes each round's
-/// machine tasks to a per-call task group — the pool's earlier single global
-/// in-flight counter made one round's Wait block on every other round's
-/// tasks and deadlocked nested rounds outright, which is why ThreadPool was
-/// redesigned around TaskGroup (see thread_pool.h). The setters
-/// (set_sequential, set_timer) are configuration-time only: don't flip them
-/// concurrently with RunRound.
+/// (each round gets a unique id). Each round runs its machine tasks in its
+/// own ThreadPool::ParallelFor, which waits only on that call's tasks (see
+/// thread_pool.h), so concurrent and nested rounds never wait on each other.
+/// set_timer is configuration-time only: don't call it concurrently with
+/// RunRound.
 class SimCluster {
  public:
   /// Machine task: given the machine index, returns the payload that machine
@@ -145,12 +142,12 @@ class SimCluster {
     uint64_t round_id = 0;
   };
 
-  /// What a machine's measured compute time charges. kWallClock matches the
-  /// paper's single-query-at-a-time experiments; kThreadCpu charges only CPU
-  /// actually consumed (CLOCK_THREAD_CPUTIME_ID), so machine_seconds stays
-  /// honest when concurrent rounds contend for the same physical cores — the
-  /// serving layer's regime. Wall time is the default because it also counts
-  /// involuntary preemption, which a dedicated real cluster would not suffer.
+  /// What a machine's measured compute time charges. kWallClock, the
+  /// default, charges elapsed time, as the paper's single-query-at-a-time
+  /// experiments do. kThreadCpu charges only CPU actually consumed
+  /// (CLOCK_THREAD_CPUTIME_ID), so machine_seconds does not count preemption
+  /// by other rounds when concurrent rounds contend for the same physical
+  /// cores — the serving layer's regime.
   enum class TimerKind { kWallClock, kThreadCpu };
 
   /// `sequential` runs machine tasks in machine order on the calling thread:
@@ -158,15 +155,13 @@ class SimCluster {
   /// clock. Payloads and CommStats are deterministic in both modes as long as
   /// the task itself is; sequential mode additionally admits tasks that share
   /// mutable state across machines. `transport` picks where round payloads
-  /// physically move (default: DPPR_TRANSPORT, else in-process).
+  /// physically move (default: in-process).
   explicit SimCluster(size_t num_machines, NetworkModel network = {},
-                      bool sequential = false,
-                      TransportOptions transport = TransportOptions::FromEnv());
+                      bool sequential = false, TransportOptions transport = {});
 
   size_t num_machines() const { return num_machines_; }
   const NetworkModel& network() const { return network_; }
   bool sequential() const { return sequential_; }
-  void set_sequential(bool sequential) { sequential_ = sequential; }
   TimerKind timer() const { return timer_; }
   void set_timer(TimerKind timer) { timer_ = timer; }
   /// Which backend this cluster's rounds actually travel over.

@@ -1,20 +1,11 @@
 #include "dppr/graph/io.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
-#include "dppr/common/serialize.h"
-
 namespace dppr {
-namespace {
-
-constexpr uint64_t kBinaryMagic = 0x44505052'47525048ULL;  // "DPPRGRPH"
-constexpr uint32_t kBinaryVersion = 1;
-
-}  // namespace
 
 StatusOr<Graph> LoadEdgeList(const std::string& path,
                              const GraphBuildOptions& options) {
@@ -58,61 +49,6 @@ Status SaveEdgeList(const Graph& graph, const std::string& path) {
   }
   if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();
-}
-
-Status SaveBinary(const Graph& graph, const std::string& path) {
-  ByteWriter writer;
-  writer.PutU64(kBinaryMagic);
-  writer.PutU32(kBinaryVersion);
-  writer.PutVarU64(graph.num_nodes());
-  writer.PutVarU64(graph.num_edges());
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    auto nbrs = graph.OutNeighbors(u);
-    writer.PutVarU64(nbrs.size());
-    NodeId prev = 0;
-    for (NodeId v : nbrs) {  // sorted by builder; delta-encode
-      writer.PutVarU64(v - prev);
-      prev = v;
-    }
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-            static_cast<std::streamsize>(writer.size()));
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-StatusOr<Graph> LoadBinary(const std::string& path,
-                           const GraphBuildOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  ByteReader reader(bytes);
-  if (reader.remaining() < 12 || reader.GetU64() != kBinaryMagic) {
-    return Status::InvalidArgument("not a dppr binary graph: " + path);
-  }
-  if (reader.GetU32() != kBinaryVersion) {
-    return Status::InvalidArgument("unsupported version: " + path);
-  }
-  size_t num_nodes = reader.GetVarU64();
-  size_t num_edges = reader.GetVarU64();
-  GraphBuilder builder(num_nodes);
-  size_t total = 0;
-  for (NodeId u = 0; u < num_nodes; ++u) {
-    size_t degree = reader.GetVarU64();
-    NodeId prev = 0;
-    for (size_t i = 0; i < degree; ++i) {
-      prev += static_cast<NodeId>(reader.GetVarU64());
-      builder.AddEdge(u, prev);
-    }
-    total += degree;
-  }
-  if (total != num_edges) {
-    return Status::InvalidArgument("edge count mismatch in " + path);
-  }
-  return builder.Build(options);
 }
 
 }  // namespace dppr

@@ -18,12 +18,6 @@ StatusOr<Graph> LoadEdgeList(const std::string& path,
 /// Writes "src dst" lines with a short header comment.
 Status SaveEdgeList(const Graph& graph, const std::string& path);
 
-/// Compact binary snapshot (magic + varint delta-encoded CSR). Round-trips
-/// exactly; used to cache generated datasets between bench runs.
-Status SaveBinary(const Graph& graph, const std::string& path);
-StatusOr<Graph> LoadBinary(const std::string& path,
-                           const GraphBuildOptions& options = {});
-
 }  // namespace dppr
 
 #endif  // DPPR_GRAPH_IO_H_

@@ -1,10 +1,7 @@
 #include "dppr/net/transport.h"
 
-#include <cstdio>
-#include <string>
 #include <utility>
 
-#include "dppr/common/env.h"
 #include "dppr/common/macros.h"
 #include "dppr/net/inproc_transport.h"
 #include "dppr/net/tcp_transport.h"
@@ -20,23 +17,6 @@ const char* TransportBackendName(TransportBackend backend) {
   }
   DPPR_CHECK(false);
   return nullptr;
-}
-
-TransportOptions TransportOptions::FromEnv(TransportBackend fallback) {
-  TransportOptions options;
-  options.backend = fallback;
-  std::string transport = GetEnvString("DPPR_TRANSPORT", "");
-  if (transport == "tcp") {
-    options.backend = TransportBackend::kTcp;
-  } else if (transport == "inproc") {
-    options.backend = TransportBackend::kInProcess;
-  } else if (!transport.empty()) {
-    // Same policy as DPPR_STORE: a typo must fail loudly, not silently run
-    // the experiment over a different transport than the operator asked for.
-    std::fprintf(stderr, "unknown DPPR_TRANSPORT value: %s\n", transport.c_str());
-    DPPR_CHECK(transport == "tcp" || transport == "inproc");
-  }
-  return options;
 }
 
 FrameInbox::Slot& FrameInbox::SlotFor(uint64_t round) {

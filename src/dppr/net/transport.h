@@ -28,19 +28,10 @@ enum class TransportBackend : uint8_t {
 
 const char* TransportBackendName(TransportBackend backend);
 
-/// Backend selection. `FromEnv` lets one env switch flip every cluster in
-/// the process (the CI TCP leg runs the whole test suite under
-/// `DPPR_TRANSPORT=tcp`):
-///
-///   DPPR_TRANSPORT  "tcp" moves every round over real sockets, "inproc"
-///                   keeps the call site's in-process default; unset keeps
-///                   the default; anything else DPPR_CHECK-fails (a typo
-///                   must not silently fall back to memory hand-offs).
+/// Backend selection, set in code by whoever builds the cluster; the default
+/// is the in-process hand-off.
 struct TransportOptions {
   TransportBackend backend = TransportBackend::kInProcess;
-
-  static TransportOptions FromEnv(
-      TransportBackend fallback = TransportBackend::kInProcess);
 };
 
 /// Mailbox of one destination endpoint: payloads arriving for (round, src),
@@ -205,9 +196,8 @@ class Transport {
 };
 
 /// Factory for TransportOptions::backend.
-std::shared_ptr<Transport> MakeTransport(
-    size_t num_machines,
-    const TransportOptions& options = TransportOptions::FromEnv());
+std::shared_ptr<Transport> MakeTransport(size_t num_machines,
+                                         const TransportOptions& options);
 
 }  // namespace dppr
 

@@ -20,11 +20,6 @@ class BipartiteMatcher {
   /// Runs Hopcroft–Karp; returns the matching size. Idempotent.
   size_t Solve();
 
-  /// Matched partner of a left vertex (kInvalidNode if unmatched). Valid
-  /// after Solve().
-  NodeId MatchOfLeft(NodeId left) const { return match_left_[left]; }
-  NodeId MatchOfRight(NodeId right) const { return match_right_[right]; }
-
   /// Kőnig construction: a minimum vertex cover (size equals the maximum
   /// matching). Returns flags (in_cover_left, in_cover_right). Valid after
   /// Solve().

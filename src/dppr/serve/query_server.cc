@@ -64,12 +64,6 @@ uint64_t QueryServer::CacheKey(NodeId source) const {
   return h ^ static_cast<uint64_t>(source);
 }
 
-void QueryServer::Invalidate(NodeId source) {
-  cache_.Invalidate(CacheKey(source));
-}
-
-void QueryServer::InvalidateAll() { cache_.InvalidateAll(); }
-
 QueryServer::Response QueryServer::Query(NodeId node) {
   return Submit({{node, 1.0}});
 }

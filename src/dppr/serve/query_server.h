@@ -173,12 +173,6 @@ class QueryServer {
   /// i.e. an empty list).
   TopKResponse QueryTopK(NodeId node, size_t k);
 
-  /// Drops `source`'s cached result so the next query recomputes — the hook
-  /// the incremental-refresh path calls when an update touches a source's
-  /// PPV. No-ops when the cache is disabled.
-  void Invalidate(NodeId source);
-  void InvalidateAll();
-
   /// Snapshot of the aggregate stats; safe to call while serving.
   ServerStats Stats() const;
   void ResetStats();

@@ -95,29 +95,6 @@ void ResultCache::Insert(uint64_t key, const SparseVector& value) {
   }
 }
 
-void ResultCache::Invalidate(uint64_t key) {
-  if (!enabled()) return;
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return;
-  shard.bytes -= it->second->bytes;
-  bytes_->Add(-static_cast<int64_t>(it->second->bytes));
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
-}
-
-void ResultCache::InvalidateAll() {
-  if (!enabled()) return;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    bytes_->Add(-static_cast<int64_t>(shard->bytes));
-    shard->bytes = 0;
-    shard->lru.clear();
-    shard->index.clear();
-  }
-}
-
 size_t ResultCache::entries() const {
   size_t total = 0;
   for (const auto& shard : shards_) {

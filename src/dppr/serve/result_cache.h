@@ -19,8 +19,8 @@ namespace dppr {
 /// (the server packs source, prune tolerance, and query kind into it),
 /// byte-budgeted LRU, sharded so concurrent clients hitting different
 /// sources never contend on one mutex. Values are shared_ptr snapshots — a
-/// hit pins the vector it returns, so Invalidate/eviction racing a reader
-/// can never free bytes mid-copy.
+/// hit pins the vector it returns, so an eviction racing a reader can never
+/// free bytes mid-copy.
 ///
 /// hits/misses/evictions/bytes live in the process MetricsRegistry under the
 /// owning server's label (`serve.cache.*{server="N"}`), so a metrics dump
@@ -52,11 +52,6 @@ class ResultCache {
   /// larger than a whole shard's budget are not cached — they would evict
   /// everything and then themselves.
   void Insert(uint64_t key, const SparseVector& value);
-
-  /// Drops one key (the refresh path's per-source hook); missing keys are a
-  /// no-op.
-  void Invalidate(uint64_t key);
-  void InvalidateAll();
 
   uint64_t hits() const { return hits_->Value(); }
   uint64_t misses() const { return misses_->Value(); }

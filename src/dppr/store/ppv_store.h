@@ -17,27 +17,25 @@ struct PpvPair {
 
 /// One simulated machine's vector storage: a value-type handle over a
 /// pluggable VectorStorage backend (see StorageBackend) that owns every
-/// vector put into it. Stores default to kMemoryOwned, and `DPPR_STORE=disk`
-/// flips any default-constructed store to the disk-backed spill backend,
-/// which is how ctest's disk configurations run the whole suite out of core.
+/// vector put into it. A default-constructed store keeps its vectors in
+/// memory; StorageOptions picks the disk-backed spill backend instead.
 ///
 /// Lookups return PpvRef pin handles, never raw pointers: the disk backend's
 /// residency cache may evict a vector at any moment, and the pin is what
 /// keeps it alive while a query folds it.
 class PpvStore {
  public:
-  /// Backend from the environment (in memory unless DPPR_STORE overrides).
-  PpvStore() : PpvStore(StorageOptions::FromEnv()) {}
+  PpvStore() : PpvStore(StorageOptions{}) {}
   explicit PpvStore(const StorageOptions& options)
       : storage_(MakeVectorStorage(options)) {}
 
   /// Reopens a disk store from the named spill file a store built with
   /// StorageOptions::spill_path wrote: one scan of its back-to-back records
   /// re-validates each one, so a truncated, corrupted or foreign file
-  /// DPPR_CHECK-fails here, at open. The reopened store is read-only.
+  /// DPPR_CHECK-fails here, at open. The reopened store is read-only and
+  /// reads only `options.cache_bytes`.
   static PpvStore OpenSpill(const std::string& path,
-                            const StorageOptions& options = StorageOptions::FromEnv(
-                                StorageBackend::kDisk));
+                            const StorageOptions& options = {});
 
   /// Copying is legal in every backend: in-memory vectors are deep-copied,
   /// disk clones share the immutable spill file, start a fresh residency

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "dppr/common/env.h"
 #include "dppr/store/disk_storage.h"
 #include "dppr/store/memory_storage.h"
 
@@ -31,24 +30,6 @@ const char* StorageBackendName(StorageBackend backend) {
   }
   DPPR_CHECK(false);
   return nullptr;
-}
-
-StorageOptions StorageOptions::FromEnv(StorageBackend fallback) {
-  StorageOptions options;
-  options.backend = fallback;
-  std::string store = GetEnvString("DPPR_STORE", "");
-  if (store == "disk") {
-    options.backend = StorageBackend::kDisk;
-  } else if (!store.empty() && store != "memory") {
-    // A typo must fail loudly: silently serving from RAM when the operator
-    // asked for out-of-core storage defeats the point of the knob.
-    std::fprintf(stderr, "unknown DPPR_STORE value: %s\n", store.c_str());
-    DPPR_CHECK(store == "disk" || store == "memory");
-  }
-  int64_t cache = GetEnvInt("DPPR_CACHE_BYTES", static_cast<int64_t>(options.cache_bytes));
-  DPPR_CHECK_GE(cache, 0);
-  options.cache_bytes = static_cast<size_t>(cache);
-  return options;
 }
 
 double VectorStorage::IngestFrom(ByteReader& reader) {

@@ -67,17 +67,8 @@ enum class StorageBackend : uint8_t {
 
 const char* StorageBackendName(StorageBackend backend);
 
-/// Backend selection + disk-backend knobs. `FromEnv` lets one env switch
-/// flip every store in the process (ctest's disk configurations run the
-/// whole suite under `DPPR_STORE=disk DPPR_CACHE_BYTES=4096`):
-///
-///   DPPR_STORE        "disk" forces the spill backend, "memory" keeps the
-///                     call site's in-memory default; unset keeps the default;
-///                     anything else DPPR_CHECK-fails (a typo must not
-///                     silently serve from RAM).
-///   DPPR_CACHE_BYTES  residency-cache budget in bytes (default 64 MiB).
-///
-/// The spill location is set in code: `spill_dir` and `spill_path` below.
+/// Backend selection + disk-backend knobs, all set in code by whoever builds
+/// the store; the default keeps every vector in memory.
 struct StorageOptions {
   StorageBackend backend = StorageBackend::kMemoryOwned;
   /// Disk backend: serialized bytes the residency cache may keep in RAM.
@@ -91,9 +82,6 @@ struct StorageOptions {
   /// file, kept on disk and reopenable via PpvStore::OpenSpill. Empty =
   /// anonymous temp file, deleted on close.
   std::string spill_path;
-
-  static StorageOptions FromEnv(
-      StorageBackend fallback = StorageBackend::kMemoryOwned);
 };
 
 /// Residency-cache counts of a set of lookups. A "hit" is a lookup served

@@ -6,9 +6,12 @@
 
 #include "dppr/dist/cluster.h"
 #include "dppr/dist/network.h"
+#include "test_util.h"
 
 namespace dppr {
 namespace {
+
+using ::dppr::testing::TransportUnderTest;
 
 // A deterministic machine task with a payload that depends only on the
 // machine index (so any run order must yield the same bytes).
@@ -19,7 +22,8 @@ std::vector<uint8_t> DeterministicPayload(size_t machine) {
 }
 
 TEST(SimClusterDeterminism, SequentialModeIsByteIdenticalAcrossRuns) {
-  SimCluster cluster(17, NetworkModel{}, /*sequential=*/true);
+  SimCluster cluster(17, NetworkModel{}, /*sequential=*/true,
+                     TransportUnderTest());
   ASSERT_TRUE(cluster.sequential());
   auto first = cluster.RunRound(DeterministicPayload);
   auto second = cluster.RunRound(DeterministicPayload);
@@ -33,8 +37,10 @@ TEST(SimClusterDeterminism, SequentialModeIsByteIdenticalAcrossRuns) {
 TEST(SimClusterDeterminism, ParallelModeMatchesSequentialPayloads) {
   // Payload slots are indexed by machine, so scheduling (however many pool
   // threads run the round) must not change the gathered bytes or CommStats.
-  SimCluster sequential(23, NetworkModel{}, /*sequential=*/true);
-  SimCluster parallel(23, NetworkModel{}, /*sequential=*/false);
+  SimCluster sequential(23, NetworkModel{}, /*sequential=*/true,
+                        TransportUnderTest());
+  SimCluster parallel(23, NetworkModel{}, /*sequential=*/false,
+                      TransportUnderTest());
   auto seq = sequential.RunRound(DeterministicPayload);
   auto par = parallel.RunRound(DeterministicPayload);
   EXPECT_EQ(seq.payloads, par.payloads);
@@ -46,7 +52,8 @@ TEST(SimClusterDeterminism, ParallelModeMatchesSequentialPayloads) {
 
 TEST(SimClusterDeterminism, SequentialModeAdmitsSharedMutableState) {
   // Tasks that append to shared state observe machine order 0..n-1.
-  SimCluster cluster(8, NetworkModel{}, /*sequential=*/true);
+  SimCluster cluster(8, NetworkModel{}, /*sequential=*/true,
+                     TransportUnderTest());
   std::vector<size_t> order;
   cluster.RunRound([&](size_t machine) {
     order.push_back(machine);
@@ -58,7 +65,8 @@ TEST(SimClusterDeterminism, SequentialModeAdmitsSharedMutableState) {
 }
 
 TEST(SimClusterDeterminism, MultiRoundStatsAccumulateAcrossRounds) {
-  SimCluster cluster(4, NetworkModel{}, /*sequential=*/true);
+  SimCluster cluster(4, NetworkModel{}, /*sequential=*/true,
+                     TransportUnderTest());
   MultiRoundStats stats;
   size_t reduced_payloads = 0;
   for (int round = 0; round < 3; ++round) {
@@ -78,15 +86,6 @@ TEST(SimClusterDeterminism, MultiRoundStatsAccumulateAcrossRounds) {
             12 * cluster.network().latency_seconds);
   EXPECT_GE(stats.coordinator_seconds, 0.0);
   EXPECT_GE(stats.simulated_seconds, stats.coordinator_seconds);
-}
-
-TEST(SimClusterDeterminism, SetSequentialToggles) {
-  SimCluster cluster(3);
-  EXPECT_FALSE(cluster.sequential());
-  cluster.set_sequential(true);
-  EXPECT_TRUE(cluster.sequential());
-  auto result = cluster.RunRound(DeterministicPayload);
-  EXPECT_EQ(result.payloads.size(), 3u);
 }
 
 }  // namespace

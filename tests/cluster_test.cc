@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "dppr/dist/network.h"
+#include "test_util.h"
 
 namespace dppr {
 namespace {
+
+using ::dppr::testing::TransportUnderTest;
 
 TEST(NetworkModel, TransferTimeScalesWithBytes) {
   NetworkModel net;
@@ -61,7 +64,8 @@ TEST(RoundMetrics, SimulatedSecondsComposesAllTerms) {
 }
 
 TEST(SimCluster, RunsTaskOnEveryMachine) {
-  SimCluster cluster(5);
+  SimCluster cluster(5, NetworkModel{}, /*sequential=*/false,
+                     TransportUnderTest());
   auto result = cluster.RunRound([](size_t machine) {
     return std::vector<uint8_t>(machine + 1, static_cast<uint8_t>(machine));
   });
@@ -78,7 +82,8 @@ TEST(SimCluster, RunsTaskOnEveryMachine) {
 }
 
 TEST(SimCluster, ManyMoreMachinesThanCores) {
-  SimCluster cluster(64);
+  SimCluster cluster(64, NetworkModel{}, /*sequential=*/false,
+                     TransportUnderTest());
   std::atomic<int> calls{0};
   auto result = cluster.RunRound([&](size_t) {
     calls.fetch_add(1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dppr/core/hgpa.h"
+#include "dppr/dist/cluster.h"
 #include "dppr/graph/datasets.h"
 #include "dppr/store/vector_record.h"
 #include "test_util.h"
@@ -10,7 +11,11 @@
 namespace dppr {
 namespace {
 
+using ::dppr::testing::DistOptionsUnderTest;
 using ::dppr::testing::RandomDigraph;
+using ::dppr::testing::ScopedEnv;
+using ::dppr::testing::StorageUnderTest;
+using ::dppr::testing::TransportUnderTest;
 
 HgpaOptions SmallOptions() {
   HgpaOptions options;
@@ -78,7 +83,7 @@ TEST(DistPrecompute, HgpaVectorsBitIdenticalToCentralized) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 4;
   DistributedPrecompute::Result result = DistributedPrecompute::Run(
       g, pre->hierarchy(), options, dist);  // same hierarchy (copied)
@@ -90,7 +95,7 @@ TEST(DistPrecompute, GpaFlatHierarchyBitIdenticalToCentralized) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunGpa(g, 4, options);
 
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 3;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
@@ -103,7 +108,7 @@ TEST(DistPrecompute, SequentialAndParallelClusterModesAgree) {
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   for (bool sequential : {false, true}) {
-    DistPrecomputeOptions dist;
+    DistPrecomputeOptions dist = DistOptionsUnderTest();
     dist.num_machines = 5;
     dist.sequential = sequential;
     DistributedPrecompute::Result result =
@@ -118,8 +123,8 @@ TEST(DistPrecompute, StorageLedgersMatchLegacyDistribute) {
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   for (size_t machines : {1u, 3u, 6u}) {
-    HgpaIndex legacy = HgpaIndex::Distribute(pre, machines);
-    DistPrecomputeOptions dist;
+    HgpaIndex legacy = HgpaIndex::Distribute(pre, machines, StorageUnderTest());
+    DistPrecomputeOptions dist = DistOptionsUnderTest();
     dist.num_machines = machines;
     DistributedPrecompute::Result result =
         DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
@@ -140,13 +145,15 @@ TEST(DistPrecompute, QueriesFromOwnedStoresMatchLegacyEngineExactly) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 4;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
 
-  HgpaQueryEngine legacy(HgpaIndex::Distribute(pre, 4));
-  HgpaQueryEngine owned(HgpaIndex::FromDistributed(std::move(result)));
+  HgpaQueryEngine legacy(HgpaIndex::Distribute(pre, 4, StorageUnderTest()),
+                         {}, TransportUnderTest());
+  HgpaQueryEngine owned(HgpaIndex::FromDistributed(std::move(result)),
+                        {}, TransportUnderTest());
 
   for (NodeId q = 0; q < g.num_nodes(); q += 7) {
     QueryMetrics legacy_metrics;
@@ -164,13 +171,15 @@ TEST(DistPrecompute, GpaQueriesFromOwnedStoresMatchLegacyEngine) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunGpa(g, 4, options);
 
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 3;
   dist.sequential = true;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-  HgpaQueryEngine legacy(HgpaIndex::Distribute(pre, 3));
-  HgpaQueryEngine owned(HgpaIndex::FromDistributed(std::move(result)));
+  HgpaQueryEngine legacy(HgpaIndex::Distribute(pre, 3, StorageUnderTest()),
+                         {}, TransportUnderTest());
+  HgpaQueryEngine owned(HgpaIndex::FromDistributed(std::move(result)),
+                        {}, TransportUnderTest());
   for (NodeId q = 0; q < g.num_nodes(); q += 13) {
     EXPECT_EQ(legacy.Query(q), owned.Query(q)) << "query " << q;
   }
@@ -192,7 +201,7 @@ TEST(DistPrecompute, OfflineStatsCountSuperstepsAndTraffic) {
   Graph g = RandomDigraph(100, 3.0, 64);
   HgpaOptions options = SmallOptions();
 
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 4;
   DistributedPrecompute::Result locality =
       DistributedPrecompute::RunHgpa(g, options, dist);
@@ -256,7 +265,7 @@ TEST(DistPrecompute, LocalityBitIdenticalToCentralizedInBothSchedulers) {
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   for (bool sequential : {false, true}) {
-    DistPrecomputeOptions dist;
+    DistPrecomputeOptions dist = DistOptionsUnderTest();
     dist.num_machines = 4;
     dist.sequential = sequential;
     DistributedPrecompute::Result locality =
@@ -270,7 +279,7 @@ TEST(DistPrecompute, GpaLocalityModeBitIdenticalToCentralized) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunGpa(g, 5, options);
 
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 3;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
@@ -284,7 +293,7 @@ TEST(DistPrecompute, HomeMachinePartitionsSubgraphsAndMatchesLeafPacking) {
   Graph g = RandomDigraph(130, 3.0, 3);
   HgpaOptions options = SmallOptions();
 
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 4;
   DistributedPrecompute::Result result =
       DistributedPrecompute::RunHgpa(g, options, dist);
@@ -309,7 +318,7 @@ TEST(DistPrecompute, CommBytesIndependentOfNetworkModel) {
   Graph g = RandomDigraph(80, 3.0, 29);
   HgpaOptions options = SmallOptions();
 
-  DistPrecomputeOptions slow;
+  DistPrecomputeOptions slow = DistOptionsUnderTest();
   slow.num_machines = 3;
   slow.sequential = true;
   slow.network = NetworkModel::Lan100Mbit();
@@ -330,7 +339,7 @@ TEST(DistPrecompute, SingleMachineClusterHoldsEverything) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 1;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
@@ -351,7 +360,7 @@ TEST(DistPrecompute, SingleMachineClusterHoldsEverything) {
   }
   EXPECT_EQ(result.stores[0].num_vectors(), non_column_items + rows);
   EXPECT_EQ(result.TotalBytes(),
-            HgpaIndex::Distribute(pre, 1).TotalBytes());
+            HgpaIndex::Distribute(pre, 1, StorageUnderTest()).TotalBytes());
 }
 
 TEST(DistPrecompute, PreferenceSetQueriesMatchAcrossPaths) {
@@ -359,15 +368,37 @@ TEST(DistPrecompute, PreferenceSetQueriesMatchAcrossPaths) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 4;
   DistributedPrecompute::Result result =
       DistributedPrecompute::Run(g, pre->hierarchy(), options, dist);
-  HgpaQueryEngine legacy(HgpaIndex::Distribute(pre, 4));
-  HgpaQueryEngine owned(HgpaIndex::FromDistributed(std::move(result)));
+  HgpaQueryEngine legacy(HgpaIndex::Distribute(pre, 4, StorageUnderTest()),
+                         {}, TransportUnderTest());
+  HgpaQueryEngine owned(HgpaIndex::FromDistributed(std::move(result)),
+                        {}, TransportUnderTest());
 
   std::vector<HgpaQueryEngine::Preference> prefs{{5, 0.5}, {42, 0.3}, {77, 0.2}};
   EXPECT_EQ(legacy.QueryPreferenceSet(prefs), owned.QueryPreferenceSet(prefs));
+}
+
+// Backends are arguments: with every backend variable set to a non-default
+// value, each library default still builds in memory and in process, with
+// the 64 MiB cache.
+TEST(LibraryDefaults, IgnoreTheEnvironment) {
+  ScopedEnv store("DPPR_STORE", "disk");
+  ScopedEnv transport("DPPR_TRANSPORT", "tcp");
+  ScopedEnv cache("DPPR_CACHE_BYTES", "1");
+
+  EXPECT_EQ(PpvStore().backend(), StorageBackend::kMemoryOwned);
+  EXPECT_EQ(SimCluster(2).transport_backend(), TransportBackend::kInProcess);
+  const DistPrecomputeOptions dist{};
+  EXPECT_EQ(dist.storage.backend, StorageBackend::kMemoryOwned);
+  EXPECT_EQ(dist.storage.cache_bytes, size_t{64} << 20);
+  EXPECT_EQ(dist.transport.backend, TransportBackend::kInProcess);
+  Graph g = RandomDigraph(40, 3.0, 5);
+  HgpaIndex index =
+      HgpaIndex::Distribute(HgpaPrecomputation::RunHgpa(g, SmallOptions()), 2);
+  EXPECT_EQ(index.store(0).backend(), StorageBackend::kMemoryOwned);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@ namespace dppr {
 namespace {
 
 using ::dppr::testing::RandomDigraph;
+using ::dppr::testing::StorageUnderTest;
+using ::dppr::testing::TransportUnderTest;
 
 HgpaOptions TightOptions() {
   HgpaOptions options;
@@ -24,8 +26,8 @@ HgpaOptions TightOptions() {
 TEST(Hgpa, MatchesDenseOracleOnPaperFigure3Graph) {
   Graph g = PaperFigure3Graph();
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
-  HgpaIndex index = HgpaIndex::Distribute(pre, 2);
-  HgpaQueryEngine engine(index);
+  HgpaIndex index = HgpaIndex::Distribute(pre, 2, StorageUnderTest());
+  HgpaQueryEngine engine(index, {}, TransportUnderTest());
   for (NodeId q = 0; q < g.num_nodes(); ++q) {
     std::vector<double> got = engine.QueryDense(q);
     std::vector<double> oracle = ExactPpvDense(g, q, TightOptions().ppr);
@@ -36,8 +38,8 @@ TEST(Hgpa, MatchesDenseOracleOnPaperFigure3Graph) {
 TEST(Hgpa, HubAndNonHubQueriesBothExact) {
   Graph g = RandomDigraph(90, 3.0, 1234);
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
-  HgpaIndex index = HgpaIndex::Distribute(pre, 3);
-  HgpaQueryEngine engine(index);
+  HgpaIndex index = HgpaIndex::Distribute(pre, 3, StorageUnderTest());
+  HgpaQueryEngine engine(index, {}, TransportUnderTest());
 
   size_t hub_queries = 0;
   size_t leaf_queries = 0;
@@ -60,11 +62,13 @@ TEST(Hgpa, HubAndNonHubQueriesBothExact) {
 TEST(Hgpa, MachineCountDoesNotChangeTheAnswer) {
   Graph g = RandomDigraph(80, 3.0, 77);
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
-  HgpaIndex one = HgpaIndex::Distribute(pre, 1);
-  std::vector<double> reference = HgpaQueryEngine(one).QueryDense(13);
+  HgpaIndex one = HgpaIndex::Distribute(pre, 1, StorageUnderTest());
+  std::vector<double> reference =
+      HgpaQueryEngine(one, {}, TransportUnderTest()).QueryDense(13);
   for (size_t machines : {2u, 3u, 5u, 7u, 11u}) {
-    HgpaIndex index = HgpaIndex::Distribute(pre, machines);
-    std::vector<double> got = HgpaQueryEngine(index).QueryDense(13);
+    HgpaIndex index = HgpaIndex::Distribute(pre, machines, StorageUnderTest());
+    std::vector<double> got =
+        HgpaQueryEngine(index, {}, TransportUnderTest()).QueryDense(13);
     EXPECT_LT(LInfNorm(got, reference), 1e-12) << machines << " machines";
   }
 }
@@ -75,8 +79,11 @@ TEST(Hgpa, GpaMatchesHgpa) {
   HgpaOptions options = TightOptions();
   auto hgpa = HgpaPrecomputation::RunHgpa(g, options);
   auto gpa = HgpaPrecomputation::RunGpa(g, 4, options);
-  HgpaQueryEngine hgpa_engine{HgpaIndex::Distribute(hgpa, 3)};
-  HgpaQueryEngine gpa_engine{HgpaIndex::Distribute(gpa, 3)};
+  HgpaQueryEngine hgpa_engine{
+      HgpaIndex::Distribute(hgpa, 3, StorageUnderTest()), {},
+      TransportUnderTest()};
+  HgpaQueryEngine gpa_engine{HgpaIndex::Distribute(gpa, 3, StorageUnderTest()),
+                             {}, TransportUnderTest()};
   for (NodeId q : {NodeId{0}, NodeId{33}, NodeId{99}}) {
     std::vector<double> a = hgpa_engine.QueryDense(q);
     std::vector<double> b = gpa_engine.QueryDense(q);
@@ -87,8 +94,8 @@ TEST(Hgpa, GpaMatchesHgpa) {
 TEST(Hgpa, CommunicationMetricsArePopulated) {
   Graph g = RandomDigraph(120, 3.0, 5);
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
-  HgpaIndex index = HgpaIndex::Distribute(pre, 4);
-  HgpaQueryEngine engine(index);
+  HgpaIndex index = HgpaIndex::Distribute(pre, 4, StorageUnderTest());
+  HgpaQueryEngine engine(index, {}, TransportUnderTest());
   QueryMetrics metrics;
   engine.Query(17, &metrics);
   // At most one message per machine (Theorem 4; routing may skip
@@ -105,7 +112,7 @@ TEST(Hgpa, OfflineLedgerConservesTotalComputeTime) {
   Graph g = RandomDigraph(100, 3.0, 31);
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
   for (size_t machines : {1u, 3u, 6u}) {
-    HgpaIndex index = HgpaIndex::Distribute(pre, machines);
+    HgpaIndex index = HgpaIndex::Distribute(pre, machines, StorageUnderTest());
     EXPECT_NEAR(index.offline_ledger().TotalSeconds(), pre->total_seconds(), 1e-9);
     EXPECT_LE(index.offline_ledger().MaxSeconds(),
               pre->total_seconds() + 1e-12);
@@ -129,7 +136,7 @@ TEST(Hgpa, StorageAccountingIsDistributionInvariant) {
     }
   }
   for (size_t machines : {1u, 2u, 5u}) {
-    HgpaIndex index = HgpaIndex::Distribute(pre, machines);
+    HgpaIndex index = HgpaIndex::Distribute(pre, machines, StorageUnderTest());
     size_t placed_partial_own = 0;
     size_t row_bytes = 0;
     size_t row_entries = 0;
@@ -158,8 +165,10 @@ TEST(Hgpa, StorageAccountingIsDistributionInvariant) {
 TEST(Hgpa, MoreMachinesReduceMaxStorage) {
   Graph g = RandomDigraph(200, 3.0, 46);
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
-  size_t one = HgpaIndex::Distribute(pre, 1).MaxMachineBytes();
-  size_t eight = HgpaIndex::Distribute(pre, 8).MaxMachineBytes();
+  size_t one =
+      HgpaIndex::Distribute(pre, 1, StorageUnderTest()).MaxMachineBytes();
+  size_t eight =
+      HgpaIndex::Distribute(pre, 8, StorageUnderTest()).MaxMachineBytes();
   EXPECT_LT(eight, one);
 }
 
@@ -172,8 +181,12 @@ TEST(Hgpa, PrunedCopyStaysClose) {
   auto pruned = exact->PrunedCopy(1e-4);
   EXPECT_LT(pruned->TotalBytes(), exact->TotalBytes());
 
-  HgpaQueryEngine exact_engine{HgpaIndex::Distribute(exact, 2)};
-  HgpaQueryEngine pruned_engine{HgpaIndex::Distribute(pruned, 2)};
+  HgpaQueryEngine exact_engine{
+      HgpaIndex::Distribute(exact, 2, StorageUnderTest()), {},
+      TransportUnderTest()};
+  HgpaQueryEngine pruned_engine{
+      HgpaIndex::Distribute(pruned, 2, StorageUnderTest()), {},
+      TransportUnderTest()};
   std::vector<double> a = exact_engine.QueryDense(10);
   std::vector<double> b = pruned_engine.QueryDense(10);
   // HGPA_ad drops entries below 1e-4; the error stays near that scale.
@@ -186,10 +199,14 @@ TEST(Hgpa, FixedPointSkeletonGivesSameAnswers) {
   HgpaOptions reverse_opts = TightOptions();
   HgpaOptions fixed_opts = TightOptions();
   fixed_opts.skeleton_method = SkeletonMethod::kFixedPoint;
-  HgpaQueryEngine a{HgpaIndex::Distribute(
-      HgpaPrecomputation::RunHgpa(g, reverse_opts), 2)};
-  HgpaQueryEngine b{HgpaIndex::Distribute(
-      HgpaPrecomputation::RunHgpa(g, fixed_opts), 2)};
+  HgpaQueryEngine a{
+      HgpaIndex::Distribute(HgpaPrecomputation::RunHgpa(g, reverse_opts), 2,
+                            StorageUnderTest()),
+      {}, TransportUnderTest()};
+  HgpaQueryEngine b{
+      HgpaIndex::Distribute(HgpaPrecomputation::RunHgpa(g, fixed_opts), 2,
+                            StorageUnderTest()),
+      {}, TransportUnderTest()};
   for (NodeId q : {NodeId{4}, NodeId{42}}) {
     EXPECT_LT(LInfNorm(a.QueryDense(q), b.QueryDense(q)), 1e-6);
   }
@@ -199,7 +216,8 @@ TEST(Hgpa, PreferenceSetQueryIsLinearCombination) {
   // Jeh-Widom linearity: r_P = Σ w_u · r_u, answered in one round.
   Graph g = RandomDigraph(100, 3.0, 64);
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
-  HgpaQueryEngine engine(HgpaIndex::Distribute(pre, 4));
+  HgpaQueryEngine engine(HgpaIndex::Distribute(pre, 4, StorageUnderTest()),
+                         {}, TransportUnderTest());
 
   std::vector<HgpaQueryEngine::Preference> prefs{{5, 0.5}, {42, 0.3}, {77, 0.2}};
   QueryMetrics metrics;
@@ -232,7 +250,8 @@ TEST(Hgpa, PreferenceSetMatchesDenseSolverWeightedTeleport) {
   // vector w and compare against the one-round distributed answer.
   Graph g = PaperFigure3Graph();
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
-  HgpaQueryEngine engine(HgpaIndex::Distribute(pre, 3));
+  HgpaQueryEngine engine(HgpaIndex::Distribute(pre, 3, StorageUnderTest()),
+                         {}, TransportUnderTest());
 
   std::vector<HgpaQueryEngine::Preference> prefs{{0, 0.6}, {3, 0.3}, {5, 0.1}};
   std::vector<double> got(g.num_nodes(), 0.0);
@@ -247,7 +266,8 @@ TEST(Hgpa, PreferenceSetMatchesDenseSolverWeightedTeleport) {
 TEST(Hgpa, PreferenceSetWithZeroAndDuplicateWeights) {
   Graph g = RandomDigraph(60, 3.0, 11);
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
-  HgpaQueryEngine engine(HgpaIndex::Distribute(pre, 3));
+  HgpaQueryEngine engine(HgpaIndex::Distribute(pre, 3, StorageUnderTest()),
+                         {}, TransportUnderTest());
   std::vector<HgpaQueryEngine::Preference> prefs{{7, 0.0}, {9, 0.5}, {9, 0.5}};
   std::vector<double> got(g.num_nodes(), 0.0);
   engine.QueryPreferenceSet(prefs).AddScaledTo(got, 1.0);
@@ -262,8 +282,9 @@ TEST_P(HgpaSeedPropertyTest, ExactAgainstPowerIterationOnRandomGraphs) {
   Graph g = RandomDigraph(60 + seed % 50, 2.5 + (seed % 3), seed);
   auto pre = HgpaPrecomputation::RunHgpa(g, TightOptions());
   ASSERT_TRUE(pre->hierarchy().Validate(g).ok());
-  HgpaIndex index = HgpaIndex::Distribute(pre, 1 + seed % 6);
-  HgpaQueryEngine engine(index);
+  HgpaIndex index = HgpaIndex::Distribute(pre, 1 + seed % 6,
+                                          StorageUnderTest());
+  HgpaQueryEngine engine(index, {}, TransportUnderTest());
 
   PowerIterationOptions pi;
   pi.ppr.tolerance = 1e-11;

@@ -10,6 +10,9 @@
 namespace dppr {
 namespace {
 
+using ::dppr::testing::StorageUnderTest;
+using ::dppr::testing::TransportUnderTest;
+
 /// End-to-end pipeline on scaled paper datasets at the paper's default
 /// tolerance (1e-4): build hierarchy -> precompute -> distribute -> query,
 /// compared against power iteration as the paper's §6.2.6 does.
@@ -21,8 +24,8 @@ TEST_P(PipelineTest, HgpaTracksPowerIterationAtPaperTolerance) {
   options.hierarchy.max_levels = 6;
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
   ASSERT_TRUE(pre->hierarchy().Validate(g).ok());
-  HgpaIndex index = HgpaIndex::Distribute(pre, 6);
-  HgpaQueryEngine engine(index);
+  HgpaIndex index = HgpaIndex::Distribute(pre, 6, StorageUnderTest());
+  HgpaQueryEngine engine(index, {}, TransportUnderTest());
 
   PowerIterationOptions pi;
   pi.dangling = PowerDangling::kAbsorb;
@@ -53,8 +56,8 @@ TEST(Integration, MachineSweepKeepsCommBoundedAndBalanced) {
 
   size_t previous_max_bytes = SIZE_MAX;
   for (size_t machines : {2u, 4u, 8u}) {
-    HgpaIndex index = HgpaIndex::Distribute(pre, machines);
-    HgpaQueryEngine engine(index);
+    HgpaIndex index = HgpaIndex::Distribute(pre, machines, StorageUnderTest());
+    HgpaQueryEngine engine(index, {}, TransportUnderTest());
     QueryMetrics metrics;
     engine.Query(1, &metrics);
     // Theorem 4: at most one message per machine (routing may skip
@@ -81,8 +84,11 @@ TEST(Integration, GpaAndHgpaAgreeOnRealisticDataset) {
   options.hierarchy.max_levels = 5;
   auto hgpa = HgpaPrecomputation::RunHgpa(g, options);
   auto gpa = HgpaPrecomputation::RunGpa(g, 6, options);
-  HgpaQueryEngine hgpa_engine{HgpaIndex::Distribute(hgpa, 4)};
-  HgpaQueryEngine gpa_engine{HgpaIndex::Distribute(gpa, 4)};
+  HgpaQueryEngine hgpa_engine{
+      HgpaIndex::Distribute(hgpa, 4, StorageUnderTest()), {},
+      TransportUnderTest()};
+  HgpaQueryEngine gpa_engine{HgpaIndex::Distribute(gpa, 4, StorageUnderTest()),
+                             {}, TransportUnderTest()};
   for (NodeId q : {NodeId{3}, NodeId{100}, NodeId{500}}) {
     std::vector<double> a = hgpa_engine.QueryDense(q);
     std::vector<double> b = gpa_engine.QueryDense(q);

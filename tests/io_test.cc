@@ -70,30 +70,6 @@ TEST_F(IoTest, MissingFileIsIoError) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
-TEST_F(IoTest, BinaryRoundTrip) {
-  Graph g = testing::RandomDigraph(200, 4.0, 9);
-  ASSERT_TRUE(SaveBinary(g, Path("g.bin")).ok());
-  auto loaded = LoadBinary(Path("g.bin"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(SameGraph(g, loaded.value()));
-}
-
-TEST_F(IoTest, BinaryRejectsWrongMagic) {
-  std::ofstream out(Path("junk.bin"), std::ios::binary);
-  out << "this is not a graph file at all";
-  out.close();
-  auto loaded = LoadBinary(Path("junk.bin"));
-  EXPECT_FALSE(loaded.ok());
-}
-
-TEST_F(IoTest, BinaryIsSmallerThanText) {
-  Graph g = testing::RandomDigraph(300, 5.0, 4);
-  ASSERT_TRUE(SaveEdgeList(g, Path("g.txt")).ok());
-  ASSERT_TRUE(SaveBinary(g, Path("g.bin")).ok());
-  EXPECT_LT(std::filesystem::file_size(Path("g.bin")),
-            std::filesystem::file_size(Path("g.txt")));
-}
-
 TEST_F(IoTest, LoadAppliesBuildOptions) {
   std::ofstream out(Path("d.txt"));
   out << "0 1\n";  // node 1 dangling

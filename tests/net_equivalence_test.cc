@@ -18,7 +18,9 @@
 namespace dppr {
 namespace {
 
+using ::dppr::testing::DistOptionsUnderTest;
 using ::dppr::testing::RandomDigraph;
+using ::dppr::testing::StorageUnderTest;
 
 HgpaOptions SmallOptions() {
   HgpaOptions options;
@@ -38,7 +40,7 @@ DistributedPrecompute::Result RunOffline(const Graph& g, const Hierarchy& h,
                                          const HgpaOptions& options,
                                          TransportBackend backend,
                                          size_t machines) {
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = machines;
   dist.transport = Backend(backend);
   return DistributedPrecompute::Run(g, h, options, dist);
@@ -175,7 +177,7 @@ TEST(NetEquivalence, SequentialAndParallelTcpOfflineAgree) {
   HgpaOptions options = SmallOptions();
   Hierarchy h = Hierarchy::Build(g, options.hierarchy);
 
-  DistPrecomputeOptions sequential;
+  DistPrecomputeOptions sequential = DistOptionsUnderTest();
   sequential.num_machines = 3;
   sequential.sequential = true;
   sequential.transport = Backend(TransportBackend::kTcp);
@@ -204,7 +206,7 @@ TEST(NetEquivalence, LocalityMatchesCentralizedAcrossTransportsAndStores) {
        {TransportBackend::kInProcess, TransportBackend::kTcp}) {
     for (StorageBackend storage :
          {StorageBackend::kMemoryOwned, StorageBackend::kDisk}) {
-      DistPrecomputeOptions dist;
+      DistPrecomputeOptions dist = DistOptionsUnderTest();
       dist.num_machines = 4;
       dist.transport = Backend(transport);
       dist.storage = StorageOptions{};
@@ -248,7 +250,7 @@ TEST(NetEquivalence, LocalityShuffledBytesIdenticalAcrossBackends) {
   for (TransportBackend transport :
        {TransportBackend::kInProcess, TransportBackend::kTcp}) {
     for (bool sequential : {false, true}) {
-      DistPrecomputeOptions dist;
+      DistPrecomputeOptions dist = DistOptionsUnderTest();
       dist.num_machines = 4;
       dist.sequential = sequential;
       dist.transport = Backend(transport);
@@ -278,11 +280,11 @@ TEST(NetEquivalence, ServedTopKAndStatsMatchOverTcp) {
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   QueryServer inproc_server(
-      HgpaQueryEngine(HgpaIndex::Distribute(pre, 3), NetworkModel{},
-                      Backend(TransportBackend::kInProcess)));
+      HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, StorageUnderTest()),
+                      NetworkModel{}, Backend(TransportBackend::kInProcess)));
   QueryServer tcp_server(
-      HgpaQueryEngine(HgpaIndex::Distribute(pre, 3), NetworkModel{},
-                      Backend(TransportBackend::kTcp)));
+      HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, StorageUnderTest()),
+                      NetworkModel{}, Backend(TransportBackend::kTcp)));
 
   for (NodeId q = 0; q < g.num_nodes(); q += 11) {
     QueryServer::TopKResponse a = inproc_server.QueryTopK(q, 10);

@@ -21,6 +21,7 @@
 #include "dppr/net/frame.h"
 #include "dppr/net/tcp_transport.h"
 #include "dppr/net/transport.h"
+#include "test_util.h"
 
 namespace dppr {
 namespace {
@@ -250,7 +251,7 @@ TEST(SimClusterTransport, TcpRoundMatchesInProcessByteForByte) {
   };
   SimCluster inproc_cluster = MakeCluster(5, TransportBackend::kInProcess);
   SimCluster tcp_cluster = MakeCluster(5, TransportBackend::kTcp);
-  // The ctor must honor the options, not the env default.
+  // The ctor must honor the options.
   EXPECT_EQ(inproc_cluster.transport_backend(), TransportBackend::kInProcess);
   EXPECT_EQ(tcp_cluster.transport_backend(), TransportBackend::kTcp);
   auto inproc = inproc_cluster.RunRound(task);
@@ -318,29 +319,16 @@ TEST(SimClusterTransport, NestedRoundsOverTcpDoNotDeadlock) {
 }
 
 // ---------------------------------------------------------------------------
-// DPPR_TRANSPORT env knob
+// The ctest matrix's DPPR_TRANSPORT variable
 // ---------------------------------------------------------------------------
-
-TEST(TransportOptions, FromEnvParsesBackends) {
-  ::setenv("DPPR_TRANSPORT", "tcp", 1);
-  EXPECT_EQ(TransportOptions::FromEnv().backend, TransportBackend::kTcp);
-  ::setenv("DPPR_TRANSPORT", "inproc", 1);
-  EXPECT_EQ(TransportOptions::FromEnv(TransportBackend::kTcp).backend,
-            TransportBackend::kInProcess);
-  ::unsetenv("DPPR_TRANSPORT");
-  EXPECT_EQ(TransportOptions::FromEnv().backend, TransportBackend::kInProcess);
-  EXPECT_EQ(TransportOptions::FromEnv(TransportBackend::kTcp).backend,
-            TransportBackend::kTcp);
-}
 
 TEST(TransportOptionsDeath, TypoInEnvDiesInsteadOfSilentFallback) {
   // Threadsafe style: earlier tests started the process-global ThreadPool
   // workers, and forking fast-style from a multithreaded process can wedge
   // the child on a lock a worker held at fork time.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ::setenv("DPPR_TRANSPORT", "tpc", 1);
-  EXPECT_DEATH(TransportOptions::FromEnv(), "DPPR_CHECK failed");
-  ::unsetenv("DPPR_TRANSPORT");
+  ::dppr::testing::ScopedEnv typo("DPPR_TRANSPORT", "tpc");
+  EXPECT_DEATH(::dppr::testing::TransportUnderTest(), "DPPR_CHECK failed");
 }
 
 // ---------------------------------------------------------------------------

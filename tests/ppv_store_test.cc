@@ -15,11 +15,12 @@ namespace dppr {
 namespace {
 
 using ::dppr::testing::RandomSparseVector;
+using ::dppr::testing::StorageUnderTest;
 
 // Backend pinned explicitly where a test asserts address stability or
 // distinct addresses — in-memory guarantees the disk configurations must not
-// reinterpret. Tests built on default-constructed stores run under whatever
-// DPPR_STORE selects.
+// reinterpret. Tests built on StorageUnderTest() run on the backend the ctest
+// configuration selects.
 StorageOptions Memory() {
   StorageOptions options;
   options.backend = StorageBackend::kMemoryOwned;
@@ -55,7 +56,7 @@ TEST(MakeVectorKey, OverflowingNodeDiesEvenInRelease) {
 }
 
 TEST(PpvStore, OwnedVectorsAreFindable) {
-  PpvStore store;
+  PpvStore store(StorageUnderTest());
   SparseVector vec = RandomSparseVector(1, 50);
   size_t bytes = vec.SerializedBytes();
   store.PutOwned(VectorKind::kOwnVector, 3, 7, vec, bytes);
@@ -125,7 +126,7 @@ TEST(PpvStore, SelfAssignmentIsANoOp) {
 }
 
 TEST(PpvStore, BytesLedgerSplitsByKind) {
-  PpvStore store;
+  PpvStore store(StorageUnderTest());
   SparseVector partial = RandomSparseVector(1, 40);
   SparseVector own = RandomSparseVector(2, 10);
   store.PutOwned(VectorKind::kHubPartial, 0, 1, partial,
@@ -157,7 +158,7 @@ TEST(PpvStore, SkeletonColumnPutDies) {
 }
 
 TEST(PpvStore, DuplicateKeyDies) {
-  PpvStore store;
+  PpvStore store(StorageUnderTest());
   SparseVector vec = RandomSparseVector(3, 5);
   store.PutOwned(VectorKind::kOwnVector, 0, 0, vec, vec.SerializedBytes());
   EXPECT_DEATH(
@@ -229,7 +230,7 @@ TEST(VectorRecord, IngestFromConsumesExactlyOneRecord) {
   b.vec = RandomSparseVector(8, 60);
   b.SerializeTo(writer);
 
-  PpvStore store;
+  PpvStore store(StorageUnderTest());
   ByteReader reader(writer.bytes());
   EXPECT_DOUBLE_EQ(store.IngestFrom(reader), 1.5);
   EXPECT_EQ(store.num_vectors(), 1u);
@@ -374,7 +375,7 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
 TEST(DiskSpillHostile, ReopenedSpillServesBitIdenticalVectors) {
   std::string path = SpillPath("reopen");
   WriteValidSpill(path);
-  PpvStore reopened = PpvStore::OpenSpill(path);
+  PpvStore reopened = PpvStore::OpenSpill(path, StorageUnderTest());
   EXPECT_EQ(reopened.num_vectors(), 4u);
   for (NodeId node = 0; node < 4; ++node) {
     PpvRef found = reopened.Find(VectorKind::kOwnVector, 2, node);
@@ -389,7 +390,8 @@ TEST(DiskSpillHostile, TruncatedSpillFileDiesAtOpen) {
   std::vector<uint8_t> bytes = WriteValidSpill(path);
   bytes.resize(bytes.size() - 9);  // chop into the last record
   WriteFile(path, bytes);
-  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
+  EXPECT_DEATH(PpvStore::OpenSpill(path, StorageUnderTest()),
+               "DPPR_CHECK failed");
   std::remove(path.c_str());
 }
 
@@ -400,7 +402,8 @@ TEST(DiskSpillHostile, CorruptedRecordDiesAtOpen) {
   // VectorKind, so the open-time re-validation scan must refuse the file.
   bytes[0] = 0xFF;
   WriteFile(path, bytes);
-  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
+  EXPECT_DEATH(PpvStore::OpenSpill(path, StorageUnderTest()),
+               "DPPR_CHECK failed");
   std::remove(path.c_str());
 }
 
@@ -422,7 +425,7 @@ TEST(DiskSpillHostile, OutOfRangeExtentDiesAtRead) {
 TEST(DiskSpillHostile, AppendToReadOnlySpillDies) {
   std::string path = SpillPath("readonly");
   WriteValidSpill(path);
-  PpvStore reopened = PpvStore::OpenSpill(path);
+  PpvStore reopened = PpvStore::OpenSpill(path, StorageUnderTest());
   SparseVector vec = RandomSparseVector(99, 5);
   EXPECT_DEATH(
       reopened.PutOwned(VectorKind::kOwnVector, 9, 9, vec, vec.SerializedBytes()),

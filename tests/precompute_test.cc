@@ -90,18 +90,6 @@ TEST(Precompute, DeterministicAcrossRuns) {
   }
 }
 
-TEST(Precompute, SequentialMatchesParallel) {
-  Graph g = RandomDigraph(80, 3.0, 66);
-  HgpaOptions options = SmallOptions();
-  auto parallel = HgpaPrecomputation::RunHgpa(g, options);
-  options.parallel = false;
-  auto sequential = HgpaPrecomputation::RunHgpa(g, options);
-  ASSERT_EQ(parallel->items().size(), sequential->items().size());
-  for (size_t i = 0; i < parallel->items().size(); ++i) {
-    EXPECT_EQ(parallel->items()[i].vec, sequential->items()[i].vec);
-  }
-}
-
 TEST(Precompute, BytesMatchSerializedSizes) {
   Graph g = RandomDigraph(90, 3.0, 12);
   auto pre = HgpaPrecomputation::RunHgpa(g, SmallOptions());

@@ -14,6 +14,8 @@ namespace dppr {
 namespace {
 
 using ::dppr::testing::RandomDigraph;
+using ::dppr::testing::StorageUnderTest;
+using ::dppr::testing::TransportUnderTest;
 
 HgpaOptions RoutingTestOptions() {
   HgpaOptions options;
@@ -36,9 +38,9 @@ HgpaQueryEngine MakeEngine(std::shared_ptr<const HgpaPrecomputation> pre,
   ReplicationOptions replication;
   replication.budget_bytes = replicate_bytes;
   return HgpaQueryEngine(
-      HgpaIndex::Distribute(std::move(pre), machines, StorageOptions::FromEnv(),
+      HgpaIndex::Distribute(std::move(pre), machines, StorageUnderTest(),
                             replication),
-      NetworkModel{}, TransportOptions::FromEnv(), RoutingOptions{mode});
+      NetworkModel{}, TransportUnderTest(), RoutingOptions{mode});
 }
 
 /// The core invariant: routed answers are BIT-identical to broadcast for
@@ -161,7 +163,7 @@ TEST(QueryRouting, ZeroWeightPreferencesContactNoMachines) {
 TEST(QueryRouting, PlanInvariants) {
   Graph graph = RandomDigraph(90, 3.0, 17);
   auto pre = Precompute(graph);
-  HgpaIndex index = HgpaIndex::Distribute(pre, 5);
+  HgpaIndex index = HgpaIndex::Distribute(pre, 5, StorageUnderTest());
   QueryRouter router(index.placement());
   for (NodeId q = 0; q < graph.num_nodes(); ++q) {
     NodeId sources[] = {q};
@@ -267,13 +269,15 @@ TEST(QueryRouting, RouteMatchesSnapshotOracle) {
   for (bool hgpa : {true, false}) {
     auto pre = Precompute(graph, hgpa);
     for (size_t machines : {3u, 5u}) {
-      const size_t full = HgpaIndex::Distribute(pre, machines).MaxMachineBytes();
+      const size_t full =
+          HgpaIndex::Distribute(pre, machines, StorageUnderTest())
+              .MaxMachineBytes();
       // No replication, some blocks replicated, and every block replicated.
       for (size_t budget : {size_t{0}, full, size_t{64} << 20}) {
         ReplicationOptions replication;
         replication.budget_bytes = budget;
         HgpaIndex index = HgpaIndex::Distribute(
-            pre, machines, StorageOptions::FromEnv(), replication);
+            pre, machines, StorageUnderTest(), replication);
         if (budget > 0) EXPECT_GT(index.num_replicated_hubs(), 0u);
         QueryRouter router(index.placement());
         SnapshotRouter oracle(*index.placement());
@@ -293,9 +297,9 @@ TEST(QueryRouting, ReplicationBookkeeping) {
   constexpr size_t kBudget = 1 << 16;
   ReplicationOptions replication;
   replication.budget_bytes = kBudget;
-  HgpaIndex plain = HgpaIndex::Distribute(pre, 4);
+  HgpaIndex plain = HgpaIndex::Distribute(pre, 4, StorageUnderTest());
   HgpaIndex replicated =
-      HgpaIndex::Distribute(pre, 4, StorageOptions::FromEnv(), replication);
+      HgpaIndex::Distribute(pre, 4, StorageUnderTest(), replication);
 
   EXPECT_EQ(plain.num_replicated_hubs(), 0u);
   EXPECT_EQ(plain.replica_bytes_per_machine(), 0u);

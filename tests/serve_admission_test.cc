@@ -13,6 +13,8 @@ namespace dppr {
 namespace {
 
 using ::dppr::testing::RandomDigraph;
+using ::dppr::testing::StorageUnderTest;
+using ::dppr::testing::TransportUnderTest;
 
 HgpaOptions ServeTestOptions() {
   HgpaOptions options;
@@ -24,7 +26,9 @@ HgpaOptions ServeTestOptions() {
 
 HgpaQueryEngine MakeEngine(const Graph& graph, size_t machines) {
   auto pre = HgpaPrecomputation::RunHgpa(graph, ServeTestOptions());
-  return HgpaQueryEngine(HgpaIndex::Distribute(pre, machines));
+  return HgpaQueryEngine(
+      HgpaIndex::Distribute(pre, machines, StorageUnderTest()), {},
+      TransportUnderTest());
 }
 
 TEST(ResultCaching, HitIsBitIdenticalAndSkipsTheRound) {
@@ -65,26 +69,6 @@ TEST(ResultCaching, PreferenceSetsAreNeverCached) {
   EXPECT_EQ(stats.rounds, 2u);
 }
 
-TEST(ResultCaching, InvalidateForcesRecompute) {
-  Graph graph = RandomDigraph(60, 3.0, 19);
-  HgpaQueryEngine engine = MakeEngine(graph, 3);
-  ServeOptions options;
-  options.result_cache_bytes = 4 << 20;
-  QueryServer server(std::move(engine), options);
-
-  SparseVector first = server.Query(4).ppv;
-  EXPECT_TRUE(server.Query(4).cache_hit);
-  server.Invalidate(4);
-  QueryServer::Response recomputed = server.Query(4);
-  EXPECT_FALSE(recomputed.cache_hit);
-  EXPECT_EQ(recomputed.ppv, first);
-
-  EXPECT_TRUE(server.Query(4).cache_hit);
-  server.InvalidateAll();
-  EXPECT_FALSE(server.Query(4).cache_hit);
-  EXPECT_EQ(server.Stats().result_cache_evictions, 0u);
-}
-
 TEST(ResultCaching, TinyBudgetEvictsLru) {
   Graph graph = RandomDigraph(80, 3.0, 23);
   HgpaQueryEngine engine = MakeEngine(graph, 3);
@@ -115,9 +99,11 @@ TEST(ResultCaching, TinyBudgetEvictsLru) {
   EXPECT_EQ(*hit, sample);
   EXPECT_EQ(cache.evictions(), 1u);
   // The pinned shared_ptr stays valid after its entry is evicted.
-  cache.InvalidateAll();
+  cache.Insert(3, sample);
+  EXPECT_EQ(cache.Find(2), nullptr);
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(*hit, sample);
-  EXPECT_EQ(cache.bytes(), 0);
 }
 
 TEST(ResultCaching, TopKServesFromCache) {
@@ -218,8 +204,8 @@ TEST(AdmissionControl, BlockPolicyServesEverything) {
   EXPECT_EQ(stats.shed, 0u);
 }
 
-// TSAN-targeted stress: cache hits, misses, invalidations, shedding, and
-// stats reads all racing on one server.
+// TSAN-targeted stress: cache hits, misses, shedding, and stats reads all
+// racing on one server.
 TEST(AdmissionControl, ConcurrentCacheAndAdmissionStress) {
   Graph graph = RandomDigraph(60, 3.0, 43);
   HgpaQueryEngine engine = MakeEngine(graph, 3);
@@ -235,10 +221,8 @@ TEST(AdmissionControl, ConcurrentCacheAndAdmissionStress) {
     clients.emplace_back([&, t] {
       for (size_t i = 0; i < 30; ++i) {
         NodeId q = static_cast<NodeId>((t + i) % 12);  // hot set: many hits
-        QueryServer::Response r = server.Query(q);
-        if (!r.shed && !r.cache_hit) server.Invalidate(q);
+        server.Query(q);
         if (i % 10 == 0) server.Stats();
-        if (t == 0 && i % 17 == 0) server.InvalidateAll();
       }
     });
   }

@@ -23,6 +23,8 @@ namespace {
 using ::dppr::testing::JsonParser;
 using ::dppr::testing::JsonValue;
 using ::dppr::testing::RandomDigraph;
+using ::dppr::testing::StorageUnderTest;
+using ::dppr::testing::TransportUnderTest;
 
 HgpaOptions ServeTestOptions() {
   HgpaOptions options;
@@ -36,7 +38,9 @@ HgpaOptions ServeTestOptions() {
 // pointer to it.
 HgpaQueryEngine MakeEngine(const Graph& graph, size_t machines) {
   auto pre = HgpaPrecomputation::RunHgpa(graph, ServeTestOptions());
-  return HgpaQueryEngine(HgpaIndex::Distribute(pre, machines));
+  return HgpaQueryEngine(
+      HgpaIndex::Distribute(pre, machines, StorageUnderTest()), {},
+      TransportUnderTest());
 }
 
 TEST(ConcurrentServing, EngineQueriesBitIdenticalToSequentialRun) {

@@ -25,7 +25,10 @@
 namespace dppr {
 namespace {
 
+using ::dppr::testing::DistOptionsUnderTest;
 using ::dppr::testing::RandomDigraph;
+using ::dppr::testing::StorageUnderTest;
+using ::dppr::testing::TransportUnderTest;
 
 HgpaOptions SmallOptions() {
   HgpaOptions options;
@@ -111,11 +114,11 @@ TEST(SkeletonRows, DistributeStoresExactlyTheColumnsNonzeros) {
   auto pre = HgpaPrecomputation::RunHgpa(g, SmallOptions());
   for (size_t machines : {1u, 2u, 5u}) {
     HgpaIndex plain = HgpaIndex::Distribute(pre, machines,
-                                            StorageOptions::FromEnv(),
+                                            StorageUnderTest(),
                                             ReplicationOptions{});
     ExpectRowsMatchColumns(*pre, plain);
     HgpaIndex replicated = HgpaIndex::Distribute(
-        pre, machines, StorageOptions::FromEnv(), SomeReplication(plain));
+        pre, machines, StorageUnderTest(), SomeReplication(plain));
     if (machines > 1) EXPECT_GT(replicated.num_replicated_hubs(), 0u);
     ExpectRowsMatchColumns(*pre, replicated);
   }
@@ -126,7 +129,7 @@ TEST(SkeletonRows, DistributedPrecomputeStoresExactlyTheColumnsNonzeros) {
   HgpaOptions options = SmallOptions();
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
   for (size_t machines : {1u, 2u, 5u}) {
-    DistPrecomputeOptions dist;
+    DistPrecomputeOptions dist = DistOptionsUnderTest();
     dist.num_machines = machines;
     HgpaIndex plain = HgpaIndex::FromDistributed(
         DistributedPrecompute::Run(g, pre->hierarchy(), options, dist),
@@ -194,7 +197,8 @@ TEST(SkeletonRowsDisk, QueryReadsExactlyTheRecordsItsFoldNeeds) {
                                 *store.Find(VectorKind::kOwnVector, leaf, q));
       }
     }
-    HgpaQueryEngine engine(spilled);  // the copy starts with cold caches
+    // The copy starts with cold caches.
+    HgpaQueryEngine engine(spilled, {}, TransportUnderTest());
     QueryMetrics metrics;
     (void)engine.Query(q, &metrics);
     EXPECT_EQ(metrics.storage.disk_bytes_read, expected) << "query " << q;
@@ -218,7 +222,7 @@ TEST(SkeletonRowsDeath, TamperedRowRankDiesInTheFold) {
   const std::string path = TempPath("tampered");
   Graph g = RandomDigraph(100, 3.0, 8);
   HgpaOptions options = SmallOptions();
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 1;
   dist.storage.backend = StorageBackend::kDisk;
   dist.storage.spill_path = path;
@@ -258,8 +262,9 @@ TEST(SkeletonRowsDeath, TamperedRowRankDiesInTheFold) {
 
   // The reopened spill passes every open-time check: the record is well
   // formed; only its rank is out of its block.
-  result.stores[0] = PpvStore::OpenSpill(path);
-  HgpaQueryEngine engine(HgpaIndex::FromDistributed(std::move(result)));
+  result.stores[0] = PpvStore::OpenSpill(path, StorageUnderTest());
+  HgpaQueryEngine engine(HgpaIndex::FromDistributed(std::move(result)),
+                         {}, TransportUnderTest());
   EXPECT_DEATH((void)engine.Query(tampered), "DPPR_CHECK failed");
 
   std::remove(path.c_str());

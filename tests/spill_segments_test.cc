@@ -22,8 +22,10 @@
 namespace dppr {
 namespace {
 
+using ::dppr::testing::DistOptionsUnderTest;
 using ::dppr::testing::RandomDigraph;
 using ::dppr::testing::RandomSparseVector;
+using ::dppr::testing::StorageUnderTest;
 
 StorageOptions Disk(size_t cache_bytes = 64 << 20) {
   StorageOptions options;
@@ -79,7 +81,7 @@ TEST(SpillFileLayout, NamedSpillIsOneRecordFile) {
     EXPECT_FALSE(std::ifstream(path + "." + suffix).good()) << suffix;
   }
 
-  PpvStore reopened = PpvStore::OpenSpill(path);
+  PpvStore reopened = PpvStore::OpenSpill(path, StorageUnderTest());
   EXPECT_EQ(reopened.num_vectors(), kStoredKinds.size());
   for (size_t k = 0; k < kStoredKinds.size(); ++k) {
     PpvRef found = reopened.Find(kStoredKinds[k], 3, k);
@@ -112,7 +114,8 @@ TEST(SpillFileHostile, SkeletonColumnRecordDies) {
     out.write(reinterpret_cast<const char*>(writer.bytes().data()),
               static_cast<std::streamsize>(writer.bytes().size()));
   }
-  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
+  EXPECT_DEATH(PpvStore::OpenSpill(path, StorageUnderTest()),
+               "DPPR_CHECK failed");
   std::remove(path.c_str());
 }
 
@@ -128,7 +131,8 @@ TEST(SpillFileHostile, ManifestFormatFileDies) {
            "own_vector x.spill.own_vector\n"
            "end\n";
   }
-  EXPECT_DEATH(PpvStore::OpenSpill(path), "DPPR_CHECK failed");
+  EXPECT_DEATH(PpvStore::OpenSpill(path, StorageUnderTest()),
+               "DPPR_CHECK failed");
   std::remove(path.c_str());
 }
 
@@ -153,7 +157,7 @@ TEST(SpillFileLayout, NamedSpillForMoreThanOneMachineDies) {
   named.spill_path = path;
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
   EXPECT_DEATH(HgpaIndex::Distribute(pre, 3, named), "DPPR_CHECK failed");
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = 3;
   dist.storage = named;
   EXPECT_DEATH(DistributedPrecompute::RunHgpa(g, options, dist),

@@ -17,7 +17,9 @@
 namespace dppr {
 namespace {
 
+using ::dppr::testing::DistOptionsUnderTest;
 using ::dppr::testing::RandomDigraph;
+using ::dppr::testing::TransportUnderTest;
 
 HgpaOptions SmallOptions() {
   HgpaOptions options;
@@ -38,7 +40,7 @@ DistributedPrecompute::Result RunOffline(const Graph& g, const Hierarchy& h,
                                          const HgpaOptions& options,
                                          const StorageOptions& storage,
                                          size_t machines) {
-  DistPrecomputeOptions dist;
+  DistPrecomputeOptions dist = DistOptionsUnderTest();
   dist.num_machines = machines;
   dist.storage = storage;
   return DistributedPrecompute::Run(g, h, options, dist);
@@ -87,8 +89,10 @@ TEST(StoreEquivalence, HgpaDiskMatchesMemoryOwned) {
   EXPECT_EQ(mem_result.TotalBytes(), disk_result.TotalBytes());
   EXPECT_EQ(mem_result.MaxMachineBytes(), disk_result.MaxMachineBytes());
 
-  HgpaQueryEngine memory(HgpaIndex::FromDistributed(std::move(mem_result)));
-  HgpaQueryEngine disk(HgpaIndex::FromDistributed(std::move(disk_result)));
+  HgpaQueryEngine memory(HgpaIndex::FromDistributed(std::move(mem_result)),
+                         {}, TransportUnderTest());
+  HgpaQueryEngine disk(HgpaIndex::FromDistributed(std::move(disk_result)),
+                       {}, TransportUnderTest());
   const Lookups lookups = ExpectQuerySurfaceIdentical(g, memory, disk);
 
   const StorageStats& stats = lookups.disk;
@@ -108,8 +112,10 @@ TEST(StoreEquivalence, GpaDiskMatchesMemoryOwned) {
   auto disk_result =
       RunOffline(g, flat, options, Backend(StorageBackend::kDisk, 1), 3);
 
-  HgpaQueryEngine memory(HgpaIndex::FromDistributed(std::move(mem_result)));
-  HgpaQueryEngine disk(HgpaIndex::FromDistributed(std::move(disk_result)));
+  HgpaQueryEngine memory(HgpaIndex::FromDistributed(std::move(mem_result)),
+                         {}, TransportUnderTest());
+  HgpaQueryEngine disk(HgpaIndex::FromDistributed(std::move(disk_result)),
+                       {}, TransportUnderTest());
   EXPECT_GT(ExpectQuerySurfaceIdentical(g, memory, disk).disk.cache_misses, 0u);
 }
 
@@ -122,9 +128,11 @@ TEST(StoreEquivalence, CentralizedDistributeOnDiskMatchesMemory) {
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   HgpaQueryEngine memory(
-      HgpaIndex::Distribute(pre, 4, Backend(StorageBackend::kMemoryOwned)));
+      HgpaIndex::Distribute(pre, 4, Backend(StorageBackend::kMemoryOwned)), {},
+      TransportUnderTest());
   HgpaQueryEngine disk(
-      HgpaIndex::Distribute(pre, 4, Backend(StorageBackend::kDisk, 1)));
+      HgpaIndex::Distribute(pre, 4, Backend(StorageBackend::kDisk, 1)), {},
+      TransportUnderTest());
   ExpectQuerySurfaceIdentical(g, memory, disk);
 }
 
@@ -134,9 +142,11 @@ TEST(StoreEquivalence, TopKThroughServerMatchesAndReportsColdServing) {
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   QueryServer memory_server(HgpaQueryEngine(
-      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kMemoryOwned))));
-  QueryServer disk_server(
-      HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kDisk, 1))));
+      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kMemoryOwned)), {},
+      TransportUnderTest()));
+  QueryServer disk_server(HgpaQueryEngine(
+      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kDisk, 1)), {},
+      TransportUnderTest()));
 
   for (NodeId q = 0; q < g.num_nodes(); q += 11) {
     QueryServer::TopKResponse a = memory_server.QueryTopK(q, 10);
@@ -167,9 +177,11 @@ TEST(StoreEquivalence, WarmCacheIsAlsoBitIdentical) {
   auto pre = HgpaPrecomputation::RunHgpa(g, options);
 
   HgpaQueryEngine memory(
-      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kMemoryOwned)));
+      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kMemoryOwned)), {},
+      TransportUnderTest());
   HgpaQueryEngine disk(
-      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kDisk)));
+      HgpaIndex::Distribute(pre, 3, Backend(StorageBackend::kDisk)), {},
+      TransportUnderTest());
 
   // Two passes: pass one loads (misses), pass two hits; both bit-identical.
   StorageStats stats;

@@ -21,6 +21,7 @@ namespace {
 
 using ::dppr::testing::RandomDigraph;
 using ::dppr::testing::RandomSparseVector;
+using ::dppr::testing::TransportUnderTest;
 
 TEST(StoreStress, ConcurrentPinEvictThroughOneVectorBudget) {
   constexpr size_t kVectors = 8;
@@ -130,14 +131,16 @@ TEST(StoreStress, ConcurrentQueriesThroughTinyCacheStayBitIdentical) {
 
   StorageOptions memory;
   memory.backend = StorageBackend::kMemoryOwned;
-  HgpaQueryEngine oracle(HgpaIndex::Distribute(pre, 3, memory));
+  HgpaQueryEngine oracle(HgpaIndex::Distribute(pre, 3, memory),
+                         {}, TransportUnderTest());
   std::vector<SparseVector> want;
   for (NodeId q = 0; q < g.num_nodes(); ++q) want.push_back(oracle.Query(q));
 
   StorageOptions disk;
   disk.backend = StorageBackend::kDisk;
   disk.cache_bytes = 1;  // every machine-side lookup reads the spill file
-  QueryServer server(HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, disk)));
+  QueryServer server(HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, disk),
+                                     {}, TransportUnderTest()));
 
   constexpr size_t kThreads = 6;
   constexpr size_t kQueriesPerThread = 40;

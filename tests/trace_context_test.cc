@@ -32,6 +32,8 @@ namespace {
 using ::dppr::testing::JsonParser;
 using ::dppr::testing::JsonValue;
 using ::dppr::testing::RandomDigraph;
+using ::dppr::testing::StorageUnderTest;
+using ::dppr::testing::TransportUnderTest;
 
 // ---------------------------------------------------------------------------
 // TraceContext plumbing
@@ -102,7 +104,8 @@ void ExpectSpansOnExactlyTheRoutedMachines(TransportBackend backend) {
   TransportOptions transport;
   transport.backend = backend;
   QueryServer server(
-      HgpaQueryEngine(HgpaIndex::Distribute(pre, 4), NetworkModel{}, transport,
+      HgpaQueryEngine(HgpaIndex::Distribute(pre, 4, StorageUnderTest()),
+                      NetworkModel{}, transport,
                       RoutingOptions{RoutingMode::kRoute}),
       ServeOptions{});
   ASSERT_NE(server.engine().router(), nullptr);
@@ -175,7 +178,7 @@ void ExpectProfilesReconcile(const Graph& graph, size_t num_queries,
   ReplicationOptions replication;
   replication.budget_bytes = replicate_bytes;
   QueryServer server(
-      HgpaQueryEngine(HgpaIndex::Distribute(pre, 4, StorageOptions::FromEnv(),
+      HgpaQueryEngine(HgpaIndex::Distribute(pre, 4, StorageUnderTest(),
                                             replication),
                       NetworkModel{}, TransportOptions{},
                       RoutingOptions{RoutingMode::kRoute}),
@@ -256,7 +259,7 @@ TEST(QueryProfileReconciliation, TotalsMatchCounterDeltas) {
     auto pre = HgpaPrecomputation::RunHgpa(graph, SmallOptions());
     ReplicationOptions replication;
     replication.budget_bytes = 64 << 20;
-    QueryRouter router(HgpaIndex::Distribute(pre, 4, StorageOptions::FromEnv(),
+    QueryRouter router(HgpaIndex::Distribute(pre, 4, StorageUnderTest(),
                                              replication)
                            .placement());
     size_t absorbed = 0;
@@ -327,7 +330,8 @@ TEST(QueryProfileReconciliation, StorageCountsOnlyTheServersRounds) {
   StorageOptions storage;
   storage.backend = StorageBackend::kDisk;
   storage.cache_bytes = 4096;
-  QueryServer server(HgpaQueryEngine(HgpaIndex::Distribute(pre, 4, storage)),
+  QueryServer server(HgpaQueryEngine(HgpaIndex::Distribute(pre, 4, storage),
+                                     {}, TransportUnderTest()),
                      ServeOptions{});
   server.ResetStats();
 
@@ -360,8 +364,10 @@ TEST(SlowQueryLog, WritesParseableJsonlWithTheProfileSchema) {
   ServeOptions options;
   options.slow_query_us = 0;  // log every request
   options.slow_query_log_path = path;
-  QueryServer server(HgpaQueryEngine(HgpaIndex::Distribute(pre, 3)),
-                     std::move(options));
+  QueryServer server(
+      HgpaQueryEngine(HgpaIndex::Distribute(pre, 3, StorageUnderTest()), {},
+                      TransportUnderTest()),
+      std::move(options));
 
   std::vector<uint64_t> trace_ids;
   for (NodeId q = 0; q < 3; ++q) {
@@ -399,8 +405,10 @@ TEST(SlowQueryLog, WritesParseableJsonlWithTheProfileSchema) {
 TEST(SlowQueryLog, ThresholdDisabledKeepsRingsOnly) {
   Graph graph = RandomDigraph(40, 3.0, 13);
   auto pre = HgpaPrecomputation::RunHgpa(graph, SmallOptions());
-  QueryServer server(HgpaQueryEngine(HgpaIndex::Distribute(pre, 2)),
-                     ServeOptions{});  // slow_query_us = -1: log disabled
+  QueryServer server(
+      HgpaQueryEngine(HgpaIndex::Distribute(pre, 2, StorageUnderTest()), {},
+                      TransportUnderTest()),
+      ServeOptions{});  // slow_query_us = -1: log disabled
   server.Query(1);
   EXPECT_EQ(server.RecentProfiles().size(), 1u);
   EXPECT_TRUE(server.RecentSlowQueries().empty());
