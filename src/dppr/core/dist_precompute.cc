@@ -109,6 +109,18 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
   const Hierarchy& h = placement.hierarchy();
   SimCluster cluster(num_machines, dist.network, dist.sequential,
                      dist.transport);
+  // Each superstep's ingest is its coordinator phase: timed into the round's
+  // coordinator_seconds, after which the round folds into the offline
+  // report.
+  auto ingest = [&](RoundMetrics& metrics, uint64_t round_id,
+                    const auto& body) {
+    obs::TraceSpan span(obs::kCoordinatorLane, "precompute.ingest");
+    span.Arg("round", round_id);
+    WallTimer timer;
+    body();
+    metrics.coordinator_seconds = timer.ElapsedSeconds();
+    result.offline.Accumulate(metrics, dist.network);
+  };
 
   // Superstep 1: leaf local PPVs. The leaf packing makes every leaf's home
   // also the owner of all its nodes, so there is nothing to shuffle: machine
@@ -120,31 +132,29 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
   // reads as leaf/shuffle phases over the per-machine cluster.machine spans.
   {
     obs::TraceSpan span(obs::kCoordinatorLane, "precompute.leaf_superstep");
-    cluster.RunRound(
-        [&](size_t machine) {
-          ByteWriter writer;
-          for (SubgraphId leaf : placement.LeavesOn(machine)) {
-            const HierarchySubgraph& sub = h.subgraph(leaf);
-            LocalGraph lg = LocalGraph::Induce(graph, sub.nodes);
-            for (NodeId u : sub.nodes) {
-              WallTimer timer;
-              SparseVector vec = ComputeLeafVector(lg, u, options);
-              AppendRecord(writer, VectorKind::kOwnVector, leaf, u,
-                           timer.ElapsedSeconds(), std::move(vec));
-            }
-          }
-          return writer.Release();
-        },
-        [&](SimCluster::RoundResult& round) {
-          for (size_t m = 0; m < num_machines; ++m) {
-            ByteReader reader(round.payloads[m]);
-            while (!reader.AtEnd()) {
-              result.ledger.Add(m, result.stores[m].IngestFrom(reader));
-            }
-            Free(round.payloads[m]);
-          }
-        },
-        &result.offline);
+    SimCluster::RoundResult round = cluster.RunRound([&](size_t machine) {
+      ByteWriter writer;
+      for (SubgraphId leaf : placement.LeavesOn(machine)) {
+        const HierarchySubgraph& sub = h.subgraph(leaf);
+        LocalGraph lg = LocalGraph::Induce(graph, sub.nodes);
+        for (NodeId u : sub.nodes) {
+          WallTimer timer;
+          SparseVector vec = ComputeLeafVector(lg, u, options);
+          AppendRecord(writer, VectorKind::kOwnVector, leaf, u,
+                       timer.ElapsedSeconds(), std::move(vec));
+        }
+      }
+      return writer.Release();
+    });
+    ingest(round.metrics, round.round_id, [&] {
+      for (size_t m = 0; m < num_machines; ++m) {
+        ByteReader reader(round.payloads[m]);
+        while (!reader.AtEnd()) {
+          result.ledger.Add(m, result.stores[m].IngestFrom(reader));
+        }
+        Free(round.payloads[m]);
+      }
+    });
     for (size_t m = 0; m < num_machines; ++m) {
       result.induces += placement.LeavesOn(m).size();
     }
@@ -183,7 +193,7 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
     // into its row block as part of the ingest (coordinator time).
     obs::TraceSpan span(obs::kCoordinatorLane, "precompute.shuffle_superstep");
     span.Arg("level", level);
-    cluster.RunExchange(
+    SimCluster::ExchangeResult exchanged = cluster.RunExchange(
         [&](size_t machine) {
           std::vector<ByteWriter> outbox(num_machines);
           for (const auto& sub : h.subgraphs()) {
@@ -227,19 +237,18 @@ DistributedPrecompute::Result DistributedPrecompute::Run(
           payloads.reserve(num_machines);
           for (ByteWriter& writer : outbox) payloads.push_back(writer.Release());
           return payloads;
-        },
-        [&](SimCluster::ExchangeResult& exchanged) {
-          for (size_t dst = 0; dst < num_machines; ++dst) {
-            for (size_t src = 0; src < num_machines; ++src) {
-              std::vector<uint8_t>& inbox = exchanged.inboxes[dst][src];
-              ByteReader reader(inbox);
-              IngestLevelInbox(placement, dst, reader, result.stores[dst],
-                               result.ledger);
-              Free(inbox);
-            }
-          }
-        },
-        &result.offline);
+        });
+    ingest(exchanged.metrics, exchanged.round_id, [&] {
+      for (size_t dst = 0; dst < num_machines; ++dst) {
+        for (size_t src = 0; src < num_machines; ++src) {
+          std::vector<uint8_t>& inbox = exchanged.inboxes[dst][src];
+          ByteReader reader(inbox);
+          IngestLevelInbox(placement, dst, reader, result.stores[dst],
+                           result.ledger);
+          Free(inbox);
+        }
+      }
+    });
 
     Result::LevelStats level_stats;
     level_stats.level = level;

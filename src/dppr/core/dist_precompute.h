@@ -50,10 +50,11 @@ struct DistPrecomputeOptions {
 /// VectorRecord to its Eq. 7 owner via RunExchange. Partials land in their
 /// owner's PpvStore as they arrive; the owner's columns of each subgraph are
 /// transposed into its skeleton row block during the ingest
-/// (PutSkeletonRows), which the round's coordinator time charges. The folded
-/// MultiRoundStats — rounds, simulated seconds, bytes shipped, with shuffle
-/// traffic in its own column — are the numbers the paper's offline tables
-/// measure.
+/// (PutSkeletonRows). Run times each round's ingest itself, as that round's
+/// coordinator_seconds, and folds the round's RoundMetrics into `offline`
+/// with MultiRoundStats::Accumulate. The folded MultiRoundStats — rounds,
+/// simulated seconds, bytes shipped, with shuffle traffic in its own
+/// column — are the numbers the paper's offline tables measure.
 ///
 /// The stores are bit-identical to HgpaIndex::Distribute of
 /// HgpaPrecomputation::Run on the same hierarchy (both call the same compute

@@ -330,7 +330,7 @@ SparseVector HgpaQueryEngine::RunDistributed(
     metrics->coordinator_seconds = round.metrics.coordinator_seconds;
     metrics->simulated_seconds =
         round.metrics.SimulatedSeconds(cluster_.network());
-    metrics->comm = round.metrics.to_coordinator;
+    metrics->comm = round.metrics.Traffic();
     metrics->round_id = round.round_id;
     metrics->machine_seconds = std::move(round.metrics.machine_seconds);
     for (const StorageStats& storage : machine_storage) {

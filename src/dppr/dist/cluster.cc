@@ -14,19 +14,17 @@ namespace dppr {
 namespace {
 
 /// Registry handles resolved once; afterwards every round touches only
-/// atomics. Bytes and messages are not here: RoundMetrics::to_coordinator
-/// and ExchangeMetrics::exchanged are their one ledger.
+/// atomics. Bytes and messages are not here: RoundMetrics::ingress is their
+/// one ledger.
 struct ClusterMetrics {
   obs::Counter* gather_rounds;
   obs::Histogram* machine_task_us;
-  obs::Histogram* reduce_us;
 
   static const ClusterMetrics& Get() {
     static const ClusterMetrics metrics = [] {
       auto& r = obs::MetricsRegistry::Global();
       return ClusterMetrics{r.GetCounter("cluster.gather.rounds"),
-                            r.GetHistogram("cluster.machine_task_us"),
-                            r.GetHistogram("cluster.reduce_us")};
+                            r.GetHistogram("cluster.machine_task_us")};
     }();
     return metrics;
   }
@@ -53,24 +51,18 @@ double RoundMetrics::MaxMachineSeconds() const {
   return max;
 }
 
+CommStats RoundMetrics::Traffic() const {
+  CommStats total;
+  for (const CommStats& in : ingress) total += in;
+  return total;
+}
+
 double RoundMetrics::SimulatedSeconds(const NetworkModel& net) const {
-  // Σ over messages of TransferSeconds(bytes_i), folded into aggregate form:
-  // all coordinator-bound sends share the coordinator's ingress link.
-  double transfer =
-      static_cast<double>(to_coordinator.bytes) / net.bandwidth_bytes_per_sec +
-      static_cast<double>(to_coordinator.messages) * net.latency_seconds;
-  return MaxMachineSeconds() + transfer + coordinator_seconds;
-}
-
-double ExchangeMetrics::MaxMachineSeconds() const {
-  double max = 0.0;
-  for (double s : machine_seconds) max = std::max(max, s);
-  return max;
-}
-
-double ExchangeMetrics::SimulatedSeconds(const NetworkModel& net) const {
-  // Destinations drain their ingress links in parallel; the round's barrier
-  // waits for the slowest one.
+  // Σ over messages of TransferSeconds(bytes_i), folded into aggregate form
+  // per destination: all sends to one destination share its ingress link.
+  // Destinations drain in parallel, so the slowest link gates the barrier;
+  // a gather's one link prices exactly as the coordinator's alone, since
+  // max(0.0, t) == t.
   double slowest_link = 0.0;
   for (const CommStats& in : ingress) {
     double t = static_cast<double>(in.bytes) / net.bandwidth_bytes_per_sec +
@@ -86,17 +78,12 @@ void MultiRoundStats::Accumulate(const RoundMetrics& round,
   simulated_seconds += round.SimulatedSeconds(net);
   max_machine_seconds += round.MaxMachineSeconds();
   coordinator_seconds += round.coordinator_seconds;
-  comm += round.to_coordinator;
-}
-
-void MultiRoundStats::AccumulateExchange(const ExchangeMetrics& round,
-                                         const NetworkModel& net) {
-  ++rounds;
-  ++exchange_rounds;
-  simulated_seconds += round.SimulatedSeconds(net);
-  max_machine_seconds += round.MaxMachineSeconds();
-  coordinator_seconds += round.coordinator_seconds;
-  shuffled += round.shuffled;
+  if (round.kind == FrameKind::kExchange) {
+    ++exchange_rounds;
+    shuffled += round.Traffic();
+  } else {
+    comm += round.Traffic();
+  }
 }
 
 SimCluster::SimCluster(size_t num_machines, NetworkModel network,
@@ -117,14 +104,42 @@ SimCluster::RoundResult SimCluster::RunRound(const MachineTask& task) const {
 SimCluster::RoundResult SimCluster::RunRoundOn(std::span<const size_t> machines,
                                                const MachineTask& task) const {
   DPPR_CHECK(task != nullptr);
+  const size_t coordinator = transport_->coordinator_endpoint();
+  ExchangeResult round = Run(machines, {&coordinator, 1}, [&](size_t machine) {
+    std::vector<std::vector<uint8_t>> outbox(1);
+    outbox[0] = task(machine);
+    return outbox;
+  });
+  return RoundResult{std::move(round.inboxes[0]), std::move(round.metrics),
+                     round.round_id};
+}
+
+SimCluster::ExchangeResult SimCluster::RunExchange(const ExchangeTask& task) const {
+  DPPR_CHECK(task != nullptr);
+  std::vector<size_t> all(num_machines_);
+  std::iota(all.begin(), all.end(), size_t{0});
+  return Run(all, all, task);
+}
+
+SimCluster::ExchangeResult SimCluster::Run(std::span<const size_t> machines,
+                                           std::span<const size_t> dsts,
+                                           const ExchangeTask& task) const {
   DPPR_CHECK_GE(machines.size(), 1u);
   for (size_t i = 0; i < machines.size(); ++i) {
     DPPR_CHECK_LT(machines[i], num_machines_);
     if (i > 0) DPPR_CHECK_LT(machines[i - 1], machines[i]);
   }
-  const uint64_t round = transport_->AllocateRound(FrameKind::kGather);
-  RoundResult result;
+  // A round's destinations are the coordinator alone or machines only, so
+  // the round has one kind and one id.
+  const FrameKind kind = transport_->KindFor(dsts[0]);
+  for (size_t dst : dsts) DPPR_CHECK(transport_->KindFor(dst) == kind);
+  const uint64_t round = transport_->AllocateRound(kind);
+  const char* const span_name = kind == FrameKind::kGather
+                                    ? "cluster.machine"
+                                    : "cluster.exchange.machine";
+  ExchangeResult result;
   result.round_id = round;
+  result.metrics.kind = kind;
   result.metrics.machine_seconds.assign(num_machines_, 0.0);
 
   // Machine tasks run on pool threads; re-establish the caller's (query's)
@@ -136,21 +151,24 @@ SimCluster::RoundResult SimCluster::RunRoundOn(std::span<const size_t> machines,
     obs::TraceContextScope ctx_scope(trace_ctx);
     const size_t machine = machines[index];
     // One span per machine superstep, on the machine's own timeline lane:
-    // covers compute and the send, so gaps between spans are queueing.
-    obs::TraceSpan span(obs::MachineLane(machine), "cluster.machine");
+    // covers compute and the sends, so gaps between spans are queueing.
+    obs::TraceSpan span(obs::MachineLane(machine), span_name);
     span.Arg("round", round);
     span.Arg("machine", machine);
-    std::vector<uint8_t> payload;
+    std::vector<std::vector<uint8_t>> outbox;
     result.metrics.machine_seconds[machine] =
-        RunTimed(timer_, [&] { payload = task(machine); });
-    // The send sits outside the machine timer: machine_seconds charges task
+        RunTimed(timer_, [&] { outbox = task(machine); });
+    DPPR_CHECK_EQ(outbox.size(), dsts.size());
+    // The sends sit outside the machine timer: machine_seconds charges task
     // compute only, so measured compute stays comparable across transport
     // backends (the socket tax shows up in wall clock and benches instead).
-    transport_->SendToCoordinator(round, machine, std::move(payload));
+    for (size_t i = 0; i < dsts.size(); ++i) {
+      transport_->Send(round, machine, dsts[i], std::move(outbox[i]));
+    }
   };
 
   if (sequential_ || machines.size() == 1) {
-    // Sends complete before the gather starts; the transport buffers them
+    // Sends complete before the receives start; the transport buffers them
     // (in-process mailbox / kernel socket buffers drained by the receive
     // loop), so sequential mode cannot deadlock.
     for (size_t i = 0; i < machines.size(); ++i) run_machine(i);
@@ -158,109 +176,27 @@ SimCluster::RoundResult SimCluster::RunRoundOn(std::span<const size_t> machines,
     ThreadPool::Default().ParallelFor(machines.size(), run_machine);
   }
 
-  result.payloads = transport_->GatherRound(round, machines.size());
-  DPPR_CHECK_EQ(result.payloads.size(), num_machines_);
-  // Only participants' payloads exist; charge them in machine order so
-  // CommStats is independent of which worker finished first.
-  for (size_t machine : machines) {
-    result.metrics.to_coordinator.Record(result.payloads[machine].size());
+  // All sends are complete, so no receive below can wait on a task that has
+  // not run yet — the round is a barrier, like a BSP superstep. Charge each
+  // destination's payloads in machine order, so CommStats is independent of
+  // which worker finished first.
+  result.inboxes.resize(dsts.size());
+  result.metrics.ingress.assign(dsts.size(), CommStats{});
+  for (size_t i = 0; i < dsts.size(); ++i) {
+    result.inboxes[i] = transport_->Receive(round, dsts[i], machines.size());
+    DPPR_CHECK_EQ(result.inboxes[i].size(), num_machines_);
+    for (size_t src : machines) {
+      if (src != dsts[i]) {
+        result.metrics.ingress[i].Record(result.inboxes[i][src].size());
+      }
+    }
   }
   const ClusterMetrics& metrics = ClusterMetrics::Get();
-  metrics.gather_rounds->Increment();
+  if (kind == FrameKind::kGather) metrics.gather_rounds->Increment();
   for (size_t machine : machines) {
     metrics.machine_task_us->Record(static_cast<uint64_t>(
         result.metrics.machine_seconds[machine] * 1e6));
   }
-  return result;
-}
-
-SimCluster::RoundResult SimCluster::RunRound(
-    const MachineTask& task, const std::function<void(RoundResult&)>& reduce,
-    MultiRoundStats* stats) const {
-  DPPR_CHECK(stats != nullptr);
-  RoundResult result = RunRound(task);
-  if (reduce != nullptr) {
-    obs::TraceSpan span(obs::kCoordinatorLane, "cluster.reduce");
-    span.Arg("round", result.round_id);
-    WallTimer timer;
-    reduce(result);
-    result.metrics.coordinator_seconds = timer.ElapsedSeconds();
-    ClusterMetrics::Get().reduce_us->Record(
-        static_cast<uint64_t>(result.metrics.coordinator_seconds * 1e6));
-  }
-  stats->Accumulate(result.metrics, network_);
-  return result;
-}
-
-SimCluster::ExchangeResult SimCluster::RunExchange(const ExchangeTask& task) const {
-  DPPR_CHECK(task != nullptr);
-  const uint64_t round = transport_->AllocateRound(FrameKind::kExchange);
-  ExchangeResult result;
-  result.round_id = round;
-  result.metrics.machine_seconds.assign(num_machines_, 0.0);
-
-  const obs::TraceContext trace_ctx = obs::CurrentTraceContext();
-  auto run_machine = [&](size_t machine) {
-    obs::TraceContextScope ctx_scope(trace_ctx);
-    obs::TraceSpan span(obs::MachineLane(machine), "cluster.exchange.machine");
-    span.Arg("round", round);
-    span.Arg("machine", machine);
-    std::vector<std::vector<uint8_t>> outbox;
-    result.metrics.machine_seconds[machine] =
-        RunTimed(timer_, [&] { outbox = task(machine); });
-    DPPR_CHECK_EQ(outbox.size(), num_machines_);
-    for (size_t dst = 0; dst < num_machines_; ++dst) {
-      transport_->SendToMachine(round, machine, dst, std::move(outbox[dst]));
-    }
-  };
-
-  if (sequential_ || num_machines_ == 1) {
-    for (size_t machine = 0; machine < num_machines_; ++machine) {
-      run_machine(machine);
-    }
-  } else {
-    ThreadPool::Default().ParallelFor(num_machines_, run_machine);
-  }
-
-  // All sends are complete, so the receives below can never wait on a task
-  // that has not run yet — the exchange is a barrier, like a BSP superstep.
-  result.inboxes.resize(num_machines_);
-  result.metrics.ingress.assign(num_machines_, CommStats{});
-  for (size_t dst = 0; dst < num_machines_; ++dst) {
-    result.inboxes[dst] = transport_->ReceiveExchange(round, dst);
-    DPPR_CHECK_EQ(result.inboxes[dst].size(), num_machines_);
-  }
-  for (size_t dst = 0; dst < num_machines_; ++dst) {
-    for (size_t src = 0; src < num_machines_; ++src) {
-      size_t size = result.inboxes[dst][src].size();
-      result.metrics.exchanged.Record(size);
-      if (src != dst) result.metrics.ingress[dst].Record(size);
-    }
-    result.metrics.shuffled += result.metrics.ingress[dst];
-  }
-  const ClusterMetrics& metrics = ClusterMetrics::Get();
-  for (double s : result.metrics.machine_seconds) {
-    metrics.machine_task_us->Record(static_cast<uint64_t>(s * 1e6));
-  }
-  return result;
-}
-
-SimCluster::ExchangeResult SimCluster::RunExchange(
-    const ExchangeTask& task,
-    const std::function<void(ExchangeResult&)>& reduce,
-    MultiRoundStats* stats) const {
-  DPPR_CHECK(stats != nullptr);
-  ExchangeResult result = RunExchange(task);
-  if (reduce != nullptr) {
-    obs::TraceSpan span(obs::kCoordinatorLane, "cluster.reduce");
-    span.Arg("round", result.round_id);
-    WallTimer timer;
-    reduce(result);
-    result.metrics.coordinator_seconds = timer.ElapsedSeconds();
-    ClusterMetrics::Get().reduce_us->Record(
-        static_cast<uint64_t>(result.metrics.coordinator_seconds * 1e6));
-  }
-  stats->AccumulateExchange(result.metrics, network_);
   return result;
 }
 

@@ -14,62 +14,49 @@
 
 namespace dppr {
 
-/// Measured + modeled cost of one communication round (all machines compute,
-/// then every machine ships one payload to the coordinator, which reduces).
+/// Measured + modeled cost of one communication round: the participating
+/// machines compute, each ships its payloads to the round's destinations,
+/// and the round ends when every destination has them all; then the
+/// caller's reduce runs. A gather (query round, leaf superstep) has one
+/// destination, the coordinator; an exchange (offline shuffle) has every
+/// machine.
 struct RoundMetrics {
-  /// Measured compute time of each simulated machine's task.
+  /// kGather (machines → the coordinator) or kExchange (machine → machine).
+  FrameKind kind = FrameKind::kGather;
+  /// Measured compute time of each simulated machine's task; n wide, zero
+  /// for machines that did not take part.
   std::vector<double> machine_seconds;
-  /// Coordinator-bound traffic (the paper's communication-cost metric). The
-  /// one ledger of gather bytes and messages: QueryMetrics::comm and
-  /// MultiRoundStats::comm read it, and no registry series copies it.
-  CommStats to_coordinator;
-  /// Measured coordinator reduce time (filled in by the caller).
-  double coordinator_seconds = 0.0;
-
-  double MaxMachineSeconds() const;
-
-  /// End-to-end latency of the round under `net`: machines run in parallel
-  /// (max compute), their sends serialize into the coordinator's link (total
-  /// bytes at link bandwidth plus one latency per message), then the
-  /// coordinator reduces. This is the paper's reported "runtime".
-  double SimulatedSeconds(const NetworkModel& net) const;
-};
-
-/// Measured + modeled cost of one machine→machine shuffle round (all
-/// machines compute their outboxes, then every p2p payload moves, then the
-/// caller's reduce ingests).
-struct ExchangeMetrics {
-  /// Measured compute time of each machine's task (outbox construction).
-  std::vector<double> machine_seconds;
-  /// All n² p2p payloads, recorded in (dst, src) order. Every payload counts
-  /// as one message even when empty, mirroring the gather path. Like
-  /// to_coordinator, the one ledger of its traffic.
-  CommStats exchanged;
-  /// Off-machine traffic only (src != dst): a machine's self-addressed
-  /// payload never crosses the network, so shuffle ledgers price exactly the
-  /// records that actually moved.
-  CommStats shuffled;
-  /// `shuffled` split by destination; each machine's ingress link drains
-  /// independently in the transfer model (p2p links are not the
-  /// coordinator's shared ingress).
+  /// Network traffic by destination: one entry, the coordinator, for a
+  /// gather; one per machine, by index, for an exchange. Every payload that
+  /// crosses the network is one message, empty or not; a machine's
+  /// self-addressed payload never crosses it and is not counted. The one
+  /// ledger of a round's bytes and messages: QueryMetrics::comm and
+  /// MultiRoundStats read it, and no registry series copies it.
   std::vector<CommStats> ingress;
   /// Measured coordinator reduce (ingest) time, filled in by the caller.
   double coordinator_seconds = 0.0;
 
   double MaxMachineSeconds() const;
 
+  /// Σ ingress. For a gather this is the coordinator's ingress, the paper's
+  /// communication-cost metric.
+  CommStats Traffic() const;
+
   /// End-to-end latency of the round under `net`: machines compute in
-  /// parallel, then every destination's ingress drains in parallel (the
-  /// slowest link gates the barrier), then the reduce.
+  /// parallel (max compute), then every destination's ingress link drains
+  /// its bytes at link bandwidth plus one latency per message, in parallel
+  /// with the others (the slowest link gates the barrier), then the
+  /// coordinator reduces. For a gather, the one link is the coordinator's,
+  /// and this is the paper's reported "runtime".
   double SimulatedSeconds(const NetworkModel& net) const;
 };
 
 /// Accumulates RoundMetrics across the supersteps of a multi-round algorithm
 /// (the BSP baseline pays one round per superstep; HGPA pays exactly one).
-/// Exchange (p2p shuffle) rounds fold into the same report: they count into
-/// `rounds`/`simulated_seconds` alongside gathers, with their traffic kept in
-/// the distinct `shuffled` column (coordinator ingress and machine→machine
-/// bytes are different links and the paper's tables price them apart).
+/// Exchange rounds count into `rounds`/`simulated_seconds` alongside
+/// gathers, with their traffic kept in the distinct `shuffled` column
+/// (coordinator ingress and machine→machine bytes are different links and
+/// the paper's tables price them apart).
 struct MultiRoundStats {
   size_t rounds = 0;
   /// How many of `rounds` were machine→machine shuffles.
@@ -85,15 +72,17 @@ struct MultiRoundStats {
   CommStats shuffled;
 
   void Accumulate(const RoundMetrics& round, const NetworkModel& net);
-  void AccumulateExchange(const ExchangeMetrics& round, const NetworkModel& net);
 };
 
 /// A cluster of `n` simulated machines sharing this process's cores. One
 /// round runs a caller-supplied task per machine on the shared ThreadPool
 /// (tasks only time their own work, so n may far exceed the physical core
-/// count), ships each machine's serialized payload to the coordinator over
-/// the cluster's Transport, and reports measured compute plus modeled
-/// network cost.
+/// count), ships each machine's serialized payloads over the cluster's
+/// Transport, and reports measured compute plus modeled network cost. A
+/// gather round (RunRoundOn) ships one payload per machine to the
+/// coordinator; an exchange round (RunExchange) ships one payload from every
+/// machine to every machine. Both are the same round, run by one private
+/// runner.
 ///
 /// The Transport is where the bytes physically move: InProcessTransport
 /// hands buffers over in memory (the historical behavior), TcpTransport
@@ -101,15 +90,15 @@ struct MultiRoundStats {
 /// and results are bit-identical across backends (byte ledgers are computed
 /// from payload sizes, never wire overhead).
 ///
-/// Threading contract: RunRound/RunExchange are safe to call from many
-/// threads at once on one SimCluster, and from inside another round's
-/// machine task. All per-round state (payloads, metrics, timers) is local to
-/// the call; concurrent rounds on the shared Transport never mix frames
-/// (each round gets a unique id). Each round runs its machine tasks in its
-/// own ThreadPool::ParallelFor, which waits only on that call's tasks (see
+/// Threading contract: rounds are safe to run from many threads at once on
+/// one SimCluster, and from inside another round's machine task. All
+/// per-round state (payloads, metrics, timers) is local to the call;
+/// concurrent rounds on the shared Transport never mix frames (each round
+/// gets a unique id). Each round runs its machine tasks in its own
+/// ThreadPool::ParallelFor, which waits only on that call's tasks (see
 /// thread_pool.h), so concurrent and nested rounds never wait on each other.
-/// set_timer is configuration-time only: don't call it concurrently with
-/// RunRound.
+/// set_timer is configuration-time only: don't call it concurrently with a
+/// round.
 class SimCluster {
  public:
   /// Machine task: given the machine index, returns the payload that machine
@@ -137,7 +126,7 @@ class SimCluster {
     /// inboxes[dst][src]: the payload machine src addressed to machine dst,
     /// independent of execution order.
     std::vector<std::vector<std::vector<uint8_t>>> inboxes;
-    ExchangeMetrics metrics;
+    RoundMetrics metrics;
     /// Transport round id (see RoundResult::round_id).
     uint64_t round_id = 0;
   };
@@ -167,44 +156,39 @@ class SimCluster {
   /// Which backend this cluster's rounds actually travel over.
   TransportBackend transport_backend() const { return transport_->backend(); }
 
-  /// Runs one round on `machines` (sorted, unique, non-empty subset of
-  /// 0..n-1): `task(m)` for every listed machine m, each timed individually,
-  /// and every payload travels machine → coordinator through the Transport.
-  /// Non-participants pay no compute, send nothing, and charge no comm. The
-  /// result keeps full-cluster indexing: payloads has num_machines() entries
-  /// (empty for non-participants) and machine_seconds stays n-wide with
-  /// zeros. CommStats covers participants only, in machine order;
-  /// coordinator_seconds is left 0 for the caller's reduce phase.
+  /// Runs one gather round on `machines` (sorted, unique, non-empty subset
+  /// of 0..n-1): `task(m)` for every listed machine m, each timed
+  /// individually, and every payload travels machine → coordinator through
+  /// the Transport. Non-participants pay no compute, send nothing, and
+  /// charge no comm. The result keeps full-cluster indexing: payloads has
+  /// num_machines() entries (empty for non-participants) and machine_seconds
+  /// stays n-wide with zeros. The one ingress entry covers participants
+  /// only; coordinator_seconds is left 0 for the caller's reduce phase.
   RoundResult RunRoundOn(std::span<const size_t> machines,
                          const MachineTask& task) const;
 
   /// RunRoundOn every machine.
   RoundResult RunRound(const MachineTask& task) const;
 
-  /// Multi-round convenience: runs one round, times `reduce` as the
-  /// coordinator phase (stored into the round's coordinator_seconds), and
-  /// folds the completed round into `stats` under this cluster's network
-  /// model. Callers with no reduce work may pass a no-op.
-  RoundResult RunRound(const MachineTask& task,
-                       const std::function<void(RoundResult&)>& reduce,
-                       MultiRoundStats* stats) const;
-
   /// Runs one machine→machine shuffle round: `task(m)` produces machine m's
   /// outbox, every payload travels p2p through the Transport, and each
-  /// machine's inbox comes back indexed by source. Sends happen while tasks
-  /// run and receives only start after every task finished, so the round is
-  /// deadlock-free in sequential mode and over real sockets alike.
+  /// machine's inbox comes back indexed by source. coordinator_seconds is
+  /// left 0 for the caller's ingest.
   ExchangeResult RunExchange(const ExchangeTask& task) const;
 
-  /// Multi-round convenience mirroring the gather overload: runs one
-  /// exchange round, times `reduce` as the coordinator phase, and folds the
-  /// completed round into `stats` (rounds, exchange_rounds, shuffled bytes)
-  /// under this cluster's network model.
-  ExchangeResult RunExchange(const ExchangeTask& task,
-                             const std::function<void(ExchangeResult&)>& reduce,
-                             MultiRoundStats* stats) const;
-
  private:
+  /// The one round: runs `task(m)` for every machine m in `machines` — under
+  /// the caller's trace context, in one span per machine on its own lane,
+  /// timed by timer_, in machine order on the calling thread or on the
+  /// pool — and sends the payload it returns for dsts[i] to endpoint
+  /// dsts[i]. Sends happen while tasks run and receives only start after
+  /// every task finished, so the round is deadlock-free in sequential mode
+  /// and over real sockets alike. inboxes[i] holds what dsts[i] received,
+  /// indexed by source, and metrics.ingress[i] prices it.
+  ExchangeResult Run(std::span<const size_t> machines,
+                     std::span<const size_t> dsts,
+                     const ExchangeTask& task) const;
+
   size_t num_machines_;
   NetworkModel network_;
   bool sequential_;

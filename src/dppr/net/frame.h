@@ -11,8 +11,8 @@ namespace dppr {
 /// \file
 /// Wire framing for TCP Transport messages (the in-process transport hands
 /// payloads over without a header). A frame is a fixed-size header naming
-/// the message class, the sending machine, the destination, and the round it
-/// belongs to, followed by `payload_bytes` of opaque payload guarded by a
+/// the message class, the sending machine, the destination endpoint, and the
+/// round it belongs to, followed by `payload_bytes` of opaque payload guarded by a
 /// checksum. A TCP byte stream is just a concatenation of frames, so a
 /// receiver can demultiplex many concurrent rounds off one connection.
 ///
@@ -21,17 +21,15 @@ namespace dppr {
 /// kind, an absurd or wrapping length, or a checksum mismatch DPPR_CHECK-fail
 /// instead of hanging the gatherer or handing garbage to the reducer.
 
-/// Message classes moved by a Transport.
+/// Message classes moved by a Transport. A frame's kind follows from its
+/// destination (Transport::KindFor) and selects the round-id space, which
+/// keeps each inbox's round ids dense.
 enum class FrameKind : uint8_t {
   /// Machine → coordinator: one end-of-round payload per machine.
   kGather = 0,
   /// Machine → machine: one p2p payload of an exchange (shuffle) round.
   kExchange = 1,
 };
-
-/// `dst` of a coordinator-bound frame (the coordinator is not a machine, so
-/// no machine index may alias it).
-inline constexpr uint32_t kCoordinatorDst = 0xFFFFFFFFu;
 
 /// Upper bound on one frame's payload. Real payloads (a machine's serialized
 /// vectors for one superstep) stay orders of magnitude below this; the bound
@@ -54,8 +52,9 @@ struct FrameHeader {
   FrameKind kind = FrameKind::kGather;
   /// Sending machine index.
   uint32_t src = 0;
-  /// Destination machine index, or kCoordinatorDst for gather frames.
-  uint32_t dst = kCoordinatorDst;
+  /// Destination endpoint: a machine index, or n (the coordinator) for
+  /// gather frames.
+  uint32_t dst = 0;
   /// Transport round the payload belongs to (Transport::AllocateRound).
   uint64_t round = 0;
   uint64_t payload_bytes = 0;

@@ -20,37 +20,26 @@ obs::Counter* FramesSent() {
 }  // namespace
 
 InProcessTransport::InProcessTransport(size_t num_machines)
-    : Transport(num_machines), coordinator_(num_machines) {
-  machines_.reserve(num_machines);
-  for (size_t m = 0; m < num_machines; ++m) {
-    machines_.push_back(std::make_unique<FrameInbox>(num_machines));
+    : Transport(num_machines) {
+  endpoints_.reserve(num_machines + 1);
+  for (size_t i = 0; i <= num_machines; ++i) {
+    endpoints_.push_back(std::make_unique<FrameInbox>(num_machines));
   }
 }
 
-void InProcessTransport::SendToCoordinator(uint64_t round, size_t src,
-                                           std::vector<uint8_t> payload) {
+void InProcessTransport::Send(uint64_t round, size_t src, size_t dst,
+                              std::vector<uint8_t> payload) {
   DPPR_CHECK_LT(src, num_machines());
+  DPPR_CHECK_LT(dst, endpoints_.size());
   FramesSent()->Increment();
-  coordinator_.Push(round, src, std::move(payload));
+  endpoints_[dst]->Push(round, src, std::move(payload));
 }
 
-std::vector<std::vector<uint8_t>> InProcessTransport::GatherRound(
-    uint64_t round, size_t expected) {
-  return coordinator_.WaitCount(round, expected);
-}
-
-void InProcessTransport::SendToMachine(uint64_t round, size_t src, size_t dst,
-                                       std::vector<uint8_t> payload) {
-  DPPR_CHECK_LT(src, num_machines());
-  DPPR_CHECK_LT(dst, num_machines());
-  FramesSent()->Increment();
-  machines_[dst]->Push(round, src, std::move(payload));
-}
-
-std::vector<std::vector<uint8_t>> InProcessTransport::ReceiveExchange(
-    uint64_t round, size_t dst) {
-  DPPR_CHECK_LT(dst, num_machines());
-  return machines_[dst]->WaitAll(round);
+std::vector<std::vector<uint8_t>> InProcessTransport::Receive(uint64_t round,
+                                                              size_t dst,
+                                                              size_t expected) {
+  DPPR_CHECK_LT(dst, endpoints_.size());
+  return endpoints_[dst]->WaitCount(round, expected);
 }
 
 }  // namespace dppr

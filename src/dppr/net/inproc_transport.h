@@ -13,29 +13,24 @@ namespace dppr {
 /// the original SimCluster payload gather refactored behind the Transport
 /// interface, and the baseline the TCP backend must match byte for byte.
 ///
-/// Each destination endpoint (every machine plus the coordinator) has its
-/// own mailbox, so senders to different destinations never contend; senders
-/// to one destination contend only for the O(1) move under that mailbox's
-/// mutex.
+/// Each destination endpoint (every machine plus the coordinator, endpoint
+/// n) has its own mailbox, so senders to different destinations never
+/// contend; senders to one destination contend only for the O(1) move under
+/// that mailbox's mutex.
 class InProcessTransport final : public Transport {
  public:
   explicit InProcessTransport(size_t num_machines);
 
   TransportBackend backend() const override { return TransportBackend::kInProcess; }
 
-  void SendToCoordinator(uint64_t round, size_t src,
-                         std::vector<uint8_t> payload) override;
-  std::vector<std::vector<uint8_t>> GatherRound(uint64_t round,
-                                                size_t expected) override;
-
-  void SendToMachine(uint64_t round, size_t src, size_t dst,
-                     std::vector<uint8_t> payload) override;
-  std::vector<std::vector<uint8_t>> ReceiveExchange(uint64_t round,
-                                                    size_t dst) override;
+  void Send(uint64_t round, size_t src, size_t dst,
+            std::vector<uint8_t> payload) override;
+  std::vector<std::vector<uint8_t>> Receive(uint64_t round, size_t dst,
+                                            size_t expected) override;
 
  private:
-  FrameInbox coordinator_;
-  std::vector<std::unique_ptr<FrameInbox>> machines_;
+  /// n machines + the coordinator.
+  std::vector<std::unique_ptr<FrameInbox>> endpoints_;
 };
 
 }  // namespace dppr

@@ -261,18 +261,15 @@ void TcpTransport::ParseFrames(Endpoint& ep, size_t inbound_index) {
 void TcpTransport::Deliver(Endpoint& ep, const FrameHeader& header,
                            std::vector<uint8_t> payload) {
   DPPR_CHECK_LT(header.src, num_machines());
+  // A frame names the endpoint it was sent to, and that endpoint's kind is
+  // the only one it accepts; anything else is misrouted or forged.
+  DPPR_CHECK_EQ(header.dst, static_cast<uint32_t>(ep.index));
+  DPPR_CHECK(header.kind == KindFor(ep.index));
   // Legitimate senders allocate the round id before sending, so an id at or
   // past its kind's watermark is hostile: it would squat on a future round's
   // slot (making the real machine's send die as a "duplicate") or grow the
   // inbox without bound under a stream of bogus ids.
   DPPR_CHECK_LT(header.round, allocated_rounds(header.kind));
-  if (ep.index == coordinator_endpoint()) {
-    DPPR_CHECK(header.kind == FrameKind::kGather);
-    DPPR_CHECK_EQ(header.dst, kCoordinatorDst);
-  } else {
-    DPPR_CHECK(header.kind == FrameKind::kExchange);
-    DPPR_CHECK_EQ(header.dst, static_cast<uint32_t>(ep.index));
-  }
   ep.inbox.Push(header.round, header.src, std::move(payload));
 }
 
@@ -299,13 +296,14 @@ void TcpTransport::EnsureConnected(Connection& conn, size_t endpoint) {
   TcpMetrics::Get().connects->Increment();
 }
 
-void TcpTransport::SendFrame(size_t endpoint, FrameKind kind, uint64_t round,
-                             size_t src, uint32_t dst,
-                             std::span<const uint8_t> payload) {
+void TcpTransport::Send(uint64_t round, size_t src, size_t dst,
+                        std::vector<uint8_t> payload) {
+  DPPR_CHECK_LT(src, num_machines());
   uint8_t header_bytes[kFrameHeaderBytes];
-  EncodeFrameHeader(
-      MakeFrameHeader(kind, round, static_cast<uint32_t>(src), dst, payload),
-      header_bytes);
+  EncodeFrameHeader(MakeFrameHeader(KindFor(dst), round,
+                                    static_cast<uint32_t>(src),
+                                    static_cast<uint32_t>(dst), payload),
+                    header_bytes);
 
   // The span covers lock wait + connect + the full flush, on the sending
   // machine's lane: in a timeline, long net.tcp.send spans under short
@@ -314,9 +312,9 @@ void TcpTransport::SendFrame(size_t endpoint, FrameKind kind, uint64_t round,
   span.Arg("round", round);
   span.Arg("bytes", payload.size());
 
-  Connection& conn = *connections_[endpoint];
+  Connection& conn = *connections_[dst];
   std::lock_guard<std::mutex> lock(conn.mu);
-  EnsureConnected(conn, endpoint);
+  EnsureConnected(conn, dst);
   WallTimer flush_timer;
   size_t sendmsg_calls = 0;
 
@@ -372,30 +370,11 @@ void TcpTransport::SendFrame(size_t endpoint, FrameKind kind, uint64_t round,
       static_cast<uint64_t>(flush_timer.ElapsedSeconds() * 1e6));
 }
 
-void TcpTransport::SendToCoordinator(uint64_t round, size_t src,
-                                     std::vector<uint8_t> payload) {
-  DPPR_CHECK_LT(src, num_machines());
-  SendFrame(coordinator_endpoint(), FrameKind::kGather, round, src,
-            kCoordinatorDst, payload);
-}
-
-std::vector<std::vector<uint8_t>> TcpTransport::GatherRound(uint64_t round,
-                                                            size_t expected) {
-  return endpoints_[coordinator_endpoint()]->inbox.WaitCount(round, expected);
-}
-
-void TcpTransport::SendToMachine(uint64_t round, size_t src, size_t dst,
-                                 std::vector<uint8_t> payload) {
-  DPPR_CHECK_LT(src, num_machines());
-  DPPR_CHECK_LT(dst, num_machines());
-  SendFrame(dst, FrameKind::kExchange, round, src, static_cast<uint32_t>(dst),
-            payload);
-}
-
-std::vector<std::vector<uint8_t>> TcpTransport::ReceiveExchange(uint64_t round,
-                                                                size_t dst) {
-  DPPR_CHECK_LT(dst, num_machines());
-  return endpoints_[dst]->inbox.WaitAll(round);
+std::vector<std::vector<uint8_t>> TcpTransport::Receive(uint64_t round,
+                                                        size_t dst,
+                                                        size_t expected) {
+  DPPR_CHECK_LT(dst, endpoints_.size());
+  return endpoints_[dst]->inbox.WaitCount(round, expected);
 }
 
 }  // namespace dppr

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "dppr/net/transport.h"
@@ -28,14 +27,15 @@ namespace dppr {
 /// the byte stream into frames and files them in the endpoint's FrameInbox.
 ///
 /// The receive loops never deadlock a round: they always drain the kernel
-/// buffers, so a sender's frames land in the inbox even when no gatherer is
-/// waiting yet (sequential SimCluster mode sends all n payloads before the
-/// first gather).
+/// buffers, so a sender's frames land in the inbox even when no receiver is
+/// waiting yet (sequential SimCluster mode sends every payload of a round
+/// before the first Receive).
 ///
 /// Hostile input dies instead of hanging: wrong magic, unknown kind,
 /// oversized/wrapping length, checksum mismatch, a frame from an
-/// out-of-range machine, a duplicate (round, src) frame, and a peer that
-/// disconnects mid-frame all DPPR_CHECK-fail in the receive loop.
+/// out-of-range machine, a frame addressed to another endpoint or of a kind
+/// the endpoint does not accept, a duplicate (round, src) frame, and a peer
+/// that disconnects mid-frame all DPPR_CHECK-fail in the receive loop.
 class TcpTransport final : public Transport {
  public:
   explicit TcpTransport(size_t num_machines);
@@ -43,18 +43,10 @@ class TcpTransport final : public Transport {
 
   TransportBackend backend() const override { return TransportBackend::kTcp; }
 
-  void SendToCoordinator(uint64_t round, size_t src,
-                         std::vector<uint8_t> payload) override;
-  std::vector<std::vector<uint8_t>> GatherRound(uint64_t round,
-                                                size_t expected) override;
-
-  void SendToMachine(uint64_t round, size_t src, size_t dst,
-                     std::vector<uint8_t> payload) override;
-  std::vector<std::vector<uint8_t>> ReceiveExchange(uint64_t round,
-                                                    size_t dst) override;
-
-  /// Endpoint index of the coordinator's listener (machines are 0..n-1).
-  size_t coordinator_endpoint() const { return num_machines(); }
+  void Send(uint64_t round, size_t src, size_t dst,
+            std::vector<uint8_t> payload) override;
+  std::vector<std::vector<uint8_t>> Receive(uint64_t round, size_t dst,
+                                            size_t expected) override;
 
   /// Listening port of `endpoint` on 127.0.0.1. Exposed so hostile-frame
   /// tests can connect a raw socket and prove garbage dies cleanly.
@@ -75,8 +67,6 @@ class TcpTransport final : public Transport {
   /// Connects `conn` to `endpoint`'s listener if not yet connected; call
   /// with conn.mu held.
   void EnsureConnected(Connection& conn, size_t endpoint);
-  void SendFrame(size_t endpoint, FrameKind kind, uint64_t round, size_t src,
-                 uint32_t dst, std::span<const uint8_t> payload);
 
   std::vector<std::unique_ptr<Endpoint>> endpoints_;  // n machines + coordinator
   /// One shared outbound stream per destination endpoint, fixed at

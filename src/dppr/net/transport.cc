@@ -32,7 +32,7 @@ FrameInbox::Slot& FrameInbox::SlotFor(uint64_t round) {
 void FrameInbox::Push(uint64_t round, size_t src, std::vector<uint8_t> payload) {
   DPPR_CHECK_LT(src, num_sources_);
   std::lock_guard<std::mutex> lock(mu_);
-  // A frame for a round that was already gathered is a replay: no waiter
+  // A frame for a round that was already collected is a replay: no waiter
   // will ever collect it, so absorbing it would leak an orphan slot (and its
   // payload copy) per replayed id.
   DPPR_CHECK((round >= retired_floor_ &&
@@ -40,7 +40,7 @@ void FrameInbox::Push(uint64_t round, size_t src, std::vector<uint8_t> payload) 
              "frame for an already-collected round");
   Slot& slot = SlotFor(round);
   // One payload per (round, source): a duplicate means a corrupt or hostile
-  // peer, and silently overwriting could swap a round's data mid-gather.
+  // peer, and silently overwriting could swap a round's data mid-round.
   DPPR_CHECK(!slot.present[src]);
   slot.present[src] = 1;
   slot.payloads[src] = std::move(payload);
@@ -51,14 +51,9 @@ void FrameInbox::Push(uint64_t round, size_t src, std::vector<uint8_t> payload) 
   if (slot.expected != 0) {
     DPPR_CHECK_LE(slot.arrived, slot.expected);
     // Exactly one waiter per round, parked on this slot's own cv —
-    // completing one round never wakes the other in-flight rounds'
-    // gatherers.
+    // completing one round never wakes the other in-flight rounds' waiters.
     if (slot.arrived == slot.expected) slot.arrived_cv.notify_one();
   }
-}
-
-std::vector<std::vector<uint8_t>> FrameInbox::WaitAll(uint64_t round) {
-  return WaitCount(round, num_sources_);
 }
 
 std::vector<std::vector<uint8_t>> FrameInbox::WaitCount(uint64_t round,
@@ -88,6 +83,12 @@ std::vector<std::vector<uint8_t>> FrameInbox::WaitCount(uint64_t round,
 
 Transport::Transport(size_t num_machines) : num_machines_(num_machines) {
   DPPR_CHECK_GE(num_machines, 1u);
+}
+
+FrameKind Transport::KindFor(size_t dst) const {
+  DPPR_CHECK_LE(dst, coordinator_endpoint());
+  return dst == coordinator_endpoint() ? FrameKind::kGather
+                                       : FrameKind::kExchange;
 }
 
 std::shared_ptr<Transport> MakeTransport(size_t num_machines,

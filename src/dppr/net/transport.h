@@ -35,11 +35,11 @@ struct TransportOptions {
 };
 
 /// Mailbox of one destination endpoint: payloads arriving for (round, src),
-/// delivered to a waiter that needs the full set of `num_sources` payloads
-/// of a round. Both backends route through this — the in-process transport
-/// pushes moved buffers directly, the TCP receive loops push decoded frame
-/// payloads — so waiting, round demultiplexing, and duplicate-frame
-/// detection behave identically on either.
+/// delivered to the one waiter of each round once the round's expected
+/// payloads are all in. Both backends route through this — the in-process
+/// transport pushes moved buffers directly, the TCP receive loops push
+/// decoded frame payloads — so waiting, round demultiplexing, and
+/// duplicate-frame detection behave identically on either.
 ///
 /// Memory is bounded by the in-flight window, not the transport's lifetime:
 /// round ids are dense per inbox (each FrameKind has its own id space and an
@@ -53,24 +53,20 @@ class FrameInbox {
   FrameInbox& operator=(const FrameInbox&) = delete;
 
   /// Files `payload` under (round, src). A second frame for the same slot,
-  /// or any frame for a round WaitAll already retired, is hostile (each
+  /// or any frame for a round WaitCount already retired, is hostile (each
   /// source sends exactly one payload per round, and nobody will ever wait
   /// on a retired round again — absorbing the replay would orphan a slot
   /// holding payload copies forever) and dies.
   void Push(uint64_t round, size_t src, std::vector<uint8_t> payload);
 
-  /// Blocks until all `num_sources` payloads of `round` arrived, then
-  /// returns them indexed by source and retires the round. Many rounds may
-  /// be in flight at once (concurrent queries); each waiter sleeps on its
-  /// own round's condition variable, so one round completing never wakes
-  /// another round's gatherer.
-  std::vector<std::vector<uint8_t>> WaitAll(uint64_t round);
-
-  /// Like WaitAll, but the round is complete after `expected` payloads (a
-  /// routed round where only a subset of sources send). The returned vector
-  /// is still indexed by source with num_sources entries — absent sources
-  /// are empty. The waiter is what knows how many senders a round has, so a
-  /// frame count above `expected` (a non-participant sending anyway) is
+  /// Blocks until `expected` payloads of `round` arrived (all sources, or a
+  /// routed round's participants), then returns them indexed by source and
+  /// retires the round. The returned vector always has num_sources entries;
+  /// sources that sent nothing are empty. Many rounds may be in flight at
+  /// once (concurrent queries); each waiter sleeps on its own round's
+  /// condition variable, so one round completing never wakes another
+  /// round's waiter. The waiter is what knows how many senders a round has,
+  /// so a frame count above `expected` (a non-participant sending anyway) is
   /// hostile and dies in Push once the waiter declared the round's size.
   std::vector<std::vector<uint8_t>> WaitCount(uint64_t round, size_t expected);
 
@@ -109,17 +105,19 @@ class FrameInbox {
 /// backend is live never changes payload bytes, CommStats, or results — only
 /// where the bytes physically travel.
 ///
-/// Two primitives, mirroring the two traffic patterns of the paper:
-///   - gather: every machine sends one payload per round to the coordinator
-///     (SendToCoordinator / GatherRound) — offline supersteps and query
-///     fragment collection;
-///   - exchange: machine → machine p2p payloads (SendToMachine /
-///     ReceiveExchange) — the home for Lin-style shuffle rounds where a
-///     vector is computed where the subgraph lives and shipped to its owner.
+/// One primitive, the paper's round: machines Send payloads to a
+/// destination endpoint, and the round ends at that destination when
+/// Receive has them all. There are n + 1 endpoints: machines 0..n-1 and the
+/// coordinator, endpoint n (coordinator_endpoint()). A query round or a
+/// leaf superstep is every participant sending to the coordinator; an
+/// offline shuffle is every machine sending to every machine (the Lin-style
+/// pattern where a vector is computed where its subgraph lives and shipped
+/// to its owner). A payload's FrameKind follows from its destination
+/// (KindFor): kGather into the coordinator, kExchange into a machine.
 ///
-/// Threading contract: sends are safe from any thread (SimCluster's machine
-/// tasks run on the shared ThreadPool); GatherRound/ReceiveExchange are safe
-/// from many threads as long as each round has exactly one waiter. Round ids
+/// Threading contract: Send is safe from any thread (SimCluster's machine
+/// tasks run on the shared ThreadPool); Receive is safe from many threads
+/// as long as each (round, destination) has exactly one waiter. Round ids
 /// come from AllocateRound, so concurrent rounds on one transport never mix
 /// frames.
 class Transport {
@@ -133,10 +131,18 @@ class Transport {
 
   size_t num_machines() const { return num_machines_; }
 
-  /// Next round id of `kind`; tag every frame of one gather/exchange with
-  /// the same id. Each kind has its own dense id space — an inbox only ever
-  /// receives one kind, which is what lets it compact retired rounds into a
-  /// low watermark instead of remembering every id forever.
+  /// Endpoint index of the coordinator (machines are 0..n-1).
+  size_t coordinator_endpoint() const { return num_machines_; }
+
+  /// The kind every payload addressed to endpoint `dst` travels as: kGather
+  /// into the coordinator, kExchange into a machine. It picks the round-id
+  /// space (AllocateRound), which is what keeps each inbox's ids dense.
+  FrameKind KindFor(size_t dst) const;
+
+  /// Next round id of `kind`; tag every payload of one round with the same
+  /// id. Each kind has its own dense id space — an inbox only ever receives
+  /// one kind, which is what lets it compact retired rounds into a low
+  /// watermark instead of remembering every id forever.
   ///
   /// Visibility note for receive paths that check allocated_rounds: the C++
   /// memory model alone does not order this fetch_add before a receiver's
@@ -149,25 +155,18 @@ class Transport {
     return round_counter(kind).fetch_add(1, std::memory_order_acq_rel);
   }
 
-  /// Ships machine `src`'s end-of-round payload to the coordinator.
-  virtual void SendToCoordinator(uint64_t round, size_t src,
-                                 std::vector<uint8_t> payload) = 0;
+  /// Ships machine `src`'s payload of `round` to endpoint `dst` (a machine,
+  /// or coordinator_endpoint()); `round` comes from
+  /// AllocateRound(KindFor(dst)).
+  virtual void Send(uint64_t round, size_t src, size_t dst,
+                    std::vector<uint8_t> payload) = 0;
 
-  /// Coordinator side: blocks until `expected` machines' payloads for
-  /// `round` arrived (a routed round's participants, or all of them); returns
-  /// them indexed by machine, non-senders' entries empty.
-  virtual std::vector<std::vector<uint8_t>> GatherRound(uint64_t round,
-                                                        size_t expected) = 0;
-
-  /// Ships one p2p payload from machine `src` to machine `dst`.
-  virtual void SendToMachine(uint64_t round, size_t src, size_t dst,
-                             std::vector<uint8_t> payload) = 0;
-
-  /// Machine `dst`'s side of an exchange round: blocks until one payload
-  /// from every machine (including `dst` itself) arrived; returns them
-  /// indexed by source.
-  virtual std::vector<std::vector<uint8_t>> ReceiveExchange(uint64_t round,
-                                                            size_t dst) = 0;
+  /// Endpoint `dst`'s side of a round: blocks until `expected` machines'
+  /// payloads for `round` arrived (a routed round's participants, or all of
+  /// them); returns them indexed by source machine, non-senders' entries
+  /// empty.
+  virtual std::vector<std::vector<uint8_t>> Receive(uint64_t round, size_t dst,
+                                                    size_t expected) = 0;
 
  protected:
   explicit Transport(size_t num_machines);

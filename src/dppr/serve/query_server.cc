@@ -38,9 +38,7 @@ QueryServer::QueryServer(HgpaQueryEngine engine, ServeOptions options)
   }
   auto& registry = obs::MetricsRegistry::Global();
   series_ = Series{registry.GetCounter("serve.queries" + label_),
-                   registry.GetCounter("serve.rounds" + label_),
                    registry.GetCounter("serve.comm_bytes" + label_),
-                   registry.GetCounter("serve.comm_messages" + label_),
                    registry.GetHistogram("serve.query_latency_us" + label_),
                    registry.GetHistogram("serve.admission_wait_us" + label_),
                    registry.GetCounter("serve.shed" + label_),
@@ -187,9 +185,7 @@ QueryServer::Response QueryServer::Submit(std::vector<Preference> preferences) {
   if (cacheable) cache_.Insert(cache_key, response.ppv);
   response.latency_seconds = admitted.ElapsedSeconds();
   series_.queries->Increment();
-  series_.rounds->Increment();
   series_.comm_bytes->Add(response.metrics.comm.bytes);
-  series_.comm_messages->Add(response.metrics.comm.messages);
   for (size_t i = 0; i < kStorageCounters.size(); ++i) {
     series_.storage[i]->Add(response.metrics.storage.*kStorageCounters[i]);
   }
@@ -216,9 +212,7 @@ StorageStats QueryServer::StorageSeries() const {
 
 QueryServer::WindowBaseline QueryServer::CaptureBaseline() const {
   return WindowBaseline{series_.queries->Value(),
-                        series_.rounds->Value(),
                         series_.comm_bytes->Value(),
-                        series_.comm_messages->Value(),
                         series_.latency_us->TakeSnapshot(),
                         series_.shed->Value(),
                         series_.machines_per_query->TakeSnapshot(),
@@ -232,7 +226,12 @@ ServerStats QueryServer::Stats() const {
   std::unique_lock<std::mutex> lock(mu_);
   ServerStats stats;
   stats.queries = series_.queries->Value() - window_baseline_.queries;
-  stats.rounds = series_.rounds->Value() - window_baseline_.rounds;
+  stats.result_cache_hits = cache_.hits() - window_baseline_.cache_hits;
+  // Every served request that missed the result cache ran exactly one round
+  // (a round skipped for an all-zero preference set included). A hit counts
+  // into the cache before it counts as a query, so a concurrent read may see
+  // it in one and not yet the other.
+  stats.rounds = stats.queries - std::min(stats.result_cache_hits, stats.queries);
   stats.wall_seconds = window_.ElapsedSeconds();
   stats.qps = stats.wall_seconds > 0.0
                   ? static_cast<double>(stats.queries) / stats.wall_seconds
@@ -248,8 +247,6 @@ ServerStats QueryServer::Stats() const {
   stats.p99_latency_ms = static_cast<double>(window.Quantile(0.99)) / 1e3;
   stats.p999_latency_ms = static_cast<double>(window.Quantile(0.999)) / 1e3;
   stats.comm.bytes = series_.comm_bytes->Value() - window_baseline_.comm_bytes;
-  stats.comm.messages =
-      series_.comm_messages->Value() - window_baseline_.comm_messages;
   const StorageStats storage =
       StorageSeries().Since(window_baseline_.storage);
   stats.cache_hits = storage.cache_hits;
@@ -261,7 +258,8 @@ ServerStats QueryServer::Stats() const {
           window_baseline_.machines_per_query);
   stats.machines_per_query_mean = machines.Mean();
   stats.routing_machine_rounds = machines.sum;
-  stats.result_cache_hits = cache_.hits() - window_baseline_.cache_hits;
+  // Each machine that ran sends the coordinator one message.
+  stats.comm.messages = stats.routing_machine_rounds;
   stats.result_cache_misses = cache_.misses() - window_baseline_.cache_misses;
   stats.result_cache_evictions =
       cache_.evictions() - window_baseline_.cache_evictions;

@@ -60,7 +60,8 @@ struct ServeOptions {
 /// the same `serve.query_latency_us` histogram the dump renders.
 struct ServerStats {
   uint64_t queries = 0;
-  /// Cluster rounds run: one per served query that missed the result cache.
+  /// Cluster rounds run: one per served query that missed the result cache,
+  /// so queries − result_cache_hits (no series of its own).
   uint64_t rounds = 0;
   /// Observation window (wall time since construction / ResetStats).
   double wall_seconds = 0.0;
@@ -78,7 +79,8 @@ struct ServerStats {
   double p95_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   double p999_latency_ms = 0.0;
-  /// Coordinator ingress across all rounds (bytes shipped).
+  /// Coordinator ingress across all rounds: bytes shipped, and one message
+  /// per machine that ran, so `messages` is routing_machine_rounds.
   CommStats comm;
   /// Residency view over the window: the store lookups this server's rounds
   /// made, served from RAM vs. read from spill files (cold vs. warm
@@ -195,9 +197,7 @@ class QueryServer {
   /// at construction; pointers live for the process lifetime.
   struct Series {
     obs::Counter* queries;
-    obs::Counter* rounds;
     obs::Counter* comm_bytes;
-    obs::Counter* comm_messages;
     obs::Histogram* latency_us;
     obs::Histogram* admission_wait_us;
     obs::Counter* shed;
@@ -211,9 +211,7 @@ class QueryServer {
   /// deltas from here (the registry series are monotonic process-wide).
   struct WindowBaseline {
     uint64_t queries = 0;
-    uint64_t rounds = 0;
     uint64_t comm_bytes = 0;
-    uint64_t comm_messages = 0;
     obs::Histogram::Snapshot latency;
     uint64_t shed = 0;
     obs::Histogram::Snapshot machines_per_query;

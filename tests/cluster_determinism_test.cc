@@ -4,6 +4,7 @@
 #include <numeric>
 #include <vector>
 
+#include "dppr/common/timer.h"
 #include "dppr/dist/cluster.h"
 #include "dppr/dist/network.h"
 #include "test_util.h"
@@ -28,10 +29,10 @@ TEST(SimClusterDeterminism, SequentialModeIsByteIdenticalAcrossRuns) {
   auto first = cluster.RunRound(DeterministicPayload);
   auto second = cluster.RunRound(DeterministicPayload);
   EXPECT_EQ(first.payloads, second.payloads);
-  EXPECT_EQ(first.metrics.to_coordinator.messages,
-            second.metrics.to_coordinator.messages);
-  EXPECT_EQ(first.metrics.to_coordinator.bytes,
-            second.metrics.to_coordinator.bytes);
+  EXPECT_EQ(first.metrics.Traffic().messages,
+            second.metrics.Traffic().messages);
+  EXPECT_EQ(first.metrics.Traffic().bytes,
+            second.metrics.Traffic().bytes);
 }
 
 TEST(SimClusterDeterminism, ParallelModeMatchesSequentialPayloads) {
@@ -44,10 +45,10 @@ TEST(SimClusterDeterminism, ParallelModeMatchesSequentialPayloads) {
   auto seq = sequential.RunRound(DeterministicPayload);
   auto par = parallel.RunRound(DeterministicPayload);
   EXPECT_EQ(seq.payloads, par.payloads);
-  EXPECT_EQ(seq.metrics.to_coordinator.messages,
-            par.metrics.to_coordinator.messages);
-  EXPECT_EQ(seq.metrics.to_coordinator.bytes,
-            par.metrics.to_coordinator.bytes);
+  EXPECT_EQ(seq.metrics.Traffic().messages,
+            par.metrics.Traffic().messages);
+  EXPECT_EQ(seq.metrics.Traffic().bytes,
+            par.metrics.Traffic().bytes);
 }
 
 TEST(SimClusterDeterminism, SequentialModeAdmitsSharedMutableState) {
@@ -70,18 +71,19 @@ TEST(SimClusterDeterminism, MultiRoundStatsAccumulateAcrossRounds) {
   MultiRoundStats stats;
   size_t reduced_payloads = 0;
   for (int round = 0; round < 3; ++round) {
-    cluster.RunRound(
-        DeterministicPayload,
-        [&](SimCluster::RoundResult& r) { reduced_payloads += r.payloads.size(); },
-        &stats);
+    SimCluster::RoundResult r = cluster.RunRound(DeterministicPayload);
+    WallTimer reduce;
+    reduced_payloads += r.payloads.size();
+    r.metrics.coordinator_seconds = reduce.ElapsedSeconds();
+    stats.Accumulate(r.metrics, cluster.network());
   }
   EXPECT_EQ(stats.rounds, 3u);
   EXPECT_EQ(stats.comm.messages, 12u);
   EXPECT_EQ(reduced_payloads, 12u);
   auto one = cluster.RunRound(DeterministicPayload);
-  EXPECT_EQ(stats.comm.bytes, 3 * one.metrics.to_coordinator.bytes);
+  EXPECT_EQ(stats.comm.bytes, 3 * one.metrics.Traffic().bytes);
   // Each round pays at least one latency per message, and the timed reduce
-  // callback lands in coordinator_seconds.
+  // lands in coordinator_seconds.
   EXPECT_GE(stats.simulated_seconds,
             12 * cluster.network().latency_seconds);
   EXPECT_GE(stats.coordinator_seconds, 0.0);

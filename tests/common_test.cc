@@ -228,8 +228,27 @@ TEST(Env, FallbackWhenUnset) {
 TEST(Env, ParsesSetValues) {
   setenv("DPPR_TEST_ENV_VAR", "3.5", 1);
   EXPECT_DOUBLE_EQ(GetEnvDouble("DPPR_TEST_ENV_VAR", 1.0), 3.5);
-  setenv("DPPR_TEST_ENV_VAR", "garbage", 1);
-  EXPECT_DOUBLE_EQ(GetEnvDouble("DPPR_TEST_ENV_VAR", 1.0), 1.0);
+  setenv("DPPR_TEST_ENV_VAR", "-18137", 1);
+  EXPECT_EQ(GetEnvInt("DPPR_TEST_ENV_VAR", 7), -18137);
+  unsetenv("DPPR_TEST_ENV_VAR");
+}
+
+TEST(EnvDeathTest, MalformedValuesDie) {
+  // Threadsafe style: earlier tests started thread pools, and forking
+  // fast-style from a multithreaded process can wedge the child.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A set value that does not parse as a whole dies naming the variable,
+  // instead of silently reading as the fallback or as its numeric prefix.
+  for (const char* bad : {"garbage", "", "1.5x", "3.5 "}) {
+    setenv("DPPR_TEST_ENV_VAR", bad, 1);
+    EXPECT_DEATH(GetEnvDouble("DPPR_TEST_ENV_VAR", 1.0), "DPPR_TEST_ENV_VAR")
+        << "\"" << bad << "\"";
+  }
+  for (const char* bad : {"abc", "", "18137x", "1.5", "99999999999999999999"}) {
+    setenv("DPPR_TEST_ENV_VAR", bad, 1);
+    EXPECT_DEATH(GetEnvInt("DPPR_TEST_ENV_VAR", 7), "DPPR_TEST_ENV_VAR")
+        << "\"" << bad << "\"";
+  }
   unsetenv("DPPR_TEST_ENV_VAR");
 }
 

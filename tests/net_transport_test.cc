@@ -74,19 +74,19 @@ TEST(Frame, ChecksumKnownAnswers) {
 }
 
 TEST(FrameHostileDeath, TruncatedHeaderDies) {
-  std::vector<uint8_t> frame = BuildFrame(FrameKind::kGather, 1, 0, kCoordinatorDst, {});
+  std::vector<uint8_t> frame = BuildFrame(FrameKind::kGather, 1, 0, /*dst=*/2, {});
   frame.resize(kFrameHeaderBytes - 1);
   EXPECT_DEATH(DecodeFrameHeader(frame), "DPPR_CHECK failed");
 }
 
 TEST(FrameHostileDeath, WrongMagicDies) {
-  std::vector<uint8_t> frame = BuildFrame(FrameKind::kGather, 1, 0, kCoordinatorDst, {});
+  std::vector<uint8_t> frame = BuildFrame(FrameKind::kGather, 1, 0, /*dst=*/2, {});
   frame[0] ^= 0xFF;
   EXPECT_DEATH(DecodeFrameHeader(frame), "DPPR_CHECK failed");
 }
 
 TEST(FrameHostileDeath, UnknownKindDies) {
-  std::vector<uint8_t> frame = BuildFrame(FrameKind::kGather, 1, 0, kCoordinatorDst, {});
+  std::vector<uint8_t> frame = BuildFrame(FrameKind::kGather, 1, 0, /*dst=*/2, {});
   frame[4] = 0x7F;
   EXPECT_DEATH(DecodeFrameHeader(frame), "DPPR_CHECK failed");
 }
@@ -118,7 +118,7 @@ TEST(FrameInboxHostileDeath, ReplayOfACollectedRoundDies) {
   // orphan a slot (and its payload copy) in the inbox forever.
   FrameInbox inbox(1);
   inbox.Push(3, 0, {1});
-  EXPECT_EQ(inbox.WaitAll(3).size(), 1u);
+  EXPECT_EQ(inbox.WaitCount(3, 1).size(), 1u);
   EXPECT_DEATH(inbox.Push(3, 0, {1}), "DPPR_CHECK failed");
 }
 
@@ -137,17 +137,18 @@ class TransportBehavior : public ::testing::TestWithParam<TransportBackend> {
 
 TEST_P(TransportBehavior, GatherReturnsPayloadsIndexedBySource) {
   auto transport = Make(4);
+  const size_t coordinator = transport->coordinator_endpoint();
   uint64_t round = transport->AllocateRound(FrameKind::kGather);
   std::vector<std::thread> senders;
   for (size_t m = 0; m < 4; ++m) {
     senders.emplace_back([&, m] {
-      transport->SendToCoordinator(
-          round, m, std::vector<uint8_t>(m + 1, static_cast<uint8_t>(m)));
+      transport->Send(round, m, coordinator,
+                      std::vector<uint8_t>(m + 1, static_cast<uint8_t>(m)));
     });
   }
   for (auto& s : senders) s.join();
 
-  auto payloads = transport->GatherRound(round, 4);
+  auto payloads = transport->Receive(round, coordinator, 4);
   ASSERT_EQ(payloads.size(), 4u);
   for (size_t m = 0; m < 4; ++m) {
     EXPECT_EQ(payloads[m],
@@ -157,10 +158,11 @@ TEST_P(TransportBehavior, GatherReturnsPayloadsIndexedBySource) {
 
 TEST_P(TransportBehavior, EmptyPayloadsAreDelivered) {
   auto transport = Make(2);
+  const size_t coordinator = transport->coordinator_endpoint();
   uint64_t round = transport->AllocateRound(FrameKind::kGather);
-  transport->SendToCoordinator(round, 0, {});
-  transport->SendToCoordinator(round, 1, {42});
-  auto payloads = transport->GatherRound(round, 2);
+  transport->Send(round, 0, coordinator, {});
+  transport->Send(round, 1, coordinator, {42});
+  auto payloads = transport->Receive(round, coordinator, 2);
   EXPECT_TRUE(payloads[0].empty());
   EXPECT_EQ(payloads[1], std::vector<uint8_t>{42});
 }
@@ -169,6 +171,7 @@ TEST_P(TransportBehavior, ConcurrentRoundsNeverMixFrames) {
   // Serving runs many rounds on one transport at once; frames must route by
   // round id even when sends interleave arbitrarily.
   auto transport = Make(3);
+  const size_t coordinator = transport->coordinator_endpoint();
   constexpr size_t kRounds = 16;
   std::vector<uint64_t> rounds;
   for (size_t r = 0; r < kRounds; ++r) rounds.push_back(transport->AllocateRound(FrameKind::kGather));
@@ -177,8 +180,8 @@ TEST_P(TransportBehavior, ConcurrentRoundsNeverMixFrames) {
   for (size_t m = 0; m < 3; ++m) {
     senders.emplace_back([&, m] {
       for (size_t r = 0; r < kRounds; ++r) {
-        transport->SendToCoordinator(
-            rounds[r], m,
+        transport->Send(
+            rounds[r], m, coordinator,
             std::vector<uint8_t>{static_cast<uint8_t>(r), static_cast<uint8_t>(m)});
       }
     });
@@ -187,7 +190,7 @@ TEST_P(TransportBehavior, ConcurrentRoundsNeverMixFrames) {
   std::vector<uint8_t> ok(kRounds, 0);
   for (size_t r = 0; r < kRounds; ++r) {
     gatherers.emplace_back([&, r] {
-      auto payloads = transport->GatherRound(rounds[r], 3);
+      auto payloads = transport->Receive(rounds[r], coordinator, 3);
       bool good = payloads.size() == 3;
       for (size_t m = 0; good && m < 3; ++m) {
         good = payloads[m] == std::vector<uint8_t>{static_cast<uint8_t>(r),
@@ -208,7 +211,7 @@ TEST_P(TransportBehavior, ExchangeDeliversAllToAll) {
   for (size_t src = 0; src < 3; ++src) {
     senders.emplace_back([&, src] {
       for (size_t dst = 0; dst < 3; ++dst) {
-        transport->SendToMachine(
+        transport->Send(
             round, src, dst,
             std::vector<uint8_t>{static_cast<uint8_t>(src),
                                  static_cast<uint8_t>(dst)});
@@ -218,7 +221,7 @@ TEST_P(TransportBehavior, ExchangeDeliversAllToAll) {
   for (auto& s : senders) s.join();
 
   for (size_t dst = 0; dst < 3; ++dst) {
-    auto inbox = transport->ReceiveExchange(round, dst);
+    auto inbox = transport->Receive(round, dst, 3);
     ASSERT_EQ(inbox.size(), 3u);
     for (size_t src = 0; src < 3; ++src) {
       EXPECT_EQ(inbox[src], (std::vector<uint8_t>{static_cast<uint8_t>(src),
@@ -257,9 +260,8 @@ TEST(SimClusterTransport, TcpRoundMatchesInProcessByteForByte) {
   auto inproc = inproc_cluster.RunRound(task);
   auto tcp = tcp_cluster.RunRound(task);
   EXPECT_EQ(inproc.payloads, tcp.payloads);
-  EXPECT_EQ(inproc.metrics.to_coordinator.bytes, tcp.metrics.to_coordinator.bytes);
-  EXPECT_EQ(inproc.metrics.to_coordinator.messages,
-            tcp.metrics.to_coordinator.messages);
+  EXPECT_EQ(inproc.metrics.Traffic().bytes, tcp.metrics.Traffic().bytes);
+  EXPECT_EQ(inproc.metrics.Traffic().messages, tcp.metrics.Traffic().messages);
 }
 
 TEST(SimClusterTransport, ExchangeRunsOnBothBackendsAndBothModes) {
@@ -278,17 +280,20 @@ TEST(SimClusterTransport, ExchangeRunsOnBothBackendsAndBothModes) {
       SimCluster cluster = MakeCluster(4, backend, sequential);
       SimCluster::ExchangeResult result = cluster.RunExchange(task);
       ASSERT_EQ(result.inboxes.size(), 4u);
-      // Every payload is one message, empty or not — n² per exchange.
-      EXPECT_EQ(result.metrics.exchanged.messages, 16u);
-      EXPECT_EQ(result.metrics.exchanged.bytes, 3u * 4u * 2u);  // machines 1..3 × 4 dsts × 2 bytes
-      // The shuffled column excludes the n self-addressed payloads: 12
-      // messages, and machines 1..3 each keep their own 2-byte self payload.
-      EXPECT_EQ(result.metrics.shuffled.messages, 12u);
-      EXPECT_EQ(result.metrics.shuffled.bytes, 3u * 4u * 2u - 3u * 2u);
+      EXPECT_EQ(result.metrics.kind, FrameKind::kExchange);
+      // Every payload that crosses the network is one message, empty or not;
+      // the n self-addressed payloads never cross it. Each destination takes
+      // 3 messages: machine 0's empty payload plus two 2-byte payloads from
+      // machines 1..3 other than itself (machine 0 takes all three).
       ASSERT_EQ(result.metrics.ingress.size(), 4u);
-      for (const CommStats& in : result.metrics.ingress) {
-        EXPECT_EQ(in.messages, 3u);
+      for (size_t dst = 0; dst < 4; ++dst) {
+        EXPECT_EQ(result.metrics.ingress[dst].messages, 3u) << "dst " << dst;
+        EXPECT_EQ(result.metrics.ingress[dst].bytes, dst == 0 ? 6u : 4u)
+            << "dst " << dst;
       }
+      // 12 messages; machines 1..3 each keep their own 2-byte self payload.
+      EXPECT_EQ(result.metrics.Traffic().messages, 12u);
+      EXPECT_EQ(result.metrics.Traffic().bytes, 3u * 4u * 2u - 3u * 2u);
       for (size_t dst = 0; dst < 4; ++dst) {
         EXPECT_TRUE(result.inboxes[dst][0].empty());
         for (size_t src = 1; src < 4; ++src) {
@@ -361,10 +366,14 @@ void SendAll(int fd, const std::vector<uint8_t>& bytes) {
 // sleep makes the child exit cleanly and the death assertion fail. Round 0
 // is allocated first so frames carrying it get past the round-watermark
 // check and die on the defect each scenario actually targets.
+// The scenarios' transport has 2 machines, so its coordinator is endpoint 2:
+// the destination every frame injected at the coordinator's listener names.
+constexpr uint32_t kCoordinator = 2;
+
 void InjectAndWait(const std::vector<uint8_t>& bytes, bool disconnect) {
   TcpTransport transport(2);
   transport.AllocateRound(FrameKind::kGather);
-  int fd = ConnectLoopback(transport.port(transport.coordinator_endpoint()));
+  int fd = ConnectLoopback(transport.port(kCoordinator));
   SendAll(fd, bytes);
   if (disconnect) ::close(fd);
   std::this_thread::sleep_for(std::chrono::seconds(20));
@@ -374,7 +383,7 @@ TEST(TcpTransportHostileDeath, ChecksumMismatchDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::vector<uint8_t> payload{1, 2, 3, 4};
   std::vector<uint8_t> frame =
-      BuildFrame(FrameKind::kGather, 0, 0, kCoordinatorDst, payload);
+      BuildFrame(FrameKind::kGather, 0, 0, kCoordinator, payload);
   frame[kFrameHeaderBytes] ^= 0xFF;  // corrupt payload after checksumming
   EXPECT_DEATH(InjectAndWait(frame, /*disconnect=*/false), "DPPR_CHECK failed");
 }
@@ -382,7 +391,7 @@ TEST(TcpTransportHostileDeath, ChecksumMismatchDies) {
 TEST(TcpTransportHostileDeath, WrongMagicOnTheWireDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::vector<uint8_t> frame =
-      BuildFrame(FrameKind::kGather, 0, 0, kCoordinatorDst, {});
+      BuildFrame(FrameKind::kGather, 0, 0, kCoordinator, {});
   frame[0] ^= 0xFF;
   EXPECT_DEATH(InjectAndWait(frame, /*disconnect=*/false), "DPPR_CHECK failed");
 }
@@ -402,7 +411,7 @@ TEST(TcpTransportHostileDeath, OutOfRangeSourceMachineDies) {
   // indexes outside the gather would corrupt another machine's slot.
   std::vector<uint8_t> payload{1};
   std::vector<uint8_t> frame =
-      BuildFrame(FrameKind::kGather, 0, 7, kCoordinatorDst, payload);
+      BuildFrame(FrameKind::kGather, 0, 7, kCoordinator, payload);
   EXPECT_DEATH(InjectAndWait(frame, /*disconnect=*/false), "DPPR_CHECK failed");
 }
 
@@ -414,7 +423,19 @@ TEST(TcpTransportHostileDeath, UnallocatedRoundIdDies) {
   // grow the inbox without bound.
   std::vector<uint8_t> payload{9};
   std::vector<uint8_t> frame =
-      BuildFrame(FrameKind::kGather, 5, 0, kCoordinatorDst, payload);
+      BuildFrame(FrameKind::kGather, 5, 0, kCoordinator, payload);
+  EXPECT_DEATH(InjectAndWait(frame, /*disconnect=*/false), "DPPR_CHECK failed");
+}
+
+TEST(TcpTransportHostileDeath, MisaddressedFrameDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A well-formed gather frame for an allocated round, but addressed to
+  // machine 0 and delivered to the coordinator's listener: a frame must
+  // name the endpoint that receives it, or a misrouted stream could file
+  // one endpoint's payloads in another's rounds.
+  std::vector<uint8_t> payload{1};
+  std::vector<uint8_t> frame =
+      BuildFrame(FrameKind::kGather, 0, 0, /*dst=*/0, payload);
   EXPECT_DEATH(InjectAndWait(frame, /*disconnect=*/false), "DPPR_CHECK failed");
 }
 
@@ -423,7 +444,7 @@ TEST(TcpTransportHostileDeath, MidFrameDisconnectDies) {
   // Header promises 1 KiB of payload; the peer vanishes after the header. A
   // gatherer would otherwise wait forever on bytes that can never arrive.
   std::vector<uint8_t> frame =
-      BuildFrame(FrameKind::kGather, 0, 0, kCoordinatorDst,
+      BuildFrame(FrameKind::kGather, 0, 0, kCoordinator,
                  std::vector<uint8_t>(1024, 0x5A));
   frame.resize(kFrameHeaderBytes + 16);
   EXPECT_DEATH(InjectAndWait(frame, /*disconnect=*/true), "DPPR_CHECK failed");
